@@ -82,6 +82,22 @@ Lateness SummarizeLateness(const std::vector<int64_t>& due_ns,
   return out;
 }
 
+std::vector<bool> HostDelayedSends(const std::vector<int64_t>& due_ns,
+                                   const std::vector<int64_t>& sent_ns,
+                                   const std::vector<int64_t>& submitted_ns,
+                                   int64_t late_threshold_ns) {
+  const size_t n =
+      std::min({due_ns.size(), sent_ns.size(), submitted_ns.size()});
+  std::vector<bool> out(n);
+  int64_t previous_submit_end = INT64_MIN;
+  for (size_t r = 0; r < n; ++r) {
+    const int64_t free_at = std::max(due_ns[r], previous_submit_end);
+    out[r] = sent_ns[r] - free_at > late_threshold_ns;
+    previous_submit_end = submitted_ns[r];
+  }
+  return out;
+}
+
 void EpochWeights::MapEpoch(uint64_t epoch, size_t prefix) {
   prefix_of_epoch_.emplace(epoch, prefix);
 }

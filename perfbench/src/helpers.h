@@ -72,6 +72,18 @@ Lateness SummarizeLateness(const std::vector<int64_t>& due_ns,
                            const std::vector<int64_t>& sent_ns,
                            int64_t late_threshold_ns);
 
+/// Which sends of an open-loop generator the host, not the tier, made
+/// late. The generator owns its CPU, so request r sent more than
+/// `late_threshold_ns` after both its due time and the end of request
+/// r-1's Submit call means that CPU was taken from the process. A send
+/// delayed only because the previous Submit was slow is not flagged:
+/// that wait is the tier's, and leaving it out would hide a blocking tier.
+/// The three vectors are aligned per request, in send order.
+std::vector<bool> HostDelayedSends(const std::vector<int64_t>& due_ns,
+                                   const std::vector<int64_t>& sent_ns,
+                                   const std::vector<int64_t>& submitted_ns,
+                                   int64_t late_threshold_ns);
+
 /// The weights every published epoch served, rebuilt from the seeded
 /// update stream: epoch e is mapped to the number of batches applied
 /// when it was current, and GraphAt replays that prefix on a copy of

@@ -13,10 +13,12 @@
 namespace perfbench {
 namespace {
 
+constexpr uint32_t kFlatPairs = 64;
+
 constexpr WorkloadSpec kSpecs[] = {
-    {Workload::kFlatMatrix, "flat-matrix", 1000, 64, 0.2, 4, 80000},
+    {Workload::kFlatMatrix, "flat-matrix", 4000, kFlatPairs, 0.2, 4, 80000},
     {Workload::kShardedChurn, "sharded-churn", 300, 64, 0.2, 4, 30000},
-    {Workload::kRouterTcp, "router-tcp", 2000, 1, 1.0, 32, 60000},
+    {Workload::kRouterTcp, "router-tcp", 2000, 1, 1.0, 8, 60000},
 };
 
 constexpr size_t kHotPairs = 256;
@@ -120,7 +122,7 @@ void MakeRequest(const Inputs& in, Workload w, uint64_t phase,
   stl::Rng rng(Mix(in.seed, static_cast<uint64_t>(w) + 1, phase, index));
   switch (w) {
     case Workload::kFlatMatrix:
-      for (int k = 0; k < 64; ++k) {
+      for (uint32_t k = 0; k < kFlatPairs; ++k) {
         const stl::Vertex s = RandomVertex(&rng, in.base);
         out->emplace_back(s, RandomVertex(&rng, in.base));
       }

@@ -34,12 +34,7 @@ struct NamedUnit {
 /// Every end-to-end metric, in print order.
 constexpr NamedUnit kEndToEnd[] = {
     {"setup_s", "s"},
-    {"query_p50_us", "us"},
-    {"query_p90_us", "us"},
-    {"peak_qps", "1/s"},
-    {"update_visible_p50_us", "us"},
-    {"update_visible_p90_us", "us"},
-    {"resident_mb", "MB"},
+    {"resident_mb", "MiB"},
 };
 
 /// Every per-layer metric, in print order. A layer the workload bypasses
@@ -53,7 +48,7 @@ constexpr NamedUnit kPerLayer[] = {
     {"core.label_writes_per_update", "count"},
     {"core.affected_pairs_per_update", "count"},
     {"core.queue_pops_per_update", "count"},
-    {"core.labelling_mb", "MB"},
+    {"core.labelling_mb", "MiB"},
     {"partition.cells_s", "s"},
     {"index.minplus_rows_ns", "ns"},
     {"util.minplus_reduce_ns.avx2", "ns"},
@@ -88,6 +83,11 @@ constexpr NamedUnit kPerLayer[] = {
     {"net.echo_rtt_us", "us"},
     {"net.reconnects", "count"},
     {"net.connections_accepted", "count"},
+    {"tier.query_p50_us", "us"},
+    {"tier.query_p90_us", "us"},
+    {"tier.peak_qps", "1/s"},
+    {"tier.update_visible_p50_us", "us"},
+    {"tier.update_visible_p90_us", "us"},
     {"trace.overhead.query_p50_us", "us"},
     {"trace.overhead.query_p90_us", "us"},
     {"trace.overhead.peak_qps", "1/s"},

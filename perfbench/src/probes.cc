@@ -64,10 +64,11 @@ void ProbeCore(const Inputs& in, SpanRecorder* rec, MetricSet* m) {
   stl::StlIndex index = stl::StlIndex::Build(&g, stl::HierarchyOptions{});
   m->Set("core.hierarchy_s", index.build_info().hierarchy_seconds, "s");
   m->Set("core.labelling_s", index.build_info().labelling_seconds, "s");
-  m->Set("core.labelling_mb", index.MemoryBytes() / (1024.0 * 1024.0), "MB");
+  m->Set("core.labelling_mb", index.MemoryBytes() / (1024.0 * 1024.0),
+         "MiB");
 
-  // Label-merge queries over flat-matrix's pairs, timed per request of
-  // 64 (a per-call clock read would be a large share of one query).
+  // Label-merge queries over flat-matrix's pairs, timed per request (a
+  // per-call clock read would be a large share of one query).
   std::vector<double> per_query;
   std::vector<stl::QueryPair> pairs;
   stl::Weight sink = 0;

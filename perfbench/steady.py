@@ -2,24 +2,24 @@
 """Steadiness tool: runs every workload N times per side and reports how
 much each end-to-end metric spreads.
 
-    python3 perfbench/steady.py [--runs 10] [--workloads a,b] [--sets 2]
-                                [--other PATH] [--seed-base 1000]
+    python3 perfbench/steady.py [--runs 10] [--workloads a,b] [--other PATH]
 
 Run from the root of a checkout. Two sides are measured, alternating
 which runs first in each round:
 
   * without --other, "one build twice": set A and set B both run this
-    checkout, each run with its own seed (A: base+i, B: base+runs+i);
+    checkout, each run with its own seed (A: 1000+i, B: 1000+runs+i);
   * with --other PATH, a parent/change pair: A runs this checkout, B runs
-    the checkout at PATH, both with seed base+i in round i.
+    the checkout at PATH, both with seed 1000+i in round i.
+
+Every run lasts BENCHMARK.json's run_seconds.
 
 For each side, workload and metric it prints the median, the quartiles
 (statistics.quantiles(n=4)), the quartile spread as a share of the
 median, and the min-max spread. It flags a quartile spread above the
-metric's bound in BENCHMARK.json (setup_s exempt) and a median of B worse
-than A's by more than the bound; "~" marks a spread above a third of the
-bound. --sets 1 runs side A only (quick tuning). Raw results go to
-.bench_out/steady-<time>.json.
+metric's bound in BENCHMARK.json and a median of B worse than A's by more
+than the bound; "~" marks a spread above a third of the bound. Raw
+results go to .bench_out/steady-<time>.json.
 """
 import argparse
 import json
@@ -28,6 +28,8 @@ import statistics
 import subprocess
 import sys
 import time
+
+SEED_BASE = 1000
 
 
 def run_once(root, workload, seed, seconds, trace="0"):
@@ -74,10 +76,7 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--workloads", default="")
-    parser.add_argument("--sets", type=int, choices=[1, 2], default=2)
     parser.add_argument("--other", default="")
-    parser.add_argument("--seed-base", type=int, default=1000)
-    parser.add_argument("--seconds", type=int, default=0)
     args = parser.parse_args()
 
     root = os.getcwd()
@@ -85,10 +84,10 @@ def main():
         spec = json.load(f)
     workloads = ([w for w in args.workloads.split(",") if w] or
                  [w["name"] for w in spec["workloads"]])
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     metrics = spec["end_to_end"]
     other = os.path.abspath(args.other) if args.other else root
-    sides = ["A", "B"][:args.sets]
+    sides = ["A", "B"]
 
     runs = []
     for i in range(args.runs):
@@ -96,9 +95,9 @@ def main():
         for workload in workloads:
             for side in order:
                 if args.other:
-                    seed = args.seed_base + i
+                    seed = SEED_BASE + i
                 else:
-                    seed = args.seed_base + i + (args.runs if side == "B" else 0)
+                    seed = SEED_BASE + i + (args.runs if side == "B" else 0)
                 r = run_once(root if side == "A" else other, workload, seed,
                              seconds)
                 r["side"] = side
@@ -133,7 +132,7 @@ def main():
                 s = summarize(values)
                 medians[side] = s["median"]
                 flag = ""
-                if name != "setup_s" and s["iqr_share"] > metric["bound"]:
+                if s["iqr_share"] > metric["bound"]:
                     flag = "  SPREAD > BOUND"
                     flagged += 1
                 elif s["iqr_share"] > metric["bound"] / 3:

@@ -94,6 +94,34 @@ TEST(Lateness, CountsOnlySendsAfterDue) {
   EXPECT_DOUBLE_EQ(l.mean_us, (50.0 + 250.0) / 4);
 }
 
+TEST(HostDelayedSends, KeepsTierWaitsAndFlagsHostStalls) {
+  // Requests due every 1 ms; Submit normally takes 10 us.
+  const std::vector<int64_t> due = {0, 1'000'000, 2'000'000, 3'000'000,
+                                    4'000'000};
+  const std::vector<int64_t> sent = {
+      5'000,      // on time
+      1'000'000,  // on time
+      2'000'000,  // on time, but this Submit blocks until 2.9 ms
+      2'900'000,  // 900 us late, only because the previous Submit was slow
+      4'300'000,  // 300 us late with the previous Submit long done: host
+  };
+  const std::vector<int64_t> submitted = {15'000, 1'010'000, 2'900'000,
+                                          2'910'000, 4'310'000};
+  EXPECT_EQ(HostDelayedSends(due, sent, submitted, 100'000),
+            (std::vector<bool>{false, false, false, false, true}));
+}
+
+TEST(HostDelayedSends, SlowSubmitPlusHostStallIsFlagged) {
+  // Request 1 waits for request 0's slow Submit (ends at 1.5 ms), then
+  // the host holds the generator another 200 us before sending it.
+  const std::vector<int64_t> due = {0, 1'000'000};
+  const std::vector<int64_t> sent = {0, 1'700'000};
+  const std::vector<int64_t> submitted = {1'500'000, 1'710'000};
+  EXPECT_EQ(HostDelayedSends(due, sent, submitted, 100'000),
+            (std::vector<bool>{false, true}));
+  EXPECT_TRUE(HostDelayedSends({}, {}, {}, 100'000).empty());
+}
+
 TEST(EpochWeights, ReplaysThePrefixOfEachEpoch) {
   const stl::Graph base = stl::GeneratePath(4, 10);  // edges 0-1, 1-2, 2-3
   EpochWeights weights(base);
