@@ -97,6 +97,9 @@ std::vector<uint8_t> ShardReplica::Handle(const uint8_t* data,
                                  lay.local_of_vertex[req.v]);
       break;
     }
+    case WireKind::kInstall:  // ShardRequest::Decode never yields it
+      rejected_.fetch_add(1, std::memory_order_relaxed);
+      return Unavailable(req.shard, req.shard_epoch);
   }
   served_.fetch_add(1, std::memory_order_relaxed);
   return resp.Encode();

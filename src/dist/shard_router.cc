@@ -1,62 +1,31 @@
 #include "dist/shard_router.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
-#include "partition/cells.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace stl {
-
-namespace {
-
-/// Saturates the three-term routing sums back into the Weight range —
-/// the same clamp as the in-process router (bit-identity requires the
-/// identical arithmetic range).
-inline Weight ClampInf(uint64_t d) {
-  return d >= kInfDistance ? kInfDistance : static_cast<Weight>(d);
-}
-
-ServingCoreOptions RouterCoreOptions(const ShardRouterOptions& options) {
-  ServingCoreOptions core;
-  core.num_query_threads = options.num_query_threads;
-  core.max_batch_size = options.max_batch_size;
-  core.result_cache_entries = options.result_cache_entries;
-  core.serving = options.serving;
-  return core;
-}
-
-/// Key of a fetched boundary row: which vertex's row, on which shard.
-inline uint64_t RowKey(uint32_t shard, Vertex v) {
-  return (static_cast<uint64_t>(v) << 32) | shard;
-}
-
-/// Key of a fetched same-cell point distance (the owning shard is a
-/// function of s, so (s, t) identifies the fetch).
-inline uint64_t PointKey(Vertex s, Vertex t) {
-  return (static_cast<uint64_t>(s) << 32) | t;
-}
-
-}  // namespace
 
 // ------------------------------------------------------------ SpanFanout
 
 // The scatter-gather state of one routed span (a batch chunk, or a
-// single query in RouteAsync's one-element mode). Two phases:
+// single query as a one-element span). It is the `pieces` of
+// RouteShardedPair twice over:
 //
-//   scatter — enumerate every UNIQUE row/point fetch the span's
-//     decompositions need (slots pre-created so the map never rehashes
-//     under concurrent arrivals), then issue them all through
+//   scatter — run the decomposition over the span before anything has
+//     arrived: every row/point it asks for reads as unavailable and is
+//     recorded as a pre-created slot (so the maps never rehash under
+//     concurrent arrivals); then issue every UNIQUE fetch through
 //     CallReplicaAsync. Each arrival writes only its own slot; no lock.
 //
-//   gather — the LAST arrival (pending counter, acq_rel so every
-//     slot write happens-before the read side) runs Compute(): a
-//     sequential pass over the span in submission-sorted order, doing
-//     the exact min-plus arithmetic of the in-process router on the
-//     prefetched rows. One thread, deterministic order, bit-identical
-//     answers.
+//   gather — the LAST arrival (pending counter, acq_rel so every slot
+//     write happens-before the read side) runs the same decomposition
+//     again on the filled slots: a sequential pass over the span in
+//     submission-sorted order, doing the exact min-plus arithmetic of
+//     the in-process engine. One thread, deterministic order,
+//     bit-identical answers; a slot left empty (every replica failed)
+//     fails its queries kUnavailable.
 //
 // Kept alive by the shared_ptr each in-flight callback captures; the
 // issuing reader thread returns as soon as the scatter loop finishes.
@@ -71,16 +40,9 @@ struct ShardRouter::SpanFanout
   StatusCode* codes = nullptr;
   std::function<void()> done;
 
-  // Single-query mode (RouteAsync): the span pointers alias these.
-  QueryPair one_query{0, 0};
-  uint32_t one_idx = 0;
-  Weight one_out = kInfDistance;
-  StatusCode one_code = StatusCode::kOk;
-
-  // (vertex << 32 | shard) -> fetched row; nullopt = replica-exhausted
-  // (or malformed width). Slots pre-created before any issue.
+  // (vertex, shard) -> fetched row; (s, t) -> same-cell distance.
+  // nullopt = not arrived, or every replica failed.
   std::unordered_map<uint64_t, std::optional<std::vector<Weight>>> rows;
-  // (s << 32 | t) -> same-cell distance; nullopt = replica-exhausted.
   std::unordered_map<uint64_t, std::optional<Weight>> points;
 
   // Outstanding fetches + 1 (the scatter loop's own guard, dropped
@@ -88,75 +50,41 @@ struct ShardRouter::SpanFanout
   // gather before enumeration finishes).
   std::atomic<size_t> pending{1};
 
-  // Compute-phase memo of the current group's inner vector
-  // min_{b2} D[b1][b2] + dt[b2] (sequential; same reuse as the
-  // in-process BatchRouteScratch).
-  uint64_t inner_cs = ~uint64_t{0};
-  uint64_t inner_ct = ~uint64_t{0};
-  Vertex inner_t = 0;
-  bool inner_ok = false;
-  std::vector<Weight> inner;
-
   void Start() {
-    const ShardLayout& lay = *snap->layout;
-    // Pass 1: pre-create every unique slot (mirrors RouteOne's needs).
     for (size_t j = 0; j < count; ++j) {
+      StatusCode unused_code;
       const QueryPair& q = queries[idx[j]];
-      const Vertex s = q.first;
-      const Vertex t = q.second;
-      if (s == t) continue;
-      const uint32_t cs = lay.shard_of_vertex[s];
-      const uint32_t ct = lay.shard_of_vertex[t];
-      const bool sb = cs == CellPartition::kBoundaryCell;
-      const bool tb = ct == CellPartition::kBoundaryCell;
-      if (sb && tb) continue;  // overlay-only: no replica involved
-      if (!sb && !tb && cs == ct) points.try_emplace(PointKey(s, t));
-      if (sb) {
-        rows.try_emplace(RowKey(ct, t));
-      } else if (tb) {
-        rows.try_emplace(RowKey(cs, s));
-      } else {
-        rows.try_emplace(RowKey(cs, s));
-        rows.try_emplace(RowKey(ct, t));
-      }
+      RouteShardedPair(*snap, q.first, q.second, this, /*memo=*/nullptr,
+                       &unused_code);
     }
-    // Pass 2: issue everything. From here on arrivals may run (inline
-    // for a synchronous transport) on any thread; they only write
-    // their own pre-created slot and decrement pending.
+    // From here on arrivals may run (inline for a synchronous
+    // transport) on any thread; they only write their own pre-created
+    // slot and decrement pending.
     pending.store(rows.size() + points.size() + 1,
                   std::memory_order_relaxed);
     auto self = shared_from_this();
     for (auto& [key, slot] : rows) {
       const uint32_t shard = static_cast<uint32_t>(key & 0xffffffffu);
-      const Vertex v = static_cast<Vertex>(key >> 32);
       ShardRequest req;
       req.kind = WireKind::kBoundaryRow;
       req.shard = shard;
       req.shard_epoch = snap->shards[shard]->shard_epoch;  // pinned
-      req.u = v;
+      req.u = static_cast<Vertex>(key >> 32);
       auto* slot_ptr = &slot;
-      router->CallReplicaAsync(
-          req, [self, slot_ptr, shard](bool ok, ShardResponse resp) {
-            if (ok) {
-              // Width guard: a malformed |S_i| row is as unusable as no
-              // row (and, like the sync router, is not retried on
-              // siblings — CallReplicaAsync already settled).
-              const size_t width = self->snap->layout->shards[shard]
-                                       .boundary_local.size();
-              if (resp.row.size() == width) *slot_ptr = std::move(resp.row);
-            }
-            self->Arrive();
-          });
+      router->CallReplicaAsync(req,
+                               [self, slot_ptr](bool ok, ShardResponse resp) {
+                                 if (ok) *slot_ptr = std::move(resp.row);
+                                 self->Arrive();
+                               });
     }
     for (auto& [key, slot] : points) {
       const Vertex s = static_cast<Vertex>(key >> 32);
-      const Vertex t = static_cast<Vertex>(key & 0xffffffffu);
       ShardRequest req;
       req.kind = WireKind::kPointQuery;
-      req.shard = lay.shard_of_vertex[s];
+      req.shard = snap->layout->shard_of_vertex[s];
       req.shard_epoch = snap->shards[req.shard]->shard_epoch;  // pinned
       req.u = s;
-      req.v = t;
+      req.v = static_cast<Vertex>(key & 0xffffffffu);
       auto* slot_ptr = &slot;
       router->CallReplicaAsync(req,
                                [self, slot_ptr](bool ok, ShardResponse resp) {
@@ -171,62 +99,29 @@ struct ShardRouter::SpanFanout
   /// runs the gather phase and the caller's continuation.
   void Arrive() {
     if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    Compute();
-    // Run-and-release: `fn` may capture the ticket (or the single-mode
-    // result slots through `this`, which outlives the call because the
-    // invoking callback still holds its shared_ptr).
+    InnerVectorMemo memo;
+    RouteShardedSpan(*snap, queries, idx, count, out, codes, this, &memo);
+    // Run-and-release: the fan-out lets go of the core's continuation
+    // (and the ticket it holds) as soon as it has run.
     std::function<void()> fn = std::move(done);
     done = nullptr;
     fn();
   }
 
-  /// The sequential compute phase: exact RouteOne per query, reading
-  /// the prefetched slots. Chunks touch disjoint out/codes slots.
-  void Compute() {
-    for (size_t j = 0; j < count; ++j) {
-      const QueryPair& q = queries[idx[j]];
-      out[idx[j]] =
-          router->RouteOne(*snap, q.first, q.second, this, &codes[idx[j]]);
-    }
+  /// RouteShardedPair's row source: the (pre-created) slot of (shard,
+  /// v); null until it holds a replica's row.
+  const std::vector<Weight>* Row(uint32_t shard, Vertex v) {
+    auto& slot = rows.try_emplace(PairKey(v, shard)).first->second;
+    return slot ? &*slot : nullptr;
   }
 
-  /// The prefetched row of (shard, v); null when every replica failed.
-  const std::vector<Weight>* Row(uint32_t shard, Vertex v) const {
-    auto it = rows.find(RowKey(shard, v));
-    STL_DCHECK(it != rows.end()) << "row not enumerated";
-    return it->second ? &*it->second : nullptr;
-  }
-
-  /// The prefetched same-cell distance; false when every replica
-  /// failed.
-  bool Point(Vertex s, Vertex t, Weight* d) const {
-    auto it = points.find(PointKey(s, t));
-    STL_DCHECK(it != points.end()) << "point not enumerated";
-    if (!it->second) return false;
-    *d = *it->second;
+  /// RouteShardedPair's point source: the (pre-created) slot of (s, t).
+  bool Point(uint32_t shard, Vertex s, Vertex t, Weight* d) {
+    (void)shard;  // a function of s
+    auto& slot = points.try_emplace(PairKey(s, t)).first->second;
+    if (!slot) return false;
+    *d = *slot;
     return true;
-  }
-
-  /// The current group's inner vector (memoised across the sequential
-  /// span; same MinPlusRowsInto arithmetic as the in-process router).
-  const std::vector<Weight>* Inner(uint32_t cs, uint32_t ct, Vertex t) {
-    if (inner_cs != cs || inner_ct != ct || inner_t != t) {
-      inner_cs = cs;
-      inner_ct = ct;
-      inner_t = t;
-      inner_ok = false;
-      const std::vector<Weight>* dt = Row(ct, t);
-      if (dt != nullptr) {
-        const ShardLayout::Shard& sshard = snap->layout->shards[cs];
-        inner.resize(sshard.boundary_pos.size());
-        snap->overlay->MinPlusRowsInto(
-            ct, sshard.boundary_pos.data(),
-            static_cast<uint32_t>(sshard.boundary_pos.size()), dt->data(),
-            inner.data());
-        inner_ok = true;
-      }
-    }
-    return inner_ok ? &inner : nullptr;
   }
 };
 
@@ -243,6 +138,7 @@ struct ShardRouter::PendingCall
   std::shared_ptr<const std::vector<uint8_t>> encoded;
   uint32_t shard = 0;
   uint64_t shard_epoch = 0;
+  size_t row_width = 0;  // |S_shard| for a row fetch, 0 for a point
   uint32_t start = 0;
   uint32_t n = 0;
   std::function<void(bool, ShardResponse)> done;
@@ -271,11 +167,12 @@ struct ShardRouter::PendingCall
       ShardResponse r;
       const Status decoded =
           ShardResponse::Decode(payload.data(), payload.size(), &r);
-      // Only a kOk answer at the EXACT pinned (shard, shard_epoch) is
-      // usable — anything else (stale replica, malformed bytes) fails
+      // Only a kOk answer at the EXACT pinned (shard, shard_epoch),
+      // carrying a row of the shard's exact width, is usable — anything
+      // else (stale replica, malformed bytes, a short or long row) fails
       // over to the next sibling.
       if (decoded.ok() && r.code == StatusCode::kOk && r.shard == shard &&
-          r.shard_epoch == shard_epoch) {
+          r.shard_epoch == shard_epoch && r.row.size() == row_width) {
         if (k > 0) {
           router->rpc_failovers_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -330,7 +227,7 @@ ShardRouter::ShardRouter(Graph graph,
       transport_(transport),
       replicas_(std::move(replicas)),
       engine_(std::move(graph), hierarchy_options, options.engine),
-      core_(&policy_, RouterCoreOptions(options)) {
+      core_(&policy_, CoreOptionsOf(options)) {
   STL_CHECK(transport_ != nullptr);
   core_.Start();  // installs + publishes the inner epoch 0
 }
@@ -524,82 +421,15 @@ void ShardRouter::CallReplicaAsync(
       std::make_shared<const std::vector<uint8_t>>(req.Encode());
   call->shard = req.shard;
   call->shard_epoch = req.shard_epoch;
+  if (req.kind == WireKind::kBoundaryRow) {
+    call->row_width = engine_.layout().shards[req.shard].boundary_local.size();
+  }
   // Round-robin fan-out start spreads load across siblings; every
   // replica still gets tried before the query gives up.
   call->start = next_replica_.fetch_add(1, std::memory_order_relaxed) % n;
   call->n = n;
   call->done = std::move(done);
   call->TryNext(0);
-}
-
-Weight ShardRouter::RouteOne(const ShardedSnapshot& snap, Vertex s,
-                             Vertex t, SpanFanout* fan, StatusCode* code) {
-  // The in-process router's decomposition verbatim (bit-identity), with
-  // ds/dt rows and the same-cell point distance read from the fan-out's
-  // prefetched replica answers at the snapshot's pinned per-shard
-  // epochs. The overlay reduction runs router-side on the pinned
-  // epoch's table.
-  const ShardLayout& lay = *snap.layout;
-  STL_DCHECK(s < lay.shard_of_vertex.size());
-  STL_DCHECK(t < lay.shard_of_vertex.size());
-  if (s == t) return 0;
-  const uint32_t cs = lay.shard_of_vertex[s];
-  const uint32_t ct = lay.shard_of_vertex[t];
-  const bool s_boundary = cs == CellPartition::kBoundaryCell;
-  const bool t_boundary = ct == CellPartition::kBoundaryCell;
-
-  if (s_boundary && t_boundary) {
-    // Both endpoints are separator vertices: the pinned overlay already
-    // holds the exact distance — no replica involved.
-    return snap.overlay->At(lay.boundary_pos_of_vertex[s],
-                            lay.boundary_pos_of_vertex[t]);
-  }
-
-  uint64_t best = kInfDistance;
-  if (!s_boundary && !t_boundary && cs == ct) {
-    // Same cell: the shard-internal distance comes from a replica; the
-    // boundary-detour alternative is still covered by the general case
-    // below (D[b][b] = 0 makes touch-and-return a special case of it).
-    Weight d = kInfDistance;
-    if (!fan->Point(s, t, &d)) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    best = d;
-  }
-
-  if (s_boundary) {
-    const std::vector<Weight>* dt = fan->Row(ct, t);
-    if (dt == nullptr) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    const uint32_t pos = lay.boundary_pos_of_vertex[s];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(ct, pos), dt->data(),
-                            static_cast<uint32_t>(dt->size())));
-  } else if (t_boundary) {
-    const std::vector<Weight>* ds = fan->Row(cs, s);
-    if (ds == nullptr) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    const uint32_t pos = lay.boundary_pos_of_vertex[t];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(cs, pos), ds->data(),
-                            static_cast<uint32_t>(ds->size())));
-  } else {
-    const std::vector<Weight>* ds = fan->Row(cs, s);
-    const std::vector<Weight>* inner = fan->Inner(cs, ct, t);
-    if (ds == nullptr || inner == nullptr) {
-      *code = StatusCode::kUnavailable;
-      return kInfDistance;
-    }
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(ds->data(), inner->data(),
-                            static_cast<uint32_t>(ds->size())));
-  }
-  return ClampInf(best);
 }
 
 // ----------------------------------------------------- the router policy
@@ -637,46 +467,13 @@ uint32_t ShardRouter::Policy::NumEdges() const {
   return router->engine_.CurrentSnapshot()->graph.NumEdges();
 }
 
-void ShardRouter::Policy::RouteAsync(
-    std::shared_ptr<const ShardedSnapshot> snap, Vertex s, Vertex t,
-    std::function<void(Weight, StatusCode)> done) const {
-  // One-element span: the fan-out's pointers alias its own storage.
+void ShardRouter::Policy::RouteSpan(
+    const std::shared_ptr<const ShardedSnapshot>& snap,
+    const QueryPair* queries, const uint32_t* idx, size_t count,
+    Weight* out, StatusCode* codes, std::function<void()> done) const {
   auto fan = std::make_shared<SpanFanout>();
   fan->router = router;
-  fan->snap = std::move(snap);
-  fan->one_query = QueryPair{s, t};
-  fan->queries = &fan->one_query;
-  fan->idx = &fan->one_idx;
-  fan->count = 1;
-  fan->out = &fan->one_out;
-  fan->codes = &fan->one_code;
-  SpanFanout* raw = fan.get();
-  // Capturing the raw pointer (not the shared_ptr) avoids a
-  // fan->done->fan cycle; Arrive() invokes `done` while its calling
-  // callback still holds a shared_ptr, so `raw` is alive.
-  fan->done = [raw, done = std::move(done)] {
-    done(raw->one_out, raw->one_code);
-  };
-  raw->Start();
-}
-
-uint64_t ShardRouter::Policy::BatchSortKey(const ShardedSnapshot& snap,
-                                           const QueryPair& q) const {
-  // Same grouping as the in-process batched router: (source cell,
-  // target cell, target) adjacency maximises row/inner reuse.
-  const ShardLayout& lay = *snap.layout;
-  const uint64_t cs = lay.shard_of_vertex[q.first] & 0xffff;
-  const uint64_t ct = lay.shard_of_vertex[q.second] & 0xffff;
-  return (cs << 48) | (ct << 32) | q.second;
-}
-
-void ShardRouter::Policy::RouteSpanAsync(
-    std::shared_ptr<const ShardedSnapshot> snap, const QueryPair* queries,
-    const uint32_t* idx, size_t count, Weight* out, StatusCode* codes,
-    std::function<void()> done) const {
-  auto fan = std::make_shared<SpanFanout>();
-  fan->router = router;
-  fan->snap = std::move(snap);
+  fan->snap = snap;
   fan->queries = queries;
   fan->idx = idx;
   fan->count = count;

@@ -31,23 +31,24 @@
 // the same one-shot-claim completion machinery as every other serving
 // path.
 //
-// The fan-out is asynchronous end to end (Policy::kAsyncRoute): a
-// reader thread enumerates the span's unique fetches, issues them all,
-// and returns to the pool; each RPC's answer arrives through the
-// tag-keyed Mailbox (from the transport's delivery thread), sibling
-// failover chains through PendingCall without blocking anyone, and the
-// LAST arrival runs the sequential min-plus compute phase — so the
-// answer bytes are produced by one thread in deterministic order,
-// bit-identical to the synchronous in-process router, while a fan-out
-// of N RPCs blocks zero reader threads.
+// The fan-out is asynchronous end to end: the router's RouteSpan (the
+// ServingCore route contract, engine/serving_core.h) enumerates the
+// span's unique fetches, issues them all, and returns the reader thread
+// to the pool; each RPC's answer arrives through the tag-keyed Mailbox
+// (from the transport's delivery thread), sibling failover chains
+// through PendingCall without blocking anyone, and the LAST arrival
+// runs the sequential min-plus compute phase and the core's
+// continuation — so the answer bytes are produced by one thread in
+// deterministic order, bit-identical to the in-process ShardedEngine,
+// while a fan-out of N RPCs blocks zero reader threads.
 //
 // Bit-identity (the conformance contract, tests/router_test.cc and
-// bench_router_fanout --check): replica-served rows are computed by
-// the same FillShardBoundaryRow on the same immutable shard views the
-// in-process engine reads, and the router's reduction is the same
-// MinPlusReduce/MinPlusRowsInto arithmetic on the same pinned overlay
-// — so every routed answer is byte-identical to ShardedEngine on the
-// same epoch.
+// bench_router_fanout --check): the fetch enumeration and the reduction
+// are both RouteShardedPair (engine/sharded_engine.h), the decomposition
+// the in-process engine runs; replica-served rows are computed by the
+// same FillShardBoundaryRow on the same immutable shard views, and the
+// reduction runs on the same pinned overlay — so every routed answer is
+// byte-identical to ShardedEngine on the same epoch.
 #ifndef STL_DIST_SHARD_ROUTER_H_
 #define STL_DIST_SHARD_ROUTER_H_
 
@@ -223,18 +224,12 @@ class ShardRouter {
   struct PendingCall;
 
   // The routed Route policy over the shared ServingCore (see the
-  // policy contract in engine/serving_core.h).
-  struct Policy {
+  // policy contract in engine/serving_core.h). Batched misses sort by
+  // the same grouping as ShardedEngine, so fetched rows and inner
+  // vectors are deduplicated across each group.
+  struct Policy : ShardedBatchGrouping {
     using Snapshot = ShardedSnapshot;
     using Result = ShardedQueryResult;
-    // Batched misses sort by (source cell, target cell, target) so
-    // fetched rows and inner vectors are deduplicated across each
-    // group — the same grouping (and the same arithmetic) as
-    // ShardedEngine.
-    static constexpr bool kGroupsBatches = true;
-    // Continuation-passing routing: the fan-out parks no reader thread
-    // (see the async contract in engine/serving_core.h).
-    static constexpr bool kAsyncRoute = true;
 
     ShardRouter* router;
 
@@ -242,15 +237,12 @@ class ShardRouter {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    void RouteAsync(std::shared_ptr<const ShardedSnapshot> snap, Vertex s,
-                    Vertex t,
-                    std::function<void(Weight, StatusCode)> done) const;
-    uint64_t BatchSortKey(const ShardedSnapshot& snap,
-                          const QueryPair& q) const;
-    void RouteSpanAsync(std::shared_ptr<const ShardedSnapshot> snap,
-                        const QueryPair* queries, const uint32_t* idx,
-                        size_t count, Weight* out, StatusCode* codes,
-                        std::function<void()> done) const;
+    // Issues the span's fetches and returns; `done` runs when the last
+    // answer lands (the continuation-passing half of the contract).
+    void RouteSpan(const std::shared_ptr<const ShardedSnapshot>& snap,
+                   const QueryPair* queries, const uint32_t* idx,
+                   size_t count, Weight* out, StatusCode* codes,
+                   std::function<void()> done) const;
     void AugmentStats(EngineStats* s) const;
   };
 
@@ -290,19 +282,12 @@ class ShardRouter {
   /// One pinned-epoch RPC with asynchronous sibling failover: encodes
   /// the request ONCE (the buffer is shared across every sibling
   /// attempt) and tries replica endpoints round-robin until one serves
-  /// it at the pinned shard_epoch. `done` runs exactly once — from the
+  /// it at the pinned shard_epoch — with a boundary row of exactly
+  /// |S_shard| weights for a row fetch. `done` runs exactly once — from the
   /// transport's delivery thread (or inline for a synchronous
   /// transport) — with ok=false after every endpoint failed.
   void CallReplicaAsync(const ShardRequest& req,
                         std::function<void(bool, ShardResponse)> done);
-
-  /// The one routed query implementation: ShardedEngine's
-  /// decomposition, reading rows/points the fan-out already fetched
-  /// and reducing through the pinned overlay's min-plus kernels.
-  /// Writes kUnavailable to *code (and returns kInfDistance) when a
-  /// needed fetch exhausted every replica.
-  Weight RouteOne(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                  SpanFanout* fan, StatusCode* code);
 
   /// Installs `snap` on every replica — in-process directly, or over
   /// the wire as the kInstall sequence carrying `updates` — then
@@ -359,7 +344,7 @@ class ShardRouter {
   std::atomic<uint64_t> install_failures_{0};
 
   ShardedEngine engine_;  // the authoritative writer tier
-  Policy policy_{this};
+  Policy policy_{{}, this};
   ServingCore<Policy> core_;  // last member: its readers die first
 };
 

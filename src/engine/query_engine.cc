@@ -7,23 +7,10 @@
 
 namespace stl {
 
-namespace {
-
-ServingCoreOptions CoreOptions(const EngineOptions& options) {
-  ServingCoreOptions core;
-  core.num_query_threads = options.num_query_threads;
-  core.max_batch_size = options.max_batch_size;
-  core.result_cache_entries = options.result_cache_entries;
-  core.serving = options.serving;
-  return core;
-}
-
-}  // namespace
-
 QueryEngine::QueryEngine(Graph graph,
                          const HierarchyOptions& hierarchy_options,
                          const EngineOptions& options)
-    : options_(options), core_(&policy_, CoreOptions(options)) {
+    : options_(options), core_(&policy_, CoreOptionsOf(options)) {
   graph_ = std::make_unique<Graph>(std::move(graph));
   index_ = MakeDistanceIndex(options_.backend, graph_.get(),
                              hierarchy_options);
@@ -66,29 +53,16 @@ uint32_t QueryEngine::Policy::NumEdges() const {
   return engine->graph_->NumEdges();
 }
 
-Weight QueryEngine::Policy::Route(const EngineSnapshot& snap, Vertex s,
-                                  Vertex t, StatusCode* code) const {
-  (void)code;  // in-process routing cannot fail; *code stays kOk
-  return snap.Query(s, t);
-}
-
-uint64_t QueryEngine::Policy::BatchSortKey(const EngineSnapshot& snap,
-                                           const QueryPair& q) const {
-  (void)snap;
-  (void)q;
-  return 0;  // kGroupsBatches is false; never called
-}
-
-void QueryEngine::Policy::RouteSpan(const EngineSnapshot& snap,
-                                    const QueryPair* queries,
-                                    const uint32_t* idx, size_t count,
-                                    Weight* out,
-                                    StatusCode* codes) const {
+void QueryEngine::Policy::RouteSpan(
+    const std::shared_ptr<const EngineSnapshot>& snap,
+    const QueryPair* queries, const uint32_t* idx, size_t count,
+    Weight* out, StatusCode* codes, std::function<void()> done) const {
   (void)codes;  // in-process routing cannot fail; codes stay kOk
   for (size_t j = 0; j < count; ++j) {
     const QueryPair& q = queries[idx[j]];
-    out[idx[j]] = snap.Query(q.first, q.second);
+    out[idx[j]] = snap->Query(q.first, q.second);
   }
+  done();
 }
 
 void QueryEngine::Policy::AugmentStats(EngineStats* s) const {

@@ -46,6 +46,7 @@
 #define STL_ENGINE_QUERY_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
@@ -261,13 +262,10 @@ class QueryEngine {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    Weight Route(const EngineSnapshot& snap, Vertex s, Vertex t,
-                 StatusCode* code) const;
-    uint64_t BatchSortKey(const EngineSnapshot& snap,
-                          const QueryPair& q) const;
-    void RouteSpan(const EngineSnapshot& snap, const QueryPair* queries,
-                   const uint32_t* idx, size_t count, Weight* out,
-                   StatusCode* codes) const;
+    void RouteSpan(const std::shared_ptr<const EngineSnapshot>& snap,
+                   const QueryPair* queries, const uint32_t* idx,
+                   size_t count, Weight* out, StatusCode* codes,
+                   std::function<void()> done) const;
     void AugmentStats(EngineStats* s) const;
   };
 

@@ -54,74 +54,6 @@ size_t CompletionQueue::size() const {
   return done_.size();
 }
 
-// --------------------------------------------------------- ResultCache
-
-namespace {
-
-/// splitmix64 finalizer: spreads (s, t) keys across the slot array.
-inline uint64_t MixKey(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-ResultCache::ResultCache(size_t entries) {
-  if (entries == 0) return;
-  size_t cap = 1;
-  while (cap < entries) cap <<= 1;
-  mask_ = cap - 1;
-  slots_ = std::make_unique<Slot[]>(cap);
-}
-
-bool ResultCache::Lookup(Vertex s, Vertex t, uint64_t epoch,
-                         Weight* distance) const {
-  if (slots_ == nullptr) return false;
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t key = (static_cast<uint64_t>(s) << 32) | t;
-  const Slot& slot = slots_[MixKey(key) & mask_];
-  // Version-validated read: the payload loads are relaxed atomics, and
-  // the version re-check (ordered after them by the acquire fence)
-  // rejects any slot an insert touched in between — a torn read is a
-  // miss, never a wrong hit.
-  const uint64_t v1 = slot.version.load(std::memory_order_acquire);
-  if (v1 & 1) return false;
-  const uint64_t k = slot.key.load(std::memory_order_relaxed);
-  const uint64_t e = slot.epoch.load(std::memory_order_relaxed);
-  const Weight d = slot.distance.load(std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (slot.version.load(std::memory_order_relaxed) != v1) return false;
-  if (k != key || e != epoch) return false;
-  *distance = d;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void ResultCache::Insert(Vertex s, Vertex t, uint64_t epoch,
-                         Weight distance) {
-  if (slots_ == nullptr) return;
-  const uint64_t key = (static_cast<uint64_t>(s) << 32) | t;
-  Slot& slot = slots_[MixKey(key) & mask_];
-  uint64_t v = slot.version.load(std::memory_order_relaxed);
-  if (v & 1) return;  // another insert in flight; drop ours
-  if (!slot.version.compare_exchange_strong(v, v + 1,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-    return;  // lost the race; drop
-  }
-  slot.key.store(key, std::memory_order_relaxed);
-  slot.epoch.store(epoch, std::memory_order_relaxed);
-  slot.distance.store(distance, std::memory_order_relaxed);
-  slot.version.store(v + 2, std::memory_order_release);
-}
-
-void ResultCache::ResetCounters() {
-  lookups_.store(0, std::memory_order_relaxed);
-  hits_.store(0, std::memory_order_relaxed);
-}
-
 // ----------------------------------------------------- ServingCounters
 
 void ServingCounters::FillStats(EngineStats* s) const {

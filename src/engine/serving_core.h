@@ -53,13 +53,13 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "engine/atomic_shared_ptr.h"
 #include "engine/fault_injector.h"
 #include "engine/latency_histogram.h"
+#include "engine/slot_cache.h"
 #include "engine/thread_pool.h"
 #include "engine/update_queue.h"
 #include "graph/updates.h"
@@ -369,63 +369,6 @@ class CompletionQueue final : public CompletionSink {
   std::deque<Completion> done_;
 };
 
-/// Epoch-keyed (s, t) distance memo shared by every submission path.
-/// Invalidation is free: the serving epoch is part of the key, so a
-/// published epoch's entries simply stop matching (the snapshot's epoch
-/// id is unique for the engine's lifetime — it doubles as the pointer
-/// identity of the published snapshot). Direct-mapped, fixed-size,
-/// wait-free on both paths: slots are version-validated sequences of
-/// relaxed atomics (a torn read fails validation and reads as a miss),
-/// so lookups never lock and a contended insert is simply dropped.
-class ResultCache {
- public:
-  /// A cache with capacity for `entries` (s, t) pairs, rounded up to a
-  /// power of two. 0 disables the cache (Lookup always misses, Insert
-  /// is a no-op, no memory is allocated).
-  explicit ResultCache(size_t entries);
-
-  /// False iff constructed with 0 entries.
-  bool enabled() const { return mask_ != 0 || slots_ != nullptr; }
-
-  /// True iff the cache holds the exact distance for (s, t) under epoch
-  /// `epoch`; writes it to `*distance`. Counts one lookup (and one hit
-  /// on success).
-  bool Lookup(Vertex s, Vertex t, uint64_t epoch, Weight* distance) const;
-
-  /// Records the exact distance for (s, t) under `epoch`, overwriting
-  /// whatever occupied the slot. Dropped silently when another thread
-  /// is mid-insert on the same slot.
-  void Insert(Vertex s, Vertex t, uint64_t epoch, Weight distance);
-
-  /// Probes so far (relaxed; monitoring only).
-  uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  /// Probes answered from the cache so far.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-
-  /// Zeroes the hit/lookup counters (entries stay valid: they are
-  /// epoch-keyed, so stale ones can never serve a wrong answer).
-  void ResetCounters();
-
- private:
-  struct Slot {
-    // Even = stable, odd = an insert is in flight. Readers re-validate
-    // the version after loading the payload; all fields are atomics so
-    // the scheme is data-race-free (TSan-clean) and a torn read can
-    // only produce a miss, never a wrong hit.
-    std::atomic<uint64_t> version{0};
-    std::atomic<uint64_t> key{~uint64_t{0}};
-    std::atomic<uint64_t> epoch{0};
-    std::atomic<uint32_t> distance{0};
-  };
-
-  size_t mask_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-  mutable std::atomic<uint64_t> lookups_{0};
-  mutable std::atomic<uint64_t> hits_{0};
-};
-
 /// The serving-side counter block shared by every engine: relaxed
 /// atomics for monitoring, the latency histogram, and the wall clock.
 /// Policies bump the maintenance/publish counters from the writer
@@ -611,22 +554,23 @@ struct ServingCoreOptions {
   ServingOptions serving;
 };
 
-/// Detects Policy::kAsyncRoute (false when absent): async policies
-/// route via RouteAsync/RouteSpanAsync continuations instead of
-/// blocking Route/RouteSpan calls on the reader thread.
-template <typename Policy, typename = void>
-struct PolicyRoutesAsync : std::false_type {};
+/// The core knobs of an engine's options struct: every engine options
+/// type carries these four fields under the same names.
+template <typename EngineOptionsT>
+ServingCoreOptions CoreOptionsOf(const EngineOptionsT& options) {
+  ServingCoreOptions core;
+  core.num_query_threads = options.num_query_threads;
+  core.max_batch_size = options.max_batch_size;
+  core.result_cache_entries = options.result_cache_entries;
+  core.serving = options.serving;
+  return core;
+}
 
-/// Specialization picked when the policy declares kAsyncRoute.
-template <typename Policy>
-struct PolicyRoutesAsync<Policy, std::void_t<decltype(Policy::kAsyncRoute)>>
-    : std::bool_constant<Policy::kAsyncRoute> {};
-
-/// The one serving core both engines are built on. Owns the reader
+/// The one serving core every engine is built on. Owns the reader
 /// pool, the single-writer update queue, the snapshot slot, the result
 /// cache and the counters; the Policy supplies what differs between
 /// engines — how a coalesced batch is applied and published (Apply
-/// side) and how a query is routed on a snapshot (Route side).
+/// side) and how a span of queries is routed on a snapshot (Route side).
 ///
 /// Policy requirements:
 ///   using Snapshot / Result   — the published epoch type (must expose
@@ -639,43 +583,31 @@ struct PolicyRoutesAsync<Policy, std::void_t<decltype(Policy::kAsyncRoute)>>
 ///       the master state and Publish() the next snapshot (writer
 ///       thread only).
 ///   uint32_t NumEdges()       — update validation bound.
-///   Weight Route(const Snapshot&, Vertex, Vertex, StatusCode* code) —
-///       answer one query. *code is pre-set to kOk; a policy whose
-///       routing can fail (the distributed router) writes the failure
-///       code and returns kInfDistance. In-process policies never
-///       touch it.
 ///   static constexpr bool kGroupsBatches — whether batch misses are
 ///       sorted by BatchSortKey before chunking.
 ///   uint64_t BatchSortKey(const Snapshot&, const QueryPair&) — the
-///       grouping key (cell pair, target) for batched routing.
-///   void RouteSpan(const Snapshot&, const QueryPair* queries,
-///                  const uint32_t* idx, size_t count, Weight* out,
-///                  StatusCode* codes) —
-///       answer queries[idx[j]] into out[idx[j]] for j < count,
-///       reusing per-group state across the span. codes[idx[j]] is
-///       pre-set to kOk; written only on per-query routing failure.
+///       grouping key for batched routing (needed only when
+///       kGroupsBatches).
+///   void RouteSpan(const std::shared_ptr<const Snapshot>&,
+///                  const QueryPair* queries, const uint32_t* idx,
+///                  size_t count, Weight* out, StatusCode* codes,
+///                  std::function<void()> done) —
+///       the one routing method. Answers queries[idx[j]] into
+///       out[idx[j]] for j < count, reusing per-group state across the
+///       span; codes[idx[j]] is pre-set to kOk and written only when
+///       that query's routing failed (kUnavailable, with kInfDistance).
+///       Then invokes `done` exactly once. In-process policies call it
+///       inline; a policy that waits on remote replicas returns at once
+///       and calls it from whichever thread delivers the last answer, so
+///       a fan-out of N RPCs parks no reader thread. The snapshot and
+///       the arrays stay valid until `done` runs (which may free them).
+///       A single query is a one-element span.
 ///   void AugmentStats(EngineStats*) — engine-specific stats fields
 ///       (backend, resident bytes, shard rows).
 ///
-/// Async policies (static constexpr bool kAsyncRoute = true) replace
-/// Route/RouteSpan with continuation-passing variants — the reader
-/// thread that picks the query off the pool issues the request and
-/// returns immediately instead of parking until the answer arrives, so
-/// a fan-out of N remote RPCs blocks zero reader threads:
-///   void RouteAsync(std::shared_ptr<const Snapshot>, Vertex s, Vertex t,
-///                   std::function<void(Weight, StatusCode)> done) —
-///       answer one query; invoke `done` exactly once, inline or from
-///       any policy-owned thread.
-///   void RouteSpanAsync(std::shared_ptr<const Snapshot>,
-///                       const QueryPair* queries, const uint32_t* idx,
-///                       size_t count, Weight* out, StatusCode* codes,
-///                       std::function<void()> done) —
-///       async RouteSpan: fill out[idx[j]] / codes[idx[j]] for j <
-///       count, then invoke `done` exactly once. The arrays stay valid
-///       until `done` runs (the core keeps the ticket alive).
-/// The core tracks every issued continuation; its destructor waits for
-/// all of them after the pool drains, so `done` may always touch the
-/// arrays it was handed.
+/// The core counts every issued span; its destructor waits for all of
+/// their continuations after the pool drains, so `done` may always
+/// touch the arrays it was handed.
 ///
 /// Thread-safety: Submit*/EnqueueUpdate*/Flush/Stats may be called from
 /// any thread. Destruction drains: every submitted query is answered
@@ -702,9 +634,9 @@ class ServingCore {
                        serving_.shutdown_drain_ms > 0),
         track_batches_(serving_.max_queued_batches > 0 ||
                        serving_.shutdown_drain_ms > 0),
-        cache_(options.result_cache_entries),
         pool_(options.num_query_threads) {
     STL_CHECK_GE(options_.max_batch_size, size_t{1});
+    cache_.Init(options.result_cache_entries, 1);
   }
 
   /// Drains: answers every submitted query and applies every enqueued
@@ -731,14 +663,16 @@ class ServingCore {
     updates_.Stop();
     if (writer_.joinable()) writer_.join();  // drains pending updates
     pool_.Shutdown();  // answer every query already submitted
-    if constexpr (PolicyRoutesAsync<Policy>::value) {
-      // Async policies may still owe continuations for queries the
-      // drained pool tasks issued; every one touches ticket/result
-      // state this core hands out, so wait them all out before any
-      // member dies. The policy's transport must outlive this core
-      // (it does: the owning engine declares the core last).
-      std::unique_lock<std::mutex> lock(async_mu_);
-      async_cv_.wait(lock, [this] { return async_inflight_ == 0; });
+    // A policy that routes over the network may still owe continuations
+    // for spans the drained pool tasks issued; every one touches ticket
+    // or result state this core hands out, so wait them all out before
+    // any member dies. The policy's transport must outlive this core
+    // (it does: the owning engine declares the core last).
+    // Drop the core's own reference (see EndRoute); whoever takes the
+    // count to zero sets routes_idle_ under the mutex.
+    if (routes_inflight_.fetch_sub(1) != 1) {
+      std::unique_lock<std::mutex> lock(routes_mu_);
+      routes_cv_.wait(lock, [this] { return routes_idle_; });
     }
   }
 
@@ -773,94 +707,18 @@ class ServingCore {
                              Deadline deadline = kNoDeadline) {
     auto promise = std::make_shared<std::promise<Result>>();
     std::future<Result> result = promise->get_future();
-    const auto submitted = std::chrono::steady_clock::now();
-    // Completes the future without an answer (admission shed, expired
-    // deadline, or shutdown drain) — exactly once, via the unit claim.
-    auto finish_failed = [this, promise, submitted](StatusCode code) {
-      Result r;
-      r.distance = kInfDistance;
-      r.code = code;
-      std::shared_ptr<const Snapshot> snap = current_.load();
-      r.epoch = snap != nullptr ? snap->epoch : 0;
-      r.latency_micros = static_cast<double>(NanosSince(submitted)) / 1e3;
-      r.snapshot = std::move(snap);
-      promise->set_value(std::move(r));
-    };
-    std::shared_ptr<QueryAdmission> unit;
-    if (track_queries_) {
-      unit = std::make_shared<QueryAdmission>();
-      unit->fail = finish_failed;
-      if (!AdmitQuery(unit)) {
-        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-        finish_failed(StatusCode::kOverloaded);
-        return result;
-      }
-    }
-    const bool accepted = pool_.Enqueue(
-        [this, query, promise, submitted, deadline,
-         finish_failed = std::move(finish_failed),
-         unit = std::move(unit)] {
-          if (unit != nullptr) {
-            if (unit->claimed.exchange(true)) return;  // shed or drained
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (deadline != kNoDeadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            counters_.queries_deadline_exceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            finish_failed(StatusCode::kDeadlineExceeded);
-            return;
-          }
-          MaybeReaderDelay();
-          // The entire read path: one atomic load, then const reads on
-          // an immutable snapshot. Never blocks on maintenance work.
-          std::shared_ptr<const Snapshot> snap = current_.load();
-          if constexpr (PolicyRoutesAsync<Policy>::value) {
-            // Issue-and-return: the continuation finishes the promise
-            // whenever the policy answers; this reader is free now.
-            RouteWithCacheAsync(
-                snap, query.first, query.second,
-                [this, promise, submitted, snap](Weight d,
-                                                 StatusCode code) {
-                  Result r;
-                  r.distance = d;
-                  r.code = code;
-                  r.epoch = snap->epoch;
-                  const uint64_t nanos = NanosSince(submitted);
-                  r.latency_micros = static_cast<double>(nanos) / 1e3;
-                  r.snapshot = snap;
-                  if (code == StatusCode::kOk) {
-                    counters_.latency.Record(nanos);
-                    counters_.queries_served.fetch_add(
-                        1, std::memory_order_relaxed);
-                  } else {
-                    counters_.queries_unavailable.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                  promise->set_value(std::move(r));
-                });
-          } else {
-            Result r;
-            StatusCode code = StatusCode::kOk;
-            r.distance =
-                RouteWithCache(*snap, query.first, query.second, &code);
-            r.code = code;
-            r.epoch = snap->epoch;
-            const uint64_t nanos = NanosSince(submitted);
-            r.latency_micros = static_cast<double>(nanos) / 1e3;
-            r.snapshot = std::move(snap);
-            if (code == StatusCode::kOk) {
-              counters_.latency.Record(nanos);
-              counters_.queries_served.fetch_add(
-                  1, std::memory_order_relaxed);
-            } else {
-              counters_.queries_unavailable.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            promise->set_value(std::move(r));
-          }
-        });
-    STL_CHECK(accepted) << "Submit() on a shut-down engine";
+    SubmitOne(query, deadline, "Submit()",
+              [promise](Weight d, StatusCode code,
+                        std::shared_ptr<const Snapshot> snap,
+                        uint64_t nanos) {
+                Result r;
+                r.distance = d;
+                r.code = code;
+                r.epoch = snap != nullptr ? snap->epoch : 0;
+                r.latency_micros = static_cast<double>(nanos) / 1e3;
+                r.snapshot = std::move(snap);
+                promise->set_value(std::move(r));
+              });
     return result;
   }
 
@@ -886,89 +744,18 @@ class ServingCore {
   void SubmitTagged(QueryPair query, uint64_t tag, CompletionSink* sink,
                     Deadline deadline = kNoDeadline) {
     STL_CHECK(sink != nullptr);
-    const auto submitted = std::chrono::steady_clock::now();
-    // Delivers the tag without an answer — exactly once, via the claim.
-    auto finish_failed = [this, tag, sink, submitted](StatusCode code) {
-      Completion done;
-      done.tag = tag;
-      done.code = code;
-      std::shared_ptr<const Snapshot> snap = current_.load();
-      done.epoch = snap != nullptr ? snap->epoch : 0;
-      done.latency_micros = static_cast<double>(NanosSince(submitted)) / 1e3;
-      DeliverCompletion(sink, done);
-    };
-    std::shared_ptr<QueryAdmission> unit;
-    if (track_queries_) {
-      unit = std::make_shared<QueryAdmission>();
-      unit->fail = finish_failed;
-      if (!AdmitQuery(unit)) {
-        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
-        finish_failed(StatusCode::kOverloaded);
-        return;
-      }
-    }
-    const bool accepted = pool_.Enqueue(
-        [this, query, tag, sink, submitted, deadline,
-         finish_failed = std::move(finish_failed),
-         unit = std::move(unit)] {
-          if (unit != nullptr) {
-            if (unit->claimed.exchange(true)) return;  // shed or drained
-            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
-          }
-          if (deadline != kNoDeadline &&
-              std::chrono::steady_clock::now() >= deadline) {
-            counters_.queries_deadline_exceeded.fetch_add(
-                1, std::memory_order_relaxed);
-            finish_failed(StatusCode::kDeadlineExceeded);
-            return;
-          }
-          MaybeReaderDelay();
-          std::shared_ptr<const Snapshot> snap = current_.load();
-          if constexpr (PolicyRoutesAsync<Policy>::value) {
-            const uint64_t epoch = snap->epoch;
-            RouteWithCacheAsync(
-                std::move(snap), query.first, query.second,
-                [this, tag, sink, submitted, epoch](Weight d,
-                                                    StatusCode code) {
-                  Completion done;
-                  done.tag = tag;
-                  done.distance = d;
-                  done.code = code;
-                  done.epoch = epoch;
-                  const uint64_t nanos = NanosSince(submitted);
-                  done.latency_micros = static_cast<double>(nanos) / 1e3;
-                  if (code == StatusCode::kOk) {
-                    counters_.latency.Record(nanos);
-                    counters_.queries_served.fetch_add(
-                        1, std::memory_order_relaxed);
-                  } else {
-                    counters_.queries_unavailable.fetch_add(
-                        1, std::memory_order_relaxed);
-                  }
-                  DeliverCompletion(sink, done);
-                });
-          } else {
-            Completion done;
-            done.tag = tag;
-            StatusCode code = StatusCode::kOk;
-            done.distance =
-                RouteWithCache(*snap, query.first, query.second, &code);
-            done.code = code;
-            done.epoch = snap->epoch;
-            const uint64_t nanos = NanosSince(submitted);
-            done.latency_micros = static_cast<double>(nanos) / 1e3;
-            if (code == StatusCode::kOk) {
-              counters_.latency.Record(nanos);
-              counters_.queries_served.fetch_add(
-                  1, std::memory_order_relaxed);
-            } else {
-              counters_.queries_unavailable.fetch_add(
-                  1, std::memory_order_relaxed);
-            }
-            DeliverCompletion(sink, done);
-          }
-        });
-    STL_CHECK(accepted) << "SubmitTagged() on a shut-down engine";
+    SubmitOne(query, deadline, "SubmitTagged()",
+              [this, tag, sink](Weight d, StatusCode code,
+                                std::shared_ptr<const Snapshot> snap,
+                                uint64_t nanos) {
+                Completion done;
+                done.tag = tag;
+                done.distance = d;
+                done.code = code;
+                done.epoch = snap != nullptr ? snap->epoch : 0;
+                done.latency_micros = static_cast<double>(nanos) / 1e3;
+                DeliverCompletion(sink, done);
+              });
   }
 
   /// Completion-queue mode, batched: pins one snapshot like
@@ -1074,64 +861,126 @@ class ServingCore {
             .count());
   }
 
-  /// One query on `snap`, consulting the result cache around the
-  /// policy's router. *code is pre-set kOk; only a failed routing
-  /// attempt (routed-mode replica exhaustion) writes it, and failed
-  /// answers are never cached — a retry on the same epoch may succeed.
-  Weight RouteWithCache(const Snapshot& snap, Vertex s, Vertex t,
-                        StatusCode* code) {
-    Weight d;
-    *code = StatusCode::kOk;
-    if (cache_.enabled() && cache_.Lookup(s, t, snap.epoch, &d)) return d;
-    d = policy_->Route(snap, s, t, code);
-    if (cache_.enabled() && *code == StatusCode::kOk) {
-      cache_.Insert(s, t, snap.epoch, d);
+  /// The single-query pipeline behind Submit and SubmitTagged:
+  /// admission, the deadline check at dequeue, then RouteQuery on the
+  /// reader pool. `finish(distance, code, snapshot, latency_nanos)` runs
+  /// exactly once — with the serving snapshot when routed, with the
+  /// then-current one when shed, drained or expired.
+  template <typename Finish>
+  void SubmitOne(QueryPair query, Deadline deadline, const char* caller,
+                 Finish finish) {
+    const auto submitted = std::chrono::steady_clock::now();
+    // Completes the query without an answer (admission shed, expired
+    // deadline, or shutdown drain) — exactly once, via the unit claim.
+    auto fail = [this, finish, submitted](StatusCode code) {
+      finish(kInfDistance, code, current_.load(), NanosSince(submitted));
+    };
+    std::shared_ptr<QueryAdmission> unit;
+    if (track_queries_) {
+      unit = std::make_shared<QueryAdmission>();
+      unit->fail = fail;
+      if (!AdmitQuery(unit)) {
+        counters_.queries_shed.fetch_add(1, std::memory_order_relaxed);
+        fail(StatusCode::kOverloaded);
+        return;
+      }
     }
-    return d;
+    const bool accepted = pool_.Enqueue(
+        [this, query, submitted, deadline, finish = std::move(finish),
+         fail = std::move(fail), unit = std::move(unit)] {
+          if (unit != nullptr) {
+            if (unit->claimed.exchange(true)) return;  // shed or drained
+            queued_queries_.fetch_sub(1, std::memory_order_relaxed);
+          }
+          if (deadline != kNoDeadline &&
+              std::chrono::steady_clock::now() >= deadline) {
+            counters_.queries_deadline_exceeded.fetch_add(
+                1, std::memory_order_relaxed);
+            fail(StatusCode::kDeadlineExceeded);
+            return;
+          }
+          MaybeReaderDelay();
+          // The entire read path: one atomic load, then const reads on
+          // an immutable snapshot. Never blocks on maintenance work.
+          RouteQuery(current_.load(), query, submitted, finish);
+        });
+    STL_CHECK(accepted) << caller << " on a shut-down engine";
   }
 
-  /// Async counterpart of RouteWithCache: a cache hit answers `done`
-  /// inline; a miss issues Policy::RouteAsync and the continuation
-  /// fills the cache before forwarding the verdict. `done` runs exactly
-  /// once, inline or from a policy thread.
-  template <typename Done>
-  void RouteWithCacheAsync(std::shared_ptr<const Snapshot> snap, Vertex s,
-                           Vertex t, Done done) {
+  /// The one per-query route path: a result-cache hit finishes inline;
+  /// a miss is routed as a one-element span, and its continuation fills
+  /// the cache before finishing. Failed answers are never cached — a
+  /// retry on the same epoch may succeed.
+  template <typename Finish>
+  void RouteQuery(std::shared_ptr<const Snapshot> snap, QueryPair query,
+                  std::chrono::steady_clock::time_point submitted,
+                  const Finish& finish) {
+    const uint64_t key = PairKey(query.first, query.second);
     Weight d;
-    if (cache_.enabled() && cache_.Lookup(s, t, snap->epoch, &d)) {
-      done(d, StatusCode::kOk);
+    if (cache_.Lookup(key, snap->epoch, 1, &d)) {
+      const uint64_t nanos = NanosSince(submitted);
+      CountAnswer(StatusCode::kOk, nanos);
+      finish(d, StatusCode::kOk, std::move(snap), nanos);
       return;
     }
-    BeginAsyncOp();
-    const uint64_t epoch = snap->epoch;
-    policy_->RouteAsync(
-        std::move(snap), s, t,
-        [this, s, t, epoch, done = std::move(done)](Weight d,
-                                                    StatusCode code) {
-          if (cache_.enabled() && code == StatusCode::kOk) {
-            cache_.Insert(s, t, epoch, d);
+    // The span's whole state in one allocation, owned by the
+    // continuation; capturing only two pointers keeps the continuation
+    // itself inside std::function's small buffer.
+    struct OneQuery {
+      QueryPair query;
+      uint32_t idx;
+      Weight distance;
+      StatusCode code;
+      uint64_t key;
+      std::chrono::steady_clock::time_point submitted;
+      std::shared_ptr<const Snapshot> snap;
+      Finish finish;
+    };
+    auto* one = new OneQuery{query, 0, kInfDistance, StatusCode::kOk,
+                             key, submitted, std::move(snap), finish};
+    BeginRoute();
+    policy_->RouteSpan(
+        one->snap, &one->query, &one->idx, 1, &one->distance, &one->code,
+        [this, one] {
+          std::unique_ptr<OneQuery> owned(one);
+          if (one->code == StatusCode::kOk) {
+            cache_.Insert(one->key, one->snap->epoch, 1, &one->distance);
           }
-          done(d, code);
-          EndAsyncOp();
+          const uint64_t nanos = NanosSince(one->submitted);
+          CountAnswer(one->code, nanos);
+          one->finish(one->distance, one->code, std::move(one->snap), nanos);
+          owned.reset();
+          EndRoute();
         });
   }
 
-  /// Registers one issued async continuation (async policies only).
-  /// The destructor waits for the matching EndAsyncOp of every Begin.
-  void BeginAsyncOp() {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    ++async_inflight_;
+  /// Counts one routed query: served (with its latency) or unavailable.
+  void CountAnswer(StatusCode code, uint64_t nanos) {
+    if (code == StatusCode::kOk) {
+      counters_.latency.Record(nanos);
+      counters_.queries_served.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      counters_.queries_unavailable.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 
-  /// Retires one async continuation; wakes the destructor on the last.
-  /// The notify happens UNDER async_mu_ on purpose: the destructor's
-  /// predicate wait can only return once it reacquires the mutex, which
-  /// serializes cv destruction after this broadcast finishes (notifying
-  /// after unlock would let the destructor wake on the decrement and
-  /// destroy the cv mid-notify).
-  void EndAsyncOp() {
-    std::lock_guard<std::mutex> lock(async_mu_);
-    if (--async_inflight_ == 0) async_cv_.notify_all();
+  /// Registers one issued RouteSpan; the destructor waits for the
+  /// matching EndRoute of every Begin.
+  void BeginRoute() { routes_inflight_.fetch_add(1); }
+
+  /// Retires one RouteSpan continuation. The count starts at 1, the
+  /// core's own reference, which only the destructor drops, so it can
+  /// reach zero only while the destructor drains: no query before that
+  /// takes the mutex. The zero-taker sets routes_idle_ and notifies
+  /// under routes_mu_, and the destructor's wait returns only after it
+  /// reacquires the mutex, so the unlock here is this continuation's
+  /// last access to the core.
+  void EndRoute() {
+    if (routes_inflight_.fetch_sub(1) == 1) {
+      std::lock_guard<std::mutex> lock(routes_mu_);
+      routes_idle_ = true;
+      routes_cv_.notify_all();
+    }
   }
 
   using TicketState = typename Ticket::State;
@@ -1177,8 +1026,8 @@ class ServingCore {
     size_t hits = 0;
     for (uint32_t i = 0; i < queries.size(); ++i) {
       Weight d;
-      if (cache_.enabled() && cache_.Lookup(queries[i].first,
-                                            queries[i].second, epoch, &d)) {
+      if (cache_.Lookup(PairKey(queries[i].first, queries[i].second), epoch,
+                        1, &d)) {
         state->distances[i] = d;
         ++hits;
         if (sink != nullptr) {
@@ -1200,31 +1049,9 @@ class ServingCore {
       counters_.queries_served.fetch_add(hits, std::memory_order_relaxed);
     }
 
-    // Group the misses so same-key queries land adjacently (and thus in
-    // the same routing chunk, where the policy reuses per-group rows).
-    // `keys` stays aligned with the sorted order for the chunker below.
-    std::vector<uint64_t> keys;
-    if (Policy::kGroupsBatches && state->order.size() > 1) {
-      const Snapshot& snap = *state->snapshot;
-      keys.resize(state->order.size());
-      for (size_t j = 0; j < state->order.size(); ++j) {
-        keys[j] = policy_->BatchSortKey(snap,
-                                        state->queries[state->order[j]]);
-      }
-      std::vector<uint32_t> by_key(state->order.size());
-      for (uint32_t j = 0; j < by_key.size(); ++j) by_key[j] = j;
-      std::stable_sort(by_key.begin(), by_key.end(),
-                       [&keys](uint32_t a, uint32_t b) {
-                         return keys[a] < keys[b];
-                       });
-      std::vector<uint32_t> sorted(state->order.size());
-      std::vector<uint64_t> sorted_keys(state->order.size());
-      for (size_t j = 0; j < by_key.size(); ++j) {
-        sorted[j] = state->order[by_key[j]];
-        sorted_keys[j] = keys[by_key[j]];
-      }
-      state->order.swap(sorted);
-      keys.swap(sorted_keys);
+    std::vector<uint64_t> keys;  // aligned with order once grouped
+    if constexpr (Policy::kGroupsBatches) {
+      if (state->order.size() > 1) SortByGroup(state.get(), &keys);
     }
 
     // Chunk the misses across the pool along GROUP boundaries: the
@@ -1301,18 +1128,50 @@ class ServingCore {
           return;
         }
         MaybeReaderDelay();
-        if constexpr (PolicyRoutesAsync<Policy>::value) {
-          // Issue the whole span and return this reader to the pool;
-          // the continuation finishes the chunk when the answers land.
-          RunBatchChunkAsync(state, begin, end);
-        } else {
-          RunBatchChunk(*state, begin, end);
-          CompleteChunk(*state);
-        }
+        // The one batch-chunk path: route the chunk as one span; the
+        // continuation finishes the chunk whenever the answers land.
+        // Chunks touch disjoint answer slots, so they need no lock.
+        BeginRoute();
+        policy_->RouteSpan(
+            state->snapshot, state->queries.data(),
+            state->order.data() + begin, end - begin,
+            state->distances.data(), state->codes.data(),
+            [this, state, begin, end] {
+              FinishBatchChunk(*state, begin, end);
+              CompleteChunk(*state);
+              EndRoute();
+            });
       });
       STL_CHECK(accepted) << "SubmitBatch() on a shut-down engine";
     }
     return Ticket(std::move(state));
+  }
+
+  /// Sorts state->order by the policy's batch key so same-key queries
+  /// land adjacently (and thus in the same routing chunk, where the
+  /// policy reuses per-group rows); `keys` comes back aligned with the
+  /// sorted order for the chunker.
+  void SortByGroup(TicketState* state, std::vector<uint64_t>* keys) {
+    const Snapshot& snap = *state->snapshot;
+    keys->resize(state->order.size());
+    for (size_t j = 0; j < state->order.size(); ++j) {
+      (*keys)[j] =
+          policy_->BatchSortKey(snap, state->queries[state->order[j]]);
+    }
+    std::vector<uint32_t> by_key(state->order.size());
+    for (uint32_t j = 0; j < by_key.size(); ++j) by_key[j] = j;
+    std::stable_sort(by_key.begin(), by_key.end(),
+                     [keys](uint32_t a, uint32_t b) {
+                       return (*keys)[a] < (*keys)[b];
+                     });
+    std::vector<uint32_t> sorted(state->order.size());
+    std::vector<uint64_t> sorted_keys(state->order.size());
+    for (size_t j = 0; j < by_key.size(); ++j) {
+      sorted[j] = state->order[by_key[j]];
+      sorted_keys[j] = (*keys)[by_key[j]];
+    }
+    state->order.swap(sorted);
+    keys->swap(sorted_keys);
   }
 
   /// A ticket that completes immediately with every query kOverloaded:
@@ -1344,34 +1203,6 @@ class ServingCore {
     return Ticket(std::move(state));
   }
 
-  /// Routes state.order[begin..end) through the policy, fills the
-  /// cache, records latency and delivers completions. Chunks touch
-  /// disjoint distance slots, so no lock is needed for the answers.
-  void RunBatchChunk(TicketState& state, size_t begin, size_t end) {
-    const size_t count = end - begin;
-    policy_->RouteSpan(*state.snapshot, state.queries.data(),
-                       state.order.data() + begin, count,
-                       state.distances.data(), state.codes.data());
-    FinishBatchChunk(state, begin, end);
-  }
-
-  /// Async-policy counterpart of RunBatchChunk + CompleteChunk: issues
-  /// the span and returns; the continuation (holding the ticket alive)
-  /// runs the bookkeeping whenever the policy answers.
-  void RunBatchChunkAsync(const std::shared_ptr<TicketState>& state,
-                          size_t begin, size_t end) {
-    BeginAsyncOp();
-    const size_t count = end - begin;
-    policy_->RouteSpanAsync(
-        state->snapshot, state->queries.data(),
-        state->order.data() + begin, count, state->distances.data(),
-        state->codes.data(), [this, state, begin, end] {
-          FinishBatchChunk(*state, begin, end);
-          CompleteChunk(*state);
-          EndAsyncOp();
-        });
-  }
-
   /// The post-routing half of a chunk: cache fills, latency/served
   /// counters, tagged completion delivery. Slots in [begin, end) must
   /// already hold the policy's answers.
@@ -1385,9 +1216,8 @@ class ServingCore {
       const QueryPair& q = state.queries[i];
       const StatusCode code = state.codes[i];
       if (code == StatusCode::kOk) {
-        if (cache_.enabled()) {
-          cache_.Insert(q.first, q.second, epoch, state.distances[i]);
-        }
+        cache_.Insert(PairKey(q.first, q.second), epoch, 1,
+                      &state.distances[i]);
         counters_.latency.Record(nanos);
         ++served;
       } else {
@@ -1696,7 +1526,7 @@ class ServingCore {
   UpdateQueue updates_;
 
   ServingCounters counters_;
-  ResultCache cache_;
+  SlotCache cache_;  // the (s, t) result memo, payload width 1
 
   // Admission state: FIFOs of claimable work (pruned lazily) plus the
   // point-in-time depth counters the bounds are enforced against.
@@ -1706,11 +1536,13 @@ class ServingCore {
   std::atomic<uint64_t> queued_queries_{0};
   std::atomic<uint64_t> inflight_batches_{0};
 
-  // Outstanding async-policy continuations (see BeginAsyncOp); the
-  // destructor waits for zero after the pool drains.
-  std::mutex async_mu_;
-  std::condition_variable async_cv_;
-  uint64_t async_inflight_ = 0;  // guarded by async_mu_
+  // Issued RouteSpan continuations not yet finished, plus the core's
+  // own reference (see EndRoute); the destructor drops that reference
+  // after the pool drains and waits for routes_idle_.
+  std::atomic<uint64_t> routes_inflight_{1};
+  std::mutex routes_mu_;
+  bool routes_idle_ = false;  // guarded by routes_mu_
+  std::condition_variable routes_cv_;
 
   // Degraded-mode state (written by the watchdog, read by Stats()).
   std::atomic<bool> degraded_{false};

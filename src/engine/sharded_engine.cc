@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <deque>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -10,26 +11,10 @@
 #include "engine/thread_pool.h"
 #include "partition/cells.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace stl {
 
 namespace {
-
-/// Saturates the three-term routing sums back into the Weight range.
-inline Weight ClampInf(uint64_t d) {
-  return d >= kInfDistance ? kInfDistance
-                           : static_cast<Weight>(d);
-}
-
-/// splitmix64 finalizer: scatters the (vertex, shard) key across the
-/// row-cache slot array.
-inline uint64_t MixKey(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 // Fans BoundaryOverlay::RebuildClique's per-source searches out across
 // the core's reader pool. The writer participates as one worker, so
@@ -85,145 +70,76 @@ class PoolExecutor final : public OverlayExecutor {
   ThreadPool* pool_;
 };
 
-/// Fills `out` with the shard-local distances from global vertex
-/// `global` (owned by shard `shard`) to that shard's boundary set S_i;
-/// returns the row width |S_i|. Thin wrapper over the shared row-fetch
-/// surface (index/overlay.h) that shard replicas also serve from.
-uint32_t FillBoundaryRow(const ShardedSnapshot& snap, uint32_t shard,
-                         Vertex global, std::vector<Weight>* out) {
-  return FillShardBoundaryRow(*snap.layout, shard,
-                              *snap.shards[shard]->view, global, out);
-}
-
-/// FillBoundaryRow behind the shard-epoch-keyed row cache (when one is
-/// armed): a hit skips the |S_i| shard queries entirely. Cached rows
-/// are validated by (shard, vertex, shard_epoch), so a hit returns the
-/// exact same values FillBoundaryRow would compute on this snapshot —
-/// bit-identical routing either way.
-uint32_t CachedBoundaryRow(const ShardedSnapshot& snap, uint32_t shard,
-                           Vertex global, BoundaryRowCache* cache,
-                           std::vector<Weight>* out) {
-  if (cache == nullptr) return FillBoundaryRow(snap, shard, global, out);
-  const ShardLayout::Shard& sh = snap.layout->shards[shard];
-  const uint32_t width = static_cast<uint32_t>(sh.boundary_local.size());
-  const uint64_t shard_epoch = snap.shards[shard]->shard_epoch;
-  out->resize(width);
-  if (cache->Lookup(shard, shard_epoch, global, width, out->data())) {
-    return width;
-  }
-  FillBoundaryRow(snap, shard, global, out);
-  cache->Insert(shard, shard_epoch, global, width, out->data());
-  return width;
-}
-
-// Per-chunk scratch for batched routing: memoises the ds/dt
-// boundary-distance rows per endpoint, plus the shared inner vector
-// min_{b2} D[b1][b2] + dt[b2] of the CURRENT (source cell, target
-// cell, target) group. Chunks route in BatchSortKey order, so a
-// group's queries are adjacent and one cached vector covers them —
-// full-width keys, no packing, no collision hazard. Valid for exactly
-// one snapshot (the batch's pinned epoch).
-struct BatchRouteScratch {
-  // Global vertex -> its shard-local boundary-distance row. Node-based
-  // map: references stay valid across later insertions.
-  std::unordered_map<Vertex, std::vector<Weight>> rows;
-  // The engine-lifetime row cache behind the per-chunk memo (nullptr
-  // when disabled): misses here first probe the cache, and fresh rows
-  // are published back so later batches and per-query routing hit.
-  BoundaryRowCache* cache = nullptr;
-  // The last group's inner vector (over S_{inner_cs}).
-  uint64_t inner_cs = ~uint64_t{0};
-  uint64_t inner_ct = ~uint64_t{0};
-  Vertex inner_t = 0;
-  std::vector<Weight> inner;
-
-  const std::vector<Weight>& Row(const ShardedSnapshot& snap,
-                                 uint32_t shard, Vertex v) {
-    auto [it, fresh] = rows.try_emplace(v);
-    if (fresh) CachedBoundaryRow(snap, shard, v, cache, &it->second);
-    return it->second;
-  }
-
-  const std::vector<Weight>& Inner(const ShardedSnapshot& snap,
-                                   uint32_t cs, uint32_t ct, Vertex t) {
-    if (inner_cs != cs || inner_ct != ct || inner_t != t) {
-      inner_cs = cs;
-      inner_ct = ct;
-      inner_t = t;
-      const std::vector<Weight>& dt = Row(snap, ct, t);
-      const ShardLayout::Shard& sshard = snap.layout->shards[cs];
-      inner.resize(sshard.boundary_pos.size());
-      // The packed-row batch entry point: one SIMD min-plus per b1 row
-      // of shard ct's packed block (index/overlay.h).
-      snap.overlay->MinPlusRowsInto(
-          ct, sshard.boundary_pos.data(),
-          static_cast<uint32_t>(sshard.boundary_pos.size()), dt.data(),
-          inner.data());
-    }
-    return inner;
-  }
+/// The storage of one span's in-process routing: the per-span row
+/// memo and the inner-vector memo. A reader thread keeps one and reuses
+/// its row and inner-vector buffers across spans.
+struct LocalScratch {
+  // (vertex, shard) -> index into rows. Cleared per span.
+  std::unordered_map<uint64_t, uint32_t> index;
+  // Row buffers; the first `used` belong to the current span. A deque:
+  // references stay valid across later growth.
+  std::deque<std::vector<Weight>> rows;
+  uint32_t used = 0;
+  InnerVectorMemo memo;
 };
 
-/// The batched router: identical minima (and identical arithmetic
-/// ranges) to ShardedSnapshot::Query, with the ds/dt rows and the
-/// per-group inner vectors coming from the scratch memo — answers are
-/// bit-identical to the per-query path on the same snapshot.
-Weight RouteBatched(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                    BatchRouteScratch* scratch) {
-  const ShardLayout& lay = *snap.layout;
-  STL_DCHECK(s < lay.shard_of_vertex.size());
-  STL_DCHECK(t < lay.shard_of_vertex.size());
-  if (s == t) return 0;
-  const uint32_t cs = lay.shard_of_vertex[s];
-  const uint32_t ct = lay.shard_of_vertex[t];
-  const bool s_boundary = cs == CellPartition::kBoundaryCell;
-  const bool t_boundary = ct == CellPartition::kBoundaryCell;
-
-  if (s_boundary && t_boundary) {
-    return snap.overlay->At(lay.boundary_pos_of_vertex[s],
-                            lay.boundary_pos_of_vertex[t]);
+/// The in-process pieces of RouteShardedPair: boundary rows computed
+/// on the snapshot's shard views — memoised per span, behind the row
+/// cache when one is armed — and same-cell distances from the shard
+/// view. Cached rows are validated by (vertex, shard, shard_epoch), so
+/// a hit holds exactly the row FillShardBoundaryRow computes on this
+/// snapshot: answers are bit-identical with the cache on or off.
+class LocalPieces {
+ public:
+  /// Starts a span on `scratch`, forgetting its previous rows and
+  /// inner-vector group (they belong to another span's snapshot).
+  LocalPieces(const ShardedSnapshot& snap, SlotCache* cache,
+              LocalScratch* scratch)
+      : snap_(snap), cache_(cache), scratch_(scratch) {
+    scratch_->index.clear();
+    scratch_->used = 0;
+    scratch_->memo.Reset();
   }
 
-  uint64_t best = kInfDistance;
-  if (!s_boundary && !t_boundary && cs == ct) {
-    best = snap.shards[cs]->view->Query(lay.local_of_vertex[s],
-                                        lay.local_of_vertex[t]);
+  /// Gives back what an unusually large span grew: a reader thread keeps
+  /// at most kKeptRows row buffers between spans.
+  ~LocalPieces() {
+    if (scratch_->rows.size() > kKeptRows) {
+      scratch_->rows.resize(kKeptRows);
+      scratch_->index = {};
+    }
   }
 
-  if (s_boundary) {
-    const std::vector<Weight>& dt = scratch->Row(snap, ct, t);
-    const uint32_t pos = lay.boundary_pos_of_vertex[s];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(ct, pos), dt.data(),
-                            static_cast<uint32_t>(dt.size())));
-  } else if (t_boundary) {
-    const std::vector<Weight>& ds = scratch->Row(snap, cs, s);
-    const uint32_t pos = lay.boundary_pos_of_vertex[t];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(cs, pos), ds.data(),
-                            static_cast<uint32_t>(ds.size())));
-  } else {
-    // General case: min_i ds[i] + inner[i], where inner is shared by
-    // every query of the (cs, ct, t) group. All terms are <= 3 *
-    // kInfDistance, so the uint32 min-plus cannot wrap and the minimum
-    // equals the per-query path's pruned double loop exactly.
-    const std::vector<Weight>& ds = scratch->Row(snap, cs, s);
-    const std::vector<Weight>& inner = scratch->Inner(snap, cs, ct, t);
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(ds.data(), inner.data(),
-                            static_cast<uint32_t>(ds.size())));
+  const std::vector<Weight>* Row(uint32_t shard, Vertex v) {
+    const uint64_t key = PairKey(v, shard);
+    auto [it, fresh] = scratch_->index.try_emplace(key, scratch_->used);
+    if (!fresh) return &scratch_->rows[it->second];
+    if (scratch_->used == scratch_->rows.size()) scratch_->rows.emplace_back();
+    std::vector<Weight>& row = scratch_->rows[scratch_->used++];
+    const ShardServing& serving = *snap_.shards[shard];
+    row.resize(snap_.layout->shards[shard].boundary_local.size());
+    const uint32_t width = static_cast<uint32_t>(row.size());
+    if (!cache_->Lookup(key, serving.shard_epoch, width, row.data())) {
+      FillShardBoundaryRow(*snap_.layout, shard, *serving.view, v, &row);
+      cache_->Insert(key, serving.shard_epoch, width, row.data());
+    }
+    return &row;
   }
-  return ClampInf(best);
-}
 
-ServingCoreOptions CoreOptions(const ShardedEngineOptions& options) {
-  ServingCoreOptions core;
-  core.num_query_threads = options.num_query_threads;
-  core.max_batch_size = options.max_batch_size;
-  core.result_cache_entries = options.result_cache_entries;
-  core.serving = options.serving;
-  return core;
-}
+  bool Point(uint32_t shard, Vertex s, Vertex t, Weight* d) {
+    const ShardLayout& lay = *snap_.layout;
+    *d = snap_.shards[shard]->view->Query(lay.local_of_vertex[s],
+                                          lay.local_of_vertex[t]);
+    return true;
+  }
+
+ private:
+  static constexpr size_t kKeptRows = 128;
+
+  const ShardedSnapshot& snap_;
+  SlotCache* cache_;
+  LocalScratch* scratch_;
+};
 
 }  // namespace
 
@@ -257,147 +173,40 @@ uint32_t ChooseShardCount(uint32_t num_vertices,
 
 // ----------------------------------------------------- ShardedSnapshot
 
-namespace {
-
-/// The per-query router: ShardedSnapshot::Query's decomposition, with
-/// the ds/dt rows optionally served from the engine's row cache
-/// (`cache == nullptr` computes them fresh — the uncached reference
-/// path tests and audits run against). Cached and fresh rows are
-/// bit-identical, so both modes return the same distances.
-Weight RouteSingle(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                   BoundaryRowCache* cache) {
-  const ShardLayout& lay = *snap.layout;
-  STL_DCHECK(s < lay.shard_of_vertex.size());
-  STL_DCHECK(t < lay.shard_of_vertex.size());
-  if (s == t) return 0;
-  const uint32_t cs = lay.shard_of_vertex[s];
-  const uint32_t ct = lay.shard_of_vertex[t];
-  const bool s_boundary = cs == CellPartition::kBoundaryCell;
-  const bool t_boundary = ct == CellPartition::kBoundaryCell;
-
-  if (s_boundary && t_boundary) {
-    // The overlay table is already the exact full-graph distance.
-    return snap.overlay->At(lay.boundary_pos_of_vertex[s],
-                            lay.boundary_pos_of_vertex[t]);
-  }
-
-  // Per-reader scratch for the shard-to-boundary distance arrays; sized
-  // to the largest S_i seen, reused across snapshots and epochs.
-  thread_local std::vector<Weight> ds_scratch;
-  thread_local std::vector<Weight> dt_scratch;
-
-  uint64_t best = kInfDistance;
-  if (!s_boundary && !t_boundary && cs == ct) {
-    // Same cell: the path may stay inside the shard entirely...
-    best = snap.shards[cs]->view->Query(lay.local_of_vertex[s],
-                                        lay.local_of_vertex[t]);
-    // ...or leave through the boundary and come back (covered below;
-    // D[b][b] = 0 makes the touch-and-return case a special case of it).
-  }
-
-  if (s_boundary) {
-    // First boundary vertex of any path from s is s itself:
-    // min over b2 in S_ct of D[s][b2] + d_shard(b2, t).
-    const uint32_t width =
-        CachedBoundaryRow(snap, ct, t, cache, &dt_scratch);
-    const uint32_t pos = lay.boundary_pos_of_vertex[s];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(ct, pos),
-                            dt_scratch.data(), width));
-  } else if (t_boundary) {
-    // Mirror image (distances are symmetric on an undirected graph).
-    const uint32_t width =
-        CachedBoundaryRow(snap, cs, s, cache, &ds_scratch);
-    const uint32_t pos = lay.boundary_pos_of_vertex[t];
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(snap.overlay->PackedRow(cs, pos),
-                            ds_scratch.data(), width));
-  } else {
-    // General case: decompose at the first and last boundary vertices.
-    const uint32_t sw = CachedBoundaryRow(snap, cs, s, cache, &ds_scratch);
-    const uint32_t tw = CachedBoundaryRow(snap, ct, t, cache, &dt_scratch);
-    const ShardLayout::Shard& sshard = lay.shards[cs];
-    for (uint32_t i = 0; i < sw; ++i) {
-      if (ds_scratch[i] >= kInfDistance || ds_scratch[i] >= best) continue;
-      // Inner min over b2 on the packed row: contiguous SIMD min-plus.
-      const Weight inner =
-          MinPlusReduce(snap.overlay->PackedRow(ct, sshard.boundary_pos[i]),
-                        dt_scratch.data(), tw);
-      best = std::min<uint64_t>(
-          best, static_cast<uint64_t>(ds_scratch[i]) + inner);
-    }
-  }
-  return ClampInf(best);
-}
-
-}  // namespace
-
 Weight ShardedSnapshot::Query(Vertex s, Vertex t) const {
   // Uncached on purpose: this is the reference implementation that
   // tests, audits and external snapshot holders run against.
-  return RouteSingle(*this, s, t, /*cache=*/nullptr);
+  SlotCache uncached;  // never armed
+  LocalScratch scratch;
+  LocalPieces pieces(*this, &uncached, &scratch);
+  StatusCode code = StatusCode::kOk;  // in-process pieces never fail
+  return RouteShardedPair(*this, s, t, &pieces, /*memo=*/nullptr, &code);
 }
 
-// ----------------------------------------------------- BoundaryRowCache
-
-void BoundaryRowCache::Init(size_t entries, uint32_t max_width) {
-  if (entries == 0 || max_width == 0) return;
-  size_t cap = 1;
-  while (cap < entries) cap <<= 1;
-  mask_ = cap - 1;
-  max_width_ = max_width;
-  slots_.reset(new Slot[cap]);
-  rows_.reset(new std::atomic<Weight>[cap * max_width]);
-  for (size_t i = 0; i < cap * max_width; ++i) {
-    rows_[i].store(kInfDistance, std::memory_order_relaxed);
-  }
+uint64_t ShardedBatchGrouping::BatchSortKey(const ShardedSnapshot& snap,
+                                            const QueryPair& q) {
+  const ShardLayout& lay = *snap.layout;
+  const uint64_t cs = lay.shard_of_vertex[q.first] & 0xffff;
+  const uint64_t ct = lay.shard_of_vertex[q.second] & 0xffff;
+  return (cs << 48) | (ct << 32) | q.second;
 }
 
-bool BoundaryRowCache::Lookup(uint32_t shard, uint64_t shard_epoch,
-                              Vertex v, uint32_t width,
-                              Weight* out) const {
-  STL_DCHECK(width <= max_width_);
-  lookups_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t key = (static_cast<uint64_t>(v) << 32) | shard;
-  const size_t idx = MixKey(key) & mask_;
-  const Slot& slot = slots_[idx];
-  // Seqlock read protocol (mirrors ServingCore's ResultCache): an odd
-  // or moved version means a concurrent writer — degrade to a miss.
-  const uint64_t v1 = slot.version.load(std::memory_order_acquire);
-  if (v1 & 1) return false;
-  const uint64_t k = slot.key.load(std::memory_order_relaxed);
-  const uint64_t e = slot.epoch.load(std::memory_order_relaxed);
-  const std::atomic<Weight>* row = rows_.get() + idx * max_width_;
-  for (uint32_t i = 0; i < width; ++i) {
-    out[i] = row[i].load(std::memory_order_relaxed);
+const Weight* InnerVectorMemo::Get(const ShardedSnapshot& snap, uint32_t cs,
+                                   uint32_t ct, Vertex t, const Weight* dt) {
+  if (cs_ != cs || ct_ != ct || t_ != t) {
+    cs_ = cs;
+    ct_ = ct;
+    t_ = t;
+    const ShardLayout::Shard& sshard = snap.layout->shards[cs];
+    inner_.resize(sshard.boundary_pos.size());
+    // The packed-row batch entry point: one SIMD min-plus per b1 row of
+    // shard ct's packed block (index/overlay.h).
+    snap.overlay->MinPlusRowsInto(
+        ct, sshard.boundary_pos.data(),
+        static_cast<uint32_t>(sshard.boundary_pos.size()), dt,
+        inner_.data());
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
-  if (slot.version.load(std::memory_order_relaxed) != v1) return false;
-  if (k != key || e != shard_epoch) return false;
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void BoundaryRowCache::Insert(uint32_t shard, uint64_t shard_epoch,
-                              Vertex v, uint32_t width,
-                              const Weight* row_values) {
-  STL_DCHECK(width <= max_width_);
-  const uint64_t key = (static_cast<uint64_t>(v) << 32) | shard;
-  const size_t idx = MixKey(key) & mask_;
-  Slot& slot = slots_[idx];
-  uint64_t v0 = slot.version.load(std::memory_order_relaxed);
-  if (v0 & 1) return;  // another writer owns the slot; drop the insert
-  if (!slot.version.compare_exchange_strong(v0, v0 + 1,
-                                            std::memory_order_acq_rel)) {
-    return;
-  }
-  slot.key.store(key, std::memory_order_relaxed);
-  slot.epoch.store(shard_epoch, std::memory_order_relaxed);
-  std::atomic<Weight>* row = rows_.get() + idx * max_width_;
-  for (uint32_t i = 0; i < width; ++i) {
-    row[i].store(row_values[i], std::memory_order_relaxed);
-  }
-  slot.version.store(v0 + 2, std::memory_order_release);
+  return inner_.data();
 }
 
 // ------------------------------------------------------- ShardedEngine
@@ -405,7 +214,7 @@ void BoundaryRowCache::Insert(uint32_t shard, uint64_t shard_epoch,
 ShardedEngine::ShardedEngine(Graph graph,
                              const HierarchyOptions& hierarchy_options,
                              const ShardedEngineOptions& options)
-    : options_(options), core_(&policy_, CoreOptions(options)) {
+    : options_(options), core_(&policy_, CoreOptionsOf(options)) {
   graph_ = std::make_unique<Graph>(std::move(graph));
   const uint32_t target =
       options_.target_shards > 0
@@ -505,39 +314,16 @@ uint32_t ShardedEngine::Policy::NumEdges() const {
   return engine->graph_->NumEdges();
 }
 
-Weight ShardedEngine::Policy::Route(const ShardedSnapshot& snap, Vertex s,
-                                    Vertex t, StatusCode* code) const {
-  (void)code;  // in-process routing cannot fail; *code stays kOk
-  return RouteSingle(
-      snap, s, t,
-      engine->row_cache_.enabled() ? &engine->row_cache_ : nullptr);
-}
-
-uint64_t ShardedEngine::Policy::BatchSortKey(const ShardedSnapshot& snap,
-                                             const QueryPair& q) const {
-  // Group by (source cell, target cell, target): same-group queries
-  // share the inner vector and the dt row; same-source runs share ds.
-  // Boundary endpoints truncate kBoundaryCell to 0xffff — still a
-  // stable group of their own.
-  const ShardLayout& lay = *snap.layout;
-  const uint64_t cs = lay.shard_of_vertex[q.first] & 0xffff;
-  const uint64_t ct = lay.shard_of_vertex[q.second] & 0xffff;
-  return (cs << 48) | (ct << 32) | q.second;
-}
-
-void ShardedEngine::Policy::RouteSpan(const ShardedSnapshot& snap,
-                                      const QueryPair* queries,
-                                      const uint32_t* idx, size_t count,
-                                      Weight* out,
-                                      StatusCode* codes) const {
-  (void)codes;  // in-process routing cannot fail; codes stay kOk
-  BatchRouteScratch scratch;
-  scratch.cache =
-      engine->row_cache_.enabled() ? &engine->row_cache_ : nullptr;
-  for (size_t j = 0; j < count; ++j) {
-    const QueryPair& q = queries[idx[j]];
-    out[idx[j]] = RouteBatched(snap, q.first, q.second, &scratch);
-  }
+void ShardedEngine::Policy::RouteSpan(
+    const std::shared_ptr<const ShardedSnapshot>& snap,
+    const QueryPair* queries, const uint32_t* idx, size_t count,
+    Weight* out, StatusCode* codes, std::function<void()> done) const {
+  // Per reader thread; a span never nests inside another on one thread.
+  thread_local LocalScratch scratch;
+  LocalPieces pieces(*snap, &engine->row_cache_, &scratch);
+  RouteShardedSpan(*snap, queries, idx, count, out, codes, &pieces,
+                   &scratch.memo);
+  done();
 }
 
 void ShardedEngine::Policy::AugmentStats(EngineStats* s) const {

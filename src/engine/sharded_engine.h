@@ -27,28 +27,25 @@
 // ChooseShardCount().
 //
 // Query routing (all answers exact — bit-identical to a flat engine on
-// the same weights, guarded by bench_sharded_scaling --check):
-//   * s == t                     -> 0
-//   * both endpoints boundary    -> D[s][t]
-//   * same cell                  -> min(shard-local distance,
-//                                       min_{b1,b2} ds[b1] + D[b1][b2] + dt[b2])
-//   * different cells / boundary -> min_{b1,b2} ds[b1] + D[b1][b2] + dt[b2]
-// where ds/dt are the shard-local distances from each endpoint to its
-// cell's boundary set S_i, and the inner minimum over b2 runs on the
-// overlay's per-shard packed rows through the util/simd.h min-plus
-// kernels. Correctness rests on S being a vertex separator: a shortest
-// path leaves a cell only through S, its first/last boundary vertices
-// split it into shard-local prefix/suffix plus a boundary-to-boundary
-// middle, and D is exact for the middle (index/overlay.h).
+// the same weights, guarded by bench_sharded_scaling --check) is the
+// five-case decomposition of RouteShardedPair below, the one copy every
+// sharded tier runs: this engine on its shard views, ShardedSnapshot::
+// Query uncached, and the router (dist/shard_router.h) on rows fetched
+// from replicas. Correctness rests on S being a vertex separator: a
+// shortest path leaves a cell only through S, its first/last boundary
+// vertices split it into shard-local prefix/suffix plus a
+// boundary-to-boundary middle, and D is exact for the middle
+// (index/overlay.h).
 //
 // Batched routing (SubmitBatch): the batch is pinned to one snapshot,
 // grouped by (source cell, target cell, target), and the ds/dt
-// boundary-distance rows are memoised per endpoint across the group —
-// plus one shared inner vector min_{b2} D[b1][b2] + dt[b2] per group
-// target, computed through OverlayTable::MinPlusRowsInto. Same minima,
-// same arithmetic: answers are bit-identical to per-query routing on
-// the pinned epoch (asserted in tests/sharded_engine_test.cc and the
-// bench_sharded_scaling --check guard).
+// boundary-distance rows are memoised per endpoint across the span —
+// plus one shared inner vector min_{b2} D[b1][b2] + dt[b2] per group,
+// computed through OverlayTable::MinPlusRowsInto. A single query is a
+// one-element span through the same code, so batch and per-query
+// answers are bit-identical on the pinned epoch (asserted in
+// tests/sharded_engine_test.cc and the bench_sharded_scaling --check
+// guard).
 //
 // Update locality: a batch that only touches edges inside cell i
 // republishes shard i's epoch and the overlay; every other shard's
@@ -57,14 +54,20 @@
 #ifndef STL_ENGINE_SHARDED_ENGINE_H_
 #define STL_ENGINE_SHARDED_ENGINE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
 
 #include "engine/serving_core.h"
+#include "engine/slot_cache.h"
 #include "index/overlay.h"
+#include "partition/cells.h"
+#include "util/logging.h"
+#include "util/simd.h"
 
 namespace stl {
 
@@ -190,69 +193,148 @@ struct ShardedEngineOptions {
   ServingOptions serving;
 };
 
-/// Shard-epoch-keyed cache of shard-to-boundary distance rows: the
-/// batched router's per-batch ds/dt row memo promoted to an
-/// engine-lifetime cache shared across batches AND per-query routing.
-/// Fixed power-of-two slot array, each slot a seqlock-style
-/// version-validated record (even version = stable, odd = mid-write)
-/// with a row payload of up to max |S_i| weights — the same
-/// torn-read-degrades-to-miss protocol as ServingCore's ResultCache,
-/// so concurrent readers and writers never block and a torn slot is
-/// simply a miss. Entries are validated by (shard, vertex,
-/// shard_epoch): a shard republish invalidates exactly that shard's
-/// rows, and rows of clean shards stay hot across global epochs.
-class BoundaryRowCache {
+/// The batch grouping of every route policy over ShardedSnapshot (this
+/// engine and the shard-router tier, dist/shard_router.h).
+struct ShardedBatchGrouping {
+  /// Batch misses are sorted by BatchSortKey before chunking.
+  static constexpr bool kGroupsBatches = true;
+
+  /// (source cell, target cell, target): same-group queries share the
+  /// inner vector and the dt row; same-source runs share ds. Boundary
+  /// endpoints truncate kBoundaryCell to 0xffff — still a stable group
+  /// of their own.
+  static uint64_t BatchSortKey(const ShardedSnapshot& snap,
+                               const QueryPair& q);
+};
+
+/// The inner-vector memo of a span routed in BatchSortKey order: the
+/// current (source cell cs, target cell ct, target t) group's
+/// inner[i] = min_{b2} D[S_cs[i]][b2] + dt[b2], shared by every query of
+/// the group. Valid for one snapshot: Reset() before reusing it (and
+/// its storage) on the next span.
+class InnerVectorMemo {
  public:
-  /// A disabled cache; Init() arms it.
-  BoundaryRowCache() = default;
+  /// Forgets the current group; keeps the storage.
+  void Reset() { cs_ = CellPartition::kBoundaryCell; }
 
-  /// Sizes the cache: `entries` slots (rounded up to a power of two),
-  /// each holding up to `max_width` weights (the largest |S_i| of the
-  /// layout). entries == 0 or max_width == 0 leaves it disabled.
-  void Init(size_t entries, uint32_t max_width);
-
-  /// True once Init() armed the cache.
-  bool enabled() const { return slots_ != nullptr; }
-
-  /// True iff the cache holds vertex `v`'s boundary row for shard
-  /// `shard` at `shard_epoch`; copies `width` weights into `out`.
-  /// `width` must be shard's |S_i| (<= Init's max_width).
-  bool Lookup(uint32_t shard, uint64_t shard_epoch, Vertex v,
-              uint32_t width, Weight* out) const;
-
-  /// Publishes vertex `v`'s boundary row; silently dropped when the
-  /// slot is mid-write by another thread.
-  void Insert(uint32_t shard, uint64_t shard_epoch, Vertex v,
-              uint32_t width, const Weight* row);
-
-  /// Row probes so far (relaxed).
-  uint64_t lookups() const {
-    return lookups_.load(std::memory_order_relaxed);
-  }
-  /// Probes answered from the cache (relaxed).
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  /// Zeroes the probe counters (ResetStats; the entries stay valid).
-  void ResetCounters() {
-    lookups_.store(0, std::memory_order_relaxed);
-    hits_.store(0, std::memory_order_relaxed);
-  }
+  /// The inner vector of group (cs, ct, t) — |S_cs| entries — where
+  /// `dt` is t's boundary row on shard ct. Recomputed only when the
+  /// group changes.
+  const Weight* Get(const ShardedSnapshot& snap, uint32_t cs, uint32_t ct,
+                    Vertex t, const Weight* dt);
 
  private:
-  /// One seqlock-protected cache record; the row payload lives in the
-  /// flat rows_ array at this slot's offset.
-  struct Slot {
-    std::atomic<uint64_t> version{0};       // even = stable, odd = writing
-    std::atomic<uint64_t> key{~uint64_t{0}};  // (vertex << 32) | shard
-    std::atomic<uint64_t> epoch{0};         // shard_epoch of the row
-  };
-
-  size_t mask_ = 0;
-  uint32_t max_width_ = 0;
-  std::unique_ptr<Slot[]> slots_;
-  std::unique_ptr<std::atomic<Weight>[]> rows_;
-  mutable std::atomic<uint64_t> lookups_{0};
-  mutable std::atomic<uint64_t> hits_{0};
+  uint32_t cs_ = CellPartition::kBoundaryCell;
+  uint32_t ct_ = CellPartition::kBoundaryCell;
+  Vertex t_ = 0;
+  std::vector<Weight> inner_;
 };
+
+/// The sharded query decomposition, written once for every tier:
+///   * s == t                     -> 0
+///   * both endpoints boundary    -> D[s][t]
+///   * s boundary (t mirrored)    -> min_{b2} D[s][b2] + dt[b2]
+///   * different cells            -> min_{b1,b2} ds[b1] + D[b1][b2] + dt[b2]
+///   * same cell                  -> min(shard-local distance, the above)
+/// where ds/dt are the shard-local distances from each endpoint to its
+/// cell's boundary set S_i and the minima run on the overlay's packed
+/// rows through the util/simd.h min-plus kernels. `pieces` supplies the
+/// shard-local inputs — the only thing that differs between callers:
+///   const std::vector<Weight>* Row(uint32_t shard, Vertex v) — v's
+///       |S_shard| distances to the shard's boundary set, in
+///       ShardLayout::Shard::boundary_local order; null if unavailable.
+///   bool Point(uint32_t shard, Vertex s, Vertex t, Weight* d) — the
+///       shard-local distance of a same-cell pair; false if unavailable.
+/// Every piece a pair needs is requested before any is combined, so a
+/// `pieces` that records the requests (the router's fetch enumeration)
+/// sees the pair's full list. When a piece is unavailable, writes
+/// kUnavailable to *code and returns kInfDistance. A null `memo` (a
+/// lone pair, where no group shares the inner vector) runs the pruned
+/// double loop instead, skipping every b1 with ds[b1] >= the best so
+/// far; both forms reach the same minimum.
+template <typename Pieces>
+Weight RouteShardedPair(const ShardedSnapshot& snap, Vertex s, Vertex t,
+                        Pieces* pieces, InnerVectorMemo* memo,
+                        StatusCode* code) {
+  const ShardLayout& lay = *snap.layout;
+  STL_DCHECK(s < lay.shard_of_vertex.size());
+  STL_DCHECK(t < lay.shard_of_vertex.size());
+  if (s == t) return 0;
+  const uint32_t cs = lay.shard_of_vertex[s];
+  const uint32_t ct = lay.shard_of_vertex[t];
+  const bool s_boundary = cs == CellPartition::kBoundaryCell;
+  const bool t_boundary = ct == CellPartition::kBoundaryCell;
+  if (s_boundary && t_boundary) {
+    // The overlay table is already the exact full-graph distance.
+    return snap.overlay->At(lay.boundary_pos_of_vertex[s],
+                            lay.boundary_pos_of_vertex[t]);
+  }
+  // Same cell: the path may stay inside the shard entirely, or leave
+  // through the boundary and come back (the general case below; D[b][b]
+  // = 0 makes touch-and-return a special case of it).
+  Weight local = kInfDistance;
+  const bool same_cell = !s_boundary && !t_boundary && cs == ct;
+  const bool local_ok = !same_cell || pieces->Point(cs, s, t, &local);
+  const std::vector<Weight>* ds = s_boundary ? nullptr : pieces->Row(cs, s);
+  const std::vector<Weight>* dt = t_boundary ? nullptr : pieces->Row(ct, t);
+  if (!local_ok || (!s_boundary && ds == nullptr) ||
+      (!t_boundary && dt == nullptr)) {
+    *code = StatusCode::kUnavailable;
+    return kInfDistance;
+  }
+  uint64_t best = local;
+  if (s_boundary) {
+    // The first boundary vertex of any path from s is s itself.
+    best = std::min<uint64_t>(
+        best, MinPlusReduce(
+                  snap.overlay->PackedRow(ct, lay.boundary_pos_of_vertex[s]),
+                  dt->data(), static_cast<uint32_t>(dt->size())));
+  } else if (t_boundary) {
+    // Mirror image (distances are symmetric on an undirected graph).
+    best = std::min<uint64_t>(
+        best, MinPlusReduce(
+                  snap.overlay->PackedRow(cs, lay.boundary_pos_of_vertex[t]),
+                  ds->data(), static_cast<uint32_t>(ds->size())));
+  } else if (memo == nullptr) {
+    // Decompose at the first and last boundary vertices, b1 by b1.
+    const std::vector<uint32_t>& pos = lay.shards[cs].boundary_pos;
+    for (size_t i = 0; i < ds->size(); ++i) {
+      if ((*ds)[i] >= best) continue;  // no path through b1 can win
+      best = std::min<uint64_t>(
+          best, static_cast<uint64_t>((*ds)[i]) +
+                    MinPlusReduce(snap.overlay->PackedRow(ct, pos[i]),
+                                  dt->data(),
+                                  static_cast<uint32_t>(dt->size())));
+    }
+  } else {
+    // The same decomposition on the group's shared inner vector:
+    // min_i ds[i] + inner[i]. All terms are <= 3 * kInfDistance, so the
+    // uint32 min-plus cannot wrap.
+    best = std::min<uint64_t>(
+        best, MinPlusReduce(ds->data(),
+                            memo->Get(snap, cs, ct, t, dt->data()),
+                            static_cast<uint32_t>(ds->size())));
+  }
+  // Saturate the three-term sums back into the Weight range.
+  return best >= kInfDistance ? kInfDistance : static_cast<Weight>(best);
+}
+
+/// Routes queries[idx[j]] into out[idx[j]] for j < count through
+/// RouteShardedPair, sharing `memo` (fresh or Reset()) across a span of
+/// more than one query; codes[idx[j]] is written only when a piece was
+/// unavailable.
+template <typename Pieces>
+void RouteShardedSpan(const ShardedSnapshot& snap, const QueryPair* queries,
+                      const uint32_t* idx, size_t count, Weight* out,
+                      StatusCode* codes, Pieces* pieces,
+                      InnerVectorMemo* memo) {
+  for (size_t j = 0; j < count; ++j) {
+    const QueryPair& q = queries[idx[j]];
+    out[idx[j]] = RouteShardedPair(snap, q.first, q.second, pieces,
+                                   count > 1 ? memo : nullptr,
+                                   &codes[idx[j]]);
+  }
+}
 
 /// Concurrent sharded serving engine: the partitioned Apply + Route
 /// policy over the shared ServingCore. Thread-safe: Submit/SubmitBatch/
@@ -353,12 +435,9 @@ class ShardedEngine {
  private:
   // The sharded Apply + Route policy the shared ServingCore drives (see
   // the policy contract in engine/serving_core.h).
-  struct Policy {
+  struct Policy : ShardedBatchGrouping {
     using Snapshot = ShardedSnapshot;
     using Result = ShardedQueryResult;
-    // Batched misses are sorted by (source cell, target cell, target)
-    // so the routing chunks can reuse ds/dt rows and inner vectors.
-    static constexpr bool kGroupsBatches = true;
 
     ShardedEngine* engine;
 
@@ -366,13 +445,10 @@ class ShardedEngine {
     Weight ResolveOldWeight(EdgeId e) const;
     void ApplyBatch(const UpdateBatch& batch);
     uint32_t NumEdges() const;
-    Weight Route(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                 StatusCode* code) const;
-    uint64_t BatchSortKey(const ShardedSnapshot& snap,
-                          const QueryPair& q) const;
-    void RouteSpan(const ShardedSnapshot& snap, const QueryPair* queries,
-                   const uint32_t* idx, size_t count, Weight* out,
-                   StatusCode* codes) const;
+    void RouteSpan(const std::shared_ptr<const ShardedSnapshot>& snap,
+                   const QueryPair* queries, const uint32_t* idx,
+                   size_t count, Weight* out, StatusCode* codes,
+                   std::function<void()> done) const;
     void AugmentStats(EngineStats* s) const;
   };
 
@@ -409,9 +485,10 @@ class ShardedEngine {
   uint64_t harvested_graph_chunks_ = 0;
   uint64_t harvested_graph_bytes_ = 0;
 
-  // Shard-epoch-keyed boundary-row cache, consulted by both routing
-  // paths (readers insert concurrently; lock-free seqlock slots).
-  BoundaryRowCache row_cache_;
+  // The boundary-row cache: shard-to-boundary rows keyed by (vertex,
+  // shard) and tagged with the shard's epoch, so rows of clean shards
+  // stay hot across global epochs. Readers insert concurrently.
+  SlotCache row_cache_;
 
   // Sharded-only stats (the common block lives in the core's counters).
   std::atomic<uint64_t> overlay_nanos_{0};
@@ -424,7 +501,7 @@ class ShardedEngine {
   std::atomic<uint64_t> overlay_bytes_shared_{0};
   std::unique_ptr<std::atomic<uint64_t>[]> shard_updates_;
 
-  Policy policy_{this};
+  Policy policy_{{}, this};
   ServingCore<Policy> core_;  // last member: its workers die first
 };
 

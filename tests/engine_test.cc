@@ -6,8 +6,10 @@
 #include <chrono>
 #include <map>
 #include <thread>
+#include <vector>
 
 #include "engine/latency_histogram.h"
+#include "engine/slot_cache.h"
 #include "engine/thread_pool.h"
 #include "graph/dijkstra.h"
 #include "tests/test_util.h"
@@ -82,6 +84,128 @@ TEST(LatencyHistogramTest, QuantilesMeanAndMax) {
   h.Reset();
   EXPECT_EQ(h.Count(), 0u);
   EXPECT_EQ(h.QuantileMicros(0.5), 0.0);
+}
+
+// ---------------------------------------------------------- slot cache
+
+TEST(SlotCacheTest, ZeroEntriesIsDisabledAndCountsNothing) {
+  for (uint32_t width : {1u, 8u}) {
+    SlotCache cache;
+    cache.Init(0, width);
+    const Weight in[8] = {1, 2, 3, 4, 5, 6, 7, 8};
+    cache.Insert(PairKey(1, 2), 0, width, in);
+    Weight out[8] = {};
+    EXPECT_FALSE(cache.Lookup(PairKey(1, 2), 0, width, out));
+    EXPECT_EQ(cache.lookups(), 0u);
+    EXPECT_EQ(cache.hits(), 0u);
+  }
+  SlotCache never_armed;
+  Weight out = 0;
+  EXPECT_FALSE(never_armed.Lookup(PairKey(1, 2), 0, 1, &out));
+  EXPECT_EQ(never_armed.lookups(), 0u);
+}
+
+TEST(SlotCacheTest, KeyOrEpochMismatchIsAMiss) {
+  SlotCache cache;
+  cache.Init(64, 1);
+  const Weight d = 42;
+  cache.Insert(PairKey(3, 4), 7, 1, &d);
+  Weight out = 0;
+  EXPECT_FALSE(cache.Lookup(PairKey(4, 3), 7, 1, &out));  // other key
+  EXPECT_FALSE(cache.Lookup(PairKey(3, 4), 8, 1, &out));  // newer epoch
+  EXPECT_FALSE(cache.Lookup(PairKey(3, 4), 6, 1, &out));  // older epoch
+  ASSERT_TRUE(cache.Lookup(PairKey(3, 4), 7, 1, &out));
+  EXPECT_EQ(out, d);
+  EXPECT_EQ(cache.lookups(), 4u);
+  EXPECT_EQ(cache.hits(), 1u);
+  cache.ResetCounters();
+  EXPECT_EQ(cache.lookups(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  ASSERT_TRUE(cache.Lookup(PairKey(3, 4), 7, 1, &out));  // entries survive
+}
+
+TEST(SlotCacheTest, WidePayloadRoundTrips) {
+  constexpr uint32_t kWidth = 37;
+  SlotCache cache;
+  cache.Init(16, kWidth);
+  std::vector<Weight> row(kWidth);
+  for (uint32_t i = 0; i < kWidth; ++i) row[i] = 1000 + 3 * i;
+  row[5] = kInfDistance;
+  cache.Insert(PairKey(9, 2), 3, kWidth, row.data());
+  std::vector<Weight> out(kWidth, 0);
+  ASSERT_TRUE(cache.Lookup(PairKey(9, 2), 3, kWidth, out.data()));
+  EXPECT_EQ(out, row);
+  // A narrower payload under another key shares the slot layout.
+  const Weight short_row[3] = {7, 8, 9};
+  cache.Insert(PairKey(10, 2), 3, 3, short_row);
+  Weight short_out[3] = {};
+  ASSERT_TRUE(cache.Lookup(PairKey(10, 2), 3, 3, short_out));
+  EXPECT_EQ(short_out[0], 7u);
+  EXPECT_EQ(short_out[2], 9u);
+}
+
+TEST(SlotCacheTest, CollidingInsertOverwritesTheSlot) {
+  // A one-slot cache: every key maps to the same slot.
+  SlotCache cache;
+  cache.Init(1, 2);
+  const Weight a[2] = {1, 2};
+  const Weight b[2] = {3, 4};
+  cache.Insert(PairKey(1, 1), 0, 2, a);
+  cache.Insert(PairKey(2, 2), 0, 2, b);
+  Weight out[2] = {};
+  EXPECT_FALSE(cache.Lookup(PairKey(1, 1), 0, 2, out));
+  ASSERT_TRUE(cache.Lookup(PairKey(2, 2), 0, 2, out));
+  EXPECT_EQ(out[0], 3u);
+  EXPECT_EQ(out[1], 4u);
+}
+
+// Writers and readers hammer a small cache; every hit must hold exactly
+// the payload inserted for its (key, epoch) — a torn slot may only read
+// as a miss.
+TEST(SlotCacheTest, ConcurrentInsertLookupHitsAreExact) {
+  constexpr uint32_t kWidth = 6;
+  constexpr uint32_t kKeys = 64;
+  SlotCache cache;
+  cache.Init(16, kWidth);  // fewer slots than keys: constant collisions
+  // The payload is a pure function of (key, epoch), so readers can
+  // verify any hit.
+  auto payload = [](uint32_t key, uint64_t epoch, uint32_t i) {
+    return static_cast<Weight>(key * 1000 + epoch * 10 + i);
+  };
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> hits{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(900 + w);
+      Weight row[kWidth];
+      for (int op = 0; op < 20000; ++op) {
+        const uint32_t key = static_cast<uint32_t>(rng.NextBounded(kKeys));
+        const uint64_t epoch = rng.NextBounded(4);
+        for (uint32_t i = 0; i < kWidth; ++i) row[i] = payload(key, epoch, i);
+        cache.Insert(PairKey(key, 0), epoch, kWidth, row);
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(950 + r);
+      Weight row[kWidth];
+      for (int op = 0; op < 20000; ++op) {
+        const uint32_t key = static_cast<uint32_t>(rng.NextBounded(kKeys));
+        const uint64_t epoch = rng.NextBounded(4);
+        if (!cache.Lookup(PairKey(key, 0), epoch, kWidth, row)) continue;
+        hits.fetch_add(1);
+        for (uint32_t i = 0; i < kWidth; ++i) {
+          if (row[i] != payload(key, epoch, i)) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_EQ(cache.hits(), hits.load());
+  EXPECT_EQ(cache.lookups(), 40000u);
 }
 
 // -------------------------------------------------------------- engine

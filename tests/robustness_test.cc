@@ -956,6 +956,65 @@ TEST(TransportChaosTest, StaleReplicaFailsOverToSibling) {
   EXPECT_GT(cluster.replicas[1]->requests_served(), 0u);
 }
 
+// A replica that answers the pinned epoch with a boundary row of the
+// wrong width is as unusable as a stale one: the reply fails the RPC's
+// acceptance test, so the fetch fails over to the sibling instead of
+// failing the query.
+TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
+  Graph g = testing_util::SmallRoadNetwork(6, 829);
+  const uint32_t n = g.NumVertices();
+  LoopbackCluster cluster = MakeLoopbackCluster(2);
+  // Endpoint 0 truncates every boundary row it serves; endpoint 1 is
+  // honest.
+  LoopbackTransport transport;
+  ShardReplica* truncating = cluster.replicas[0].get();
+  ShardReplica* honest = cluster.replicas[1].get();
+  transport.AddEndpoint([truncating](const uint8_t* data, size_t size) {
+    std::vector<uint8_t> bytes = truncating->Handle(data, size);
+    ShardResponse resp;
+    if (ShardResponse::Decode(bytes.data(), bytes.size(), &resp).ok() &&
+        !resp.row.empty()) {
+      resp.row.pop_back();
+      bytes = resp.Encode();
+    }
+    return bytes;
+  });
+  transport.AddEndpoint([honest](const uint8_t* data, size_t size) {
+    return honest->Handle(data, size);
+  });
+  ShardRouterOptions opt;
+  opt.engine.target_shards = 4;
+  opt.engine.num_query_threads = 2;
+  opt.num_query_threads = 2;
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport,
+                     cluster.replica_ptrs());
+  const std::shared_ptr<const ShardedSnapshot> snap =
+      router.CurrentSnapshot();
+  Dijkstra audit(snap->graph);
+  Rng rng(829);
+  std::vector<QueryPair> batch;
+  for (int i = 0; i < 64; ++i) {
+    const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
+    const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
+    batch.emplace_back(s, t);
+    ShardedQueryResult r = router.Submit({s, t}).get();
+    ASSERT_EQ(r.code, StatusCode::kOk) << "s=" << s << " t=" << t;
+    ASSERT_EQ(r.distance, audit.Distance(s, t)) << "s=" << s << " t=" << t;
+  }
+  ShardRouter::Ticket ticket = router.SubmitBatch(batch);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(ticket.code(i), StatusCode::kOk) << "i=" << i;
+    ASSERT_EQ(ticket.distance(i),
+              audit.Distance(batch[i].first, batch[i].second))
+        << "i=" << i;
+  }
+
+  RouterStats stats = router.Stats();
+  EXPECT_EQ(stats.serving.queries_unavailable, 0u);
+  EXPECT_GT(stats.rpc_failovers, 0u);
+  EXPECT_GT(stats.rpc_stale_responses, 0u);
+}
+
 // kUnavailable is reserved for total replica failure: with EVERY
 // replica frozen behind the pinned epoch, RPC-dependent queries fail
 // typed (and only those — local-only routes still answer exactly).

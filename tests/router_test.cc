@@ -600,7 +600,8 @@ TEST(SocketConformanceTest2, TaggedDeliveryExactlyOnceOverTcp) {
 // reader threads do while a fan-out is outstanding.
 class HoldingTransport final : public Transport {
  public:
-  explicit HoldingTransport(Transport* inner) : inner_(inner) {}
+  explicit HoldingTransport(Transport* inner, bool holding = true)
+      : inner_(inner), holding_(holding) {}
   ~HoldingTransport() override { Release(); }
 
   uint32_t NumEndpoints() const override { return inner_->NumEndpoints(); }
@@ -621,6 +622,12 @@ class HoldingTransport final : public Transport {
   size_t held() {
     std::lock_guard<std::mutex> lock(mu_);
     return held_.size();
+  }
+
+  /// Holds every Send from now on, until Release().
+  void Hold() {
+    std::lock_guard<std::mutex> lock(mu_);
+    holding_ = true;
   }
 
   /// Forwards everything held and stops holding. Idempotent.
@@ -645,7 +652,7 @@ class HoldingTransport final : public Transport {
   };
   Transport* const inner_;
   std::mutex mu_;
-  bool holding_ = true;
+  bool holding_;
   std::vector<Held> held_;
 };
 
@@ -719,6 +726,61 @@ TEST(RouterAsyncTest, FanoutParksNoReaderThread) {
   ASSERT_EQ(r.code, StatusCode::kOk);
   ASSERT_NE(r.snapshot, nullptr);
   EXPECT_EQ(r.distance, r.snapshot->Query(first_q.first, first_q.second));
+}
+
+// Shutdown with socket RPCs still in flight: the router is destroyed
+// while its fan-outs are held, and the held requests are released only
+// once the destructor is draining. Their replies land on the socket
+// transport's loop thread, which then runs the last continuations (and
+// the final in-flight decrement) while the destructor waits; every
+// query must still complete, exactly, before the destructor returns.
+TEST(RouterAsyncTest, DestroyWithSocketRpcsInFlightDrainsThem) {
+  const uint32_t side = 6;
+  const uint64_t seed = 823;
+  Graph g = SmallRoadNetwork(side, seed);
+  const uint32_t n = g.NumVertices();
+  SocketCluster cluster = MakeSocketCluster(1, side, seed, BackendKind::kStl);
+  SocketTransport socket(cluster.endpoints);
+  HoldingTransport holding(&socket, /*holding=*/false);  // installs pass
+  auto router = std::make_unique<ShardRouter>(
+      std::move(g), HierarchyOptions{}, RouterOpts(BackendKind::kStl),
+      &holding, std::vector<ShardReplica*>{});
+
+  holding.Hold();
+  Rng rng(seed);
+  std::vector<QueryPair> queries;
+  std::vector<std::future<ShardedQueryResult>> futures;
+  for (int i = 0; i < 24; ++i) {
+    const QueryPair q{static_cast<Vertex>(rng.NextBounded(n)),
+                      static_cast<Vertex>(rng.NextBounded(n))};
+    queries.push_back(q);
+    futures.push_back(router->Submit(q));
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (holding.held() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(holding.held(), 0u) << "no query produced an in-flight fan-out";
+
+  std::thread releaser([&holding] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    holding.Release();
+  });
+  router.reset();  // waits out every continuation the release triggers
+  releaser.join();
+
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "query " << i << " outlived the router";
+    ShardedQueryResult r = futures[i].get();
+    ASSERT_EQ(r.code, StatusCode::kOk) << "query " << i;
+    ASSERT_NE(r.snapshot, nullptr);
+    EXPECT_EQ(r.distance,
+              r.snapshot->Query(queries[i].first, queries[i].second))
+        << "query " << i;
+  }
 }
 
 }  // namespace

@@ -108,12 +108,16 @@ TEST_P(ShardedBackendTest, UpdatesPublishEpochsWithExactAnswers) {
 // The headline sharded audit: reader threads racing the writer that
 // repairs and republishes individual shards; every answer must be exact
 // for the full-network weights of the epoch it was served from.
-TEST_P(ShardedBackendTest, ConcurrentReadersMatchDijkstraPerEpoch) {
+// `row_cache_entries` is the engine's boundary_row_cache_entries; the
+// final stats land in *stats_out.
+void ConcurrentReadersAudit(BackendKind backend, size_t row_cache_entries,
+                            EngineStats* stats_out) {
   Graph g = testing_util::SmallRoadNetwork(7, 53);
   const uint32_t n = g.NumVertices();
   const uint32_t m = g.NumEdges();
-  ShardedEngineOptions opt = SmallShardedOptions(GetParam(), 4);
+  ShardedEngineOptions opt = SmallShardedOptions(backend, 4);
   opt.max_batch_size = 4;
+  opt.boundary_row_cache_entries = row_cache_entries;
   ShardedEngine engine(std::move(g), HierarchyOptions{}, opt);
 
   std::atomic<bool> done{false};
@@ -170,8 +174,8 @@ TEST_P(ShardedBackendTest, ConcurrentReadersMatchDijkstraPerEpoch) {
       }
     }
   }
-  EXPECT_EQ(mismatches, 0u) << BackendName(GetParam());
-  EXPECT_EQ(batch_vs_query_mismatches, 0u) << BackendName(GetParam());
+  EXPECT_EQ(mismatches, 0u) << BackendName(backend);
+  EXPECT_EQ(batch_vs_query_mismatches, 0u) << BackendName(backend);
 
   // Held snapshots still answer for their own epoch after the writer
   // has moved on (per-shard immutability).
@@ -181,7 +185,7 @@ TEST_P(ShardedBackendTest, ConcurrentReadersMatchDijkstraPerEpoch) {
       Vertex s = static_cast<Vertex>(rng.NextBounded(n));
       Vertex t = static_cast<Vertex>(rng.NextBounded(n));
       ASSERT_EQ(snap->Query(s, t), oracle.At(epoch).Distance(s, t))
-          << BackendName(GetParam()) << " epoch=" << epoch;
+          << BackendName(backend) << " epoch=" << epoch;
     }
   }
 
@@ -191,6 +195,14 @@ TEST_P(ShardedBackendTest, ConcurrentReadersMatchDijkstraPerEpoch) {
   EXPECT_EQ(stats.updates_enqueued, 48u);
   EXPECT_EQ(stats.updates_applied + stats.updates_coalesced, 48u);
   EXPECT_GT(stats.resident_index_bytes, 0u);
+  *stats_out = stats;
+}
+
+TEST_P(ShardedBackendTest, ConcurrentReadersMatchDijkstraPerEpoch) {
+  EngineStats stats;
+  ConcurrentReadersAudit(GetParam(),
+                         ShardedEngineOptions{}.boundary_row_cache_entries,
+                         &stats);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -200,6 +212,16 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BackendKind>& info) {
       return std::string(BackendName(info.param));
     });
+
+// The same audit with the boundary-row cache off: the batched path then
+// computes every row fresh too, and must still agree bit for bit with
+// the per-query reference ShardedSnapshot::Query.
+TEST(ShardedEngineTest, ConcurrentReadersMatchDijkstraWithRowCacheOff) {
+  EngineStats stats;
+  ConcurrentReadersAudit(BackendKind::kStl, 0, &stats);
+  EXPECT_EQ(stats.boundary_row_cache_lookups, 0u);
+  EXPECT_EQ(stats.boundary_row_cache_hits, 0u);
+}
 
 TEST(ShardedEngineTest, ExhaustiveAllPairsMatchFloydWarshall) {
   Graph g = testing_util::SmallRoadNetwork(5, 54);
