@@ -143,13 +143,23 @@ namespace {
 /// Dijkstra from cut vertex r restricted to Desc(r), writing column
 /// tau(r) of every settled vertex's label. Reusable buffers live in the
 /// caller (ColumnBuilder) so the per-column cost is output-sensitive.
-class ColumnBuilder {
+/// Cache-line aligned: the workers' builders sit side by side in one
+/// vector, and each push and pop writes the heap's size.
+class alignas(64) ColumnBuilder {
  public:
-  ColumnBuilder(const Graph& g, const TreeHierarchy& h)
+  /// `heap_capacity` entries are reserved up front; 2|E| + 1 (the root
+  /// plus one push per arc, since each vertex settles once) means the
+  /// heap never grows.
+  ColumnBuilder(const Graph& g, const TreeHierarchy& h,
+                size_t heap_capacity = 0)
       : g_(g), h_(h), dist_(g.NumVertices(), kInfDistance),
-        stamp_(g.NumVertices(), 0) {}
+        stamp_(g.NumVertices(), 0) {
+    heap_.reserve(heap_capacity);
+  }
 
-  void FillColumn(Vertex r, Labelling* labels) {
+  /// Calls write(v, col, d) for every vertex v settled at distance d.
+  template <typename Write>
+  void FillColumn(Vertex r, Write write) {
     const uint32_t col = h_.Tau(r);
     ++epoch_;
     heap_.clear();
@@ -159,7 +169,7 @@ class ColumnBuilder {
     while (!heap_.empty()) {
       auto [d, v] = heap_.Pop();
       if (stamp_[v] != epoch_ || d != dist_[v]) continue;
-      labels->Set(v, col, d);
+      write(v, col, d);
       for (const Arc& a : g_.ArcsOf(v)) {
         // Desc(r) membership: every edge joins ⪯-comparable vertices
         // (Lemma 5.3), so staying at tau > tau(r) keeps the search inside
@@ -191,34 +201,43 @@ Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
   STL_CHECK_EQ(g.NumVertices(), h.NumVertices());
   STL_CHECK_GE(num_threads, 1);
   Labelling labels = Labelling::AllocateFor(h);
-  if (num_threads == 1) {
-    ColumnBuilder builder(g, h);
-    for (uint32_t nid = 0; nid < h.NumNodes(); ++nid) {
-      for (Vertex r : h.VerticesOf(nid)) {
-        builder.FillColumn(r, &labels);
-      }
-    }
-    return labels;
-  }
-  // Parallel: cut vertices are independent work items writing disjoint
-  // label cells. Work-steal via one atomic cursor over the node order.
+  // The labelling is local and not yet copied, so it is sole-owned:
+  // writes through pointers taken once per vertex skip the per-write
+  // CoW check of Set.
+  std::vector<Weight*> rows(labels.NumVertices());
+  for (Vertex v = 0; v < rows.size(); ++v) rows[v] = labels.MutableData(v);
+  // Cut vertices are independent work items writing disjoint label
+  // cells. Work-steal via one atomic cursor over the node order.
   std::vector<Vertex> cuts;
   cuts.reserve(g.NumVertices());
   for (uint32_t nid = 0; nid < h.NumNodes(); ++nid) {
     for (Vertex r : h.VerticesOf(nid)) cuts.push_back(r);
   }
+  // All scratch is allocated here, so the workers allocate nothing.
+  const size_t workers =
+      std::min(static_cast<size_t>(num_threads), cuts.size());
+  std::vector<ColumnBuilder> builders;
+  builders.reserve(workers);
+  for (size_t t = 0; t < workers; ++t) {
+    builders.emplace_back(g, h, 2 * size_t{g.NumEdges()} + 1);
+  }
   std::atomic<size_t> cursor{0};
-  auto worker = [&]() {
-    ColumnBuilder builder(g, h);
-    while (true) {
-      size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= cuts.size()) break;
-      builder.FillColumn(cuts[i], &labels);
+  auto work = [&](ColumnBuilder* builder) {
+    auto write = [&rows](Vertex v, uint32_t col, Weight d) {
+      rows[v][col] = d;
+    };
+    for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+         i < cuts.size();
+         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      builder->FillColumn(cuts[i], write);
     }
   };
   std::vector<std::thread> threads;
-  for (int t = 1; t < num_threads; ++t) threads.emplace_back(worker);
-  worker();
+  threads.reserve(workers);
+  for (size_t t = 1; t < workers; ++t) {
+    threads.emplace_back(work, &builders[t]);
+  }
+  if (workers > 0) work(&builders[0]);
   for (auto& t : threads) t.join();
   return labels;
 }
@@ -244,7 +263,9 @@ void RebuildColumn(const Graph& g, const TreeHierarchy& h, Vertex r,
     }
   }
   ColumnBuilder builder(g, h);
-  builder.FillColumn(r, labels);
+  builder.FillColumn(r, [labels](Vertex v, uint32_t c, Weight d) {
+    labels->Set(v, c, d);
+  });
 }
 
 namespace {

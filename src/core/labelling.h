@@ -188,9 +188,13 @@ class Labelling {
 ///
 /// Columns are embarrassingly parallel: distinct cut vertices write
 /// disjoint (vertex, column) cells (equal tau implies disjoint Desc
-/// sets), so num_threads > 1 splits the cut vertices across threads.
-/// (Concurrent writes land in freshly allocated, unshared pages, so the
-/// CoW detach never triggers during a build.)
+/// sets), so min(num_threads, #cut vertices) workers take the cut
+/// vertices off one shared cursor; the calling thread is one of them.
+/// The result does not depend on the worker count. The labelling is
+/// freshly allocated and sole-owned, so workers write through a
+/// row-pointer table taken once per vertex, without CoW checks, and
+/// every worker's scratch is allocated on the calling thread before any
+/// worker starts.
 Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
                          int num_threads = 1);
 
@@ -213,6 +217,8 @@ std::vector<Vertex> QueryPath(const Graph& g, const TreeHierarchy& h,
 
 /// Recomputes the label column of a single ancestor position from scratch
 /// (restricted Dijkstra). Used by tests and by index repair tooling.
+/// `labels` may share pages with other copies, so writes go through the
+/// CoW-checked Set: only the pages of Desc(r) are detached.
 void RebuildColumn(const Graph& g, const TreeHierarchy& h, Vertex r,
                    Labelling* labels);
 

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -234,20 +235,30 @@ ShardedEngine::ShardedEngine(Graph graph,
     states_[c].graph =
         std::make_unique<Graph>(std::move(plan.shard_graphs[c]));
   }
-  // The k master builds touch disjoint state (each only its own
-  // subgraph), so build them in parallel: startup approaches the
-  // slowest single shard instead of the sum.
+  // The shard builds touch disjoint state. An STL build already spreads
+  // its label columns over hierarchy_options.num_threads workers, so STL
+  // shards are built one at a time; the single-threaded CH, H2H and HC2L
+  // builds are spread over that many shard workers instead. Either way
+  // construction never runs more than num_threads build threads at once.
   {
-    std::vector<std::future<void>> builds;
-    builds.reserve(k);
-    for (uint32_t c = 0; c < k; ++c) {
-      builds.push_back(std::async(std::launch::async, [&, c] {
-        states_[c].index = MakeDistanceIndex(options_.backend,
-                                             states_[c].graph.get(),
-                                             hierarchy_options);
-      }));
-    }
-    for (auto& b : builds) b.get();
+    const uint32_t shard_workers =
+        options_.backend == BackendKind::kStl
+            ? std::min(k, 1u)
+            : std::min(k, static_cast<uint32_t>(
+                              std::max(1, hierarchy_options.num_threads)));
+    std::atomic<uint32_t> cursor{0};
+    auto build = [&] {
+      for (uint32_t c = cursor.fetch_add(1, std::memory_order_relaxed);
+           c < k; c = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        states_[c].index = MakeDistanceIndex(
+            options_.backend, states_[c].graph.get(), hierarchy_options);
+      }
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(shard_workers);
+    for (uint32_t t = 1; t < shard_workers; ++t) threads.emplace_back(build);
+    if (shard_workers > 0) build();
+    for (auto& t : threads) t.join();
   }
   if (k > 0) capabilities_ = states_[0].index->capabilities();
   overlay_ = std::make_unique<BoundaryOverlay>(layout_.get(), *graph_);

@@ -349,8 +349,11 @@ class ShardedEngine {
   using Ticket = BatchTicket<ShardedSnapshot>;
 
   /// Takes ownership of the graph, partitions it, builds one backend
-  /// index per cell plus the boundary overlay, starts the workers, and
-  /// publishes epoch 0.
+  /// index per cell plus the boundary overlay (at most
+  /// hierarchy_options.num_threads build threads: STL cells one at a
+  /// time, each on that many label workers; other backends' cells on
+  /// that many shard workers),
+  /// starts the workers, and publishes epoch 0.
   ShardedEngine(Graph graph, const HierarchyOptions& hierarchy_options,
                 const ShardedEngineOptions& options = {});
 

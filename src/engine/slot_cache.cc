@@ -33,18 +33,20 @@ bool SlotCache::Lookup(uint64_t key, uint64_t epoch, uint32_t count,
   lookups_.fetch_add(1, std::memory_order_relaxed);
   const size_t idx = MixKey(key) & mask_;
   const Slot& slot = slots_[idx];
-  // Version-validated read: the payload loads are relaxed atomics, and
-  // the version re-check (ordered after them by the acquire fence)
-  // rejects any slot an insert touched in between.
+  // Version-validated read. Key, epoch and payload are acquire loads of
+  // Insert's release stores: a load that sees any of an insert's values
+  // synchronizes with it, so that insert's odd version is visible to
+  // the re-check below, which rejects the slot. Acquire loads also keep
+  // the re-check from moving above them, so it needs no fence (and
+  // TSan, which models no fence, sees the whole ordering).
   const uint64_t v1 = slot.version.load(std::memory_order_acquire);
   if (v1 & 1) return false;
-  const uint64_t k = slot.key.load(std::memory_order_relaxed);
-  const uint64_t e = slot.epoch.load(std::memory_order_relaxed);
+  const uint64_t k = slot.key.load(std::memory_order_acquire);
+  const uint64_t e = slot.epoch.load(std::memory_order_acquire);
   const std::atomic<Weight>* payload = payload_.get() + idx * width_;
   for (uint32_t i = 0; i < count; ++i) {
-    out[i] = payload[i].load(std::memory_order_relaxed);
+    out[i] = payload[i].load(std::memory_order_acquire);
   }
-  std::atomic_thread_fence(std::memory_order_acquire);
   if (slot.version.load(std::memory_order_relaxed) != v1) return false;
   if (k != key || e != epoch) return false;
   hits_.fetch_add(1, std::memory_order_relaxed);
@@ -64,11 +66,12 @@ void SlotCache::Insert(uint64_t key, uint64_t epoch, uint32_t count,
                                             std::memory_order_relaxed)) {
     return;  // lost the race; drop
   }
-  slot.key.store(key, std::memory_order_relaxed);
-  slot.epoch.store(epoch, std::memory_order_relaxed);
+  // Release stores, after the odd version: see Lookup.
+  slot.key.store(key, std::memory_order_release);
+  slot.epoch.store(epoch, std::memory_order_release);
   std::atomic<Weight>* payload = payload_.get() + idx * width_;
   for (uint32_t i = 0; i < count; ++i) {
-    payload[i].store(values[i], std::memory_order_relaxed);
+    payload[i].store(values[i], std::memory_order_release);
   }
   slot.version.store(v + 2, std::memory_order_release);
 }

@@ -24,8 +24,8 @@ inline uint64_t PairKey(uint32_t hi, uint32_t lo) {
 /// Direct-mapped, fixed-size cache of (key, epoch) -> up to `width`
 /// weights. Invalidation is free: the epoch tag is part of the match,
 /// so entries of a republished epoch simply stop matching. Wait-free on
-/// both paths: every slot is a version-validated record of relaxed
-/// atomics (even version = stable, odd = an insert in flight), so a
+/// both paths: every slot is a version-validated record of atomics
+/// (even version = stable, odd = an insert in flight), so a
 /// torn read fails validation and reads as a miss — never a wrong hit —
 /// and an insert that finds its slot busy is dropped. All fields are
 /// atomics, so the protocol is data-race-free (TSan-clean).

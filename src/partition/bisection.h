@@ -5,7 +5,9 @@
 #ifndef STL_PARTITION_BISECTION_H_
 #define STL_PARTITION_BISECTION_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "graph/graph.h"
@@ -23,9 +25,11 @@ struct HierarchyOptions {
   int num_starts = 3;
   /// Seed for the randomized start selection.
   uint64_t seed = 7;
-  /// Worker threads for label construction (the bisection itself is
-  /// sequential; label columns are embarrassingly parallel).
-  int num_threads = 1;
+  /// Worker threads for STL label construction, every core by default
+  /// (BuildLabelling; the labels do not depend on it). The bisection
+  /// itself is sequential, and so are the CH, H2H and HC2L builds.
+  int num_threads =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 };
 
 /// Raw bisection tree: every node owns the cut vertices chosen at its

@@ -87,7 +87,10 @@ class CowChunks {
     } else {
       // Pair with the release decrement of a reader thread dropping the
       // last shared reference to this chunk: its reads must complete
-      // before our in-place writes. No-op fence on x86.
+      // before our in-place writes. No-op fence on x86. Unlike the
+      // SlotCache seqlock, this cannot become an acquire load: the
+      // count comes from use_count(), which is a relaxed load, so the
+      // fence stays (and TSan, which models no fence, cannot check it).
       std::atomic_thread_fence(std::memory_order_acquire);
     }
     return data_[c];

@@ -114,15 +114,51 @@ TEST(ParallelBuildTest, ThreadsProduceIdenticalLabels) {
   }
 }
 
+// Threaded builds write the same labels as the serial one, bit for bit:
+// 2 threads on a 12x12 grid, and the default options (every core) on a
+// 40x40 grid.
 TEST(ParallelBuildTest, IndexBuildWithThreads) {
-  Graph g1 = testing_util::SmallRoadNetwork(12, 45);
-  Graph g2 = g1;
-  HierarchyOptions serial;
-  HierarchyOptions parallel;
-  parallel.num_threads = 2;
-  StlIndex a = StlIndex::Build(&g1, serial);
-  StlIndex b = StlIndex::Build(&g2, parallel);
-  EXPECT_EQ(LabelDiffCount(a.labels(), b.labels()), 0u);
+  HierarchyOptions two;
+  two.num_threads = 2;
+  const struct {
+    uint32_t side;
+    uint64_t seed;
+    HierarchyOptions threaded;
+  } cases[] = {{12, 45, two}, {40, 46, HierarchyOptions{}}};
+  for (const auto& c : cases) {
+    Graph g1 = testing_util::SmallRoadNetwork(c.side, c.seed);
+    Graph g2 = g1;
+    HierarchyOptions serial;
+    serial.num_threads = 1;  // the default is every core
+    StlIndex a = StlIndex::Build(&g1, serial);
+    StlIndex b = StlIndex::Build(&g2, c.threaded);
+    EXPECT_TRUE(a.labels() == b.labels()) << "side=" << c.side;
+  }
+}
+
+// More threads than cut vertices: the surplus starts no worker, and the
+// few columns there are still come out exact.
+TEST(ParallelBuildTest, TinyGraphsWithManyThreads) {
+  const std::vector<Graph> graphs = {
+      testing_util::MakeGraph(1, {}),
+      testing_util::MakeGraph(2, {{0, 1, 3}}),
+      testing_util::MakeGraph(2, {}),
+      testing_util::MakeGraph(3, {{0, 1, 3}, {1, 2, 4}, {0, 2, 9}}),
+      testing_util::MakeGraph(3, {{0, 2, 5}}),
+  };
+  HierarchyOptions opt;
+  opt.num_threads = 8;
+  for (const Graph& base : graphs) {
+    Graph g = base;
+    StlIndex idx = StlIndex::Build(&g, opt);
+    Dijkstra dij(base);
+    for (Vertex s = 0; s < base.NumVertices(); ++s) {
+      for (Vertex t = 0; t < base.NumVertices(); ++t) {
+        EXPECT_EQ(idx.Query(s, t), dij.Distance(s, t))
+            << "n=" << base.NumVertices() << " s=" << s << " t=" << t;
+      }
+    }
+  }
 }
 
 }  // namespace

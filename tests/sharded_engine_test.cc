@@ -500,6 +500,52 @@ TEST(ShardedEngineTest, SingleShardDegeneratesToFlatServing) {
   }
 }
 
+// Construction runs up to num_threads build threads (STL: label workers
+// of one shard at a time; other backends: shards built side by side):
+// the answers must not depend on that count, on any epoch.
+TEST(ShardedEngineTest, DefaultThreadBuildAnswersLikeSerialBuild) {
+  for (BackendKind kind : kAllBackends) {
+    SCOPED_TRACE(BackendName(kind));
+    Graph g = testing_util::SmallRoadNetwork(12, 59);
+    const uint32_t n = g.NumVertices();
+    const uint32_t m = g.NumEdges();
+    HierarchyOptions serial;
+    serial.num_threads = 1;
+    ShardedEngine one(g, serial, SmallShardedOptions(kind, 4));
+    ShardedEngine all(std::move(g), HierarchyOptions{},
+                      SmallShardedOptions(kind, 4));
+    ASSERT_EQ(one.num_shards(), all.num_shards());
+    Rng rng(59);
+    for (int round = 0; round < 3; ++round) {
+      auto a = one.CurrentSnapshot();
+      auto b = all.CurrentSnapshot();
+      for (Vertex s = 0; s < n; ++s) {
+        for (Vertex t = 0; t < n; ++t) {
+          ASSERT_EQ(a->Query(s, t), b->Query(s, t))
+              << "round=" << round << " s=" << s << " t=" << t;
+        }
+      }
+      for (int i = 0; i < 100; ++i) {
+        const QueryPair q{static_cast<Vertex>(rng.NextBounded(n)),
+                          static_cast<Vertex>(rng.NextBounded(n))};
+        ASSERT_EQ(one.Submit(q).get().distance,
+                  all.Submit(q).get().distance)
+            << "round=" << round << " s=" << q.first << " t=" << q.second;
+      }
+      std::vector<WeightUpdate> updates;
+      for (int i = 0; i < 5; ++i) {
+        updates.push_back(
+            WeightUpdate{static_cast<EdgeId>(rng.NextBounded(m)), 0,
+                         1 + static_cast<Weight>(rng.NextBounded(400))});
+      }
+      one.EnqueueUpdates(updates);
+      all.EnqueueUpdates(updates);
+      one.Flush();
+      all.Flush();
+    }
+  }
+}
+
 TEST(ShardedEngineTest, DestructorDrainsInFlightWork) {
   Graph g = testing_util::SmallRoadNetwork(6, 58);
   const uint32_t n = g.NumVertices();
