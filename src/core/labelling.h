@@ -136,7 +136,7 @@ class Labelling {
   const CowChunkStats& cow_stats() const { return pages_.stats(); }
 
   /// A fully detached copy: every page cloned, nothing shared, CoW
-  /// counters reset. The flat-copy publish baseline and tests use this.
+  /// counters reset. Tests freeze snapshots with it.
   Labelling DeepCopy() const;
 
   // On-disk format is the flat layout (offset vector + entry vector),

@@ -356,6 +356,9 @@ bool ShardRouter::WireInstallEndpoint(uint32_t endpoint) {
       continue;
     }
     if (ack.ok) {
+      // An honest replica acks ok only past the seq it was sent;
+      // anything else would replay the same entry forever.
+      if (ack.next_seq <= entry.seq) return false;
       if (ack.next_seq >= target) return true;  // fully caught up
       need = ack.next_seq;  // keep replaying forward
       continue;

@@ -42,8 +42,9 @@
 // deterministic order, bit-identical to the in-process ShardedEngine,
 // while a fan-out of N RPCs blocks zero reader threads.
 //
-// Bit-identity (the conformance contract, tests/router_test.cc and
-// bench_router_fanout --check): the fetch enumeration and the reduction
+// Bit-identity (the conformance contract,
+// RouterConformanceTest.LockstepBitIdenticalToDirectEngine in
+// tests/router_test.cc): the fetch enumeration and the reduction
 // are both RouteShardedPair (engine/sharded_engine.h), the decomposition
 // the in-process engine runs; replica-served rows are computed by the
 // same FillShardBoundaryRow on the same immutable shard views, and the
@@ -302,7 +303,9 @@ class ShardRouter {
   /// Drives `endpoint` to the newest install log entry (replaying
   /// earlier entries on a sequence-gap nack). Writer thread only.
   /// False when the endpoint cannot be caught up within the attempt
-  /// budget (or nacked a seq it should have accepted — divergence).
+  /// budget, nacked a seq it should have accepted (divergence), or
+  /// acked ok without moving past the seq it was sent (a protocol
+  /// violation that would otherwise replay forever).
   bool WireInstallEndpoint(uint32_t endpoint);
 
   /// One blocking RPC (writer thread only — the install path is the

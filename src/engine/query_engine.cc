@@ -89,7 +89,7 @@ void QueryEngine::PublishSnapshot(uint64_t epoch) {
   auto snap = std::make_shared<EngineSnapshot>();
   snap->epoch = epoch;
   PublishInfo info;
-  snap->view = index_->PublishView(options_.flat_publish, &info);
+  snap->view = index_->PublishView(&info);
   // Harvest the graph-side CoW clone counters accumulated since the last
   // publish; together with the backend's label-side report they are the
   // real byte cost of isolating the previous epoch from this one.
@@ -107,18 +107,10 @@ void QueryEngine::PublishSnapshot(uint64_t epoch) {
   harvested_graph_chunks_ = gc.chunks_cloned;
   harvested_graph_bytes_ = gc.bytes_cloned;
 
-  if (options_.flat_publish) {
-    // Baseline: the pre-CoW deep copy, O(graph weights) per epoch. Count
-    // only the payload bytes DeepCopy physically copies (shared
-    // topology/layout and pointer tables are excluded).
-    snap->graph = graph_->DeepCopy();
-    info.deep_bytes_copied += snap->graph.CowPayloadBytes();
-  } else {
-    // Structural share: O(chunks) pointer copies + refcount bumps, zero
-    // entry copies. Untouched chunks stay physically shared with every
-    // older epoch still alive.
-    snap->graph = *graph_;
-  }
+  // Structural share: O(chunks) pointer copies + refcount bumps, zero
+  // entry copies. Untouched chunks stay physically shared with every
+  // older epoch still alive.
+  snap->graph = *graph_;
   counters.publish_bytes_deep_copied.fetch_add(info.deep_bytes_copied,
                                                std::memory_order_relaxed);
   counters.publish_nanos.fetch_add(publish_timer.ElapsedNanos(),

@@ -33,15 +33,17 @@
 // (engine/atomic_shared_ptr.h); a query holds its snapshot alive via
 // shared_ptr for exactly as long as it runs, so the writer never waits
 // for readers and readers never observe a half-applied batch.
-// (EngineOptions::flat_publish restores STL's deep-copy-per-epoch
-// behaviour as a benchmark baseline.)
+// QueryEngineTest.CowPublishClonesOnlyDirtyPages (tests/engine_test.cc)
+// guards the STL publish cost: no deep copy, clones bounded by the
+// dirty pages, and >= 10x fewer bytes than a deep copy per single-edge
+// epoch.
 //
 // Consistency contract (all backends): a query submitted at time t is
 // answered from some epoch published at or after the epoch current at
 // t; the answer is exact for that epoch's weights (verified against
-// Dijkstra per backend in tests/engine_test.cc and
-// bench_backend_shootout). A batch is answered entirely from the one
-// snapshot pinned at submission (engine/serving_core.h).
+// Dijkstra per backend by BackendEngineTest in tests/engine_test.cc).
+// A batch is answered entirely from the one snapshot pinned at
+// submission (engine/serving_core.h).
 #ifndef STL_ENGINE_QUERY_ENGINE_H_
 #define STL_ENGINE_QUERY_ENGINE_H_
 
@@ -131,11 +133,6 @@ struct EngineOptions {
   /// submission path; 0 disables it. The serving epoch is part of the
   /// cache key, so publishes invalidate for free.
   size_t result_cache_entries = 0;
-  /// Benchmark baseline: publish every epoch as a full deep copy of the
-  /// graph weights and labels (the pre-CoW behaviour) instead of a
-  /// structural share. Keep false outside bench_snapshot_publish; only
-  /// meaningful for backends with CoW snapshots (STL).
-  bool flat_publish = false;
   /// Overload-hardening knobs (admission bounds, deadlines enforcement,
   /// stall watchdog, bounded shutdown drain, fault injection). Defaults
   /// to everything off — the pre-hardening behaviour.

@@ -210,7 +210,8 @@ struct EngineStats {
   // label pages + graph weight chunks detached by maintenance (the true
   // per-epoch copy cost under structural sharing);
   // publish_bytes_deep_copied counts bytes copied by deep-copy publishes
-  // (flat_publish baseline, and every CH/H2H epoch).
+  // (every CH/H2H epoch; STL publishes copy none, which
+  // QueryEngineTest.CowPublishClonesOnlyDirtyPages asserts).
   uint64_t label_pages_cloned = 0;   ///< CoW label pages detached.
   uint64_t graph_chunks_cloned = 0;  ///< CoW graph weight chunks detached.
   uint64_t cow_bytes_cloned = 0;     ///< Bytes of the above clones.
@@ -384,7 +385,7 @@ struct ServingCounters {
   std::atomic<uint64_t> label_pages_cloned{0};   ///< CoW label pages.
   std::atomic<uint64_t> graph_chunks_cloned{0};  ///< CoW graph chunks.
   std::atomic<uint64_t> cow_bytes_cloned{0};     ///< Bytes CoW-cloned.
-  /// Bytes copied by deep-copy publishes (flat_publish, CH/H2H epochs).
+  /// Bytes copied by deep-copy publishes (CH/H2H epochs).
   std::atomic<uint64_t> publish_bytes_deep_copied{0};
   std::atomic<uint64_t> publish_nanos{0};  ///< Time inside publication.
   /// Batch tickets issued (SubmitBatch / SubmitBatchTagged).

@@ -146,24 +146,27 @@ class LocalPieces {
 
 uint32_t ChooseShardCount(uint32_t num_vertices,
                           double updates_per_second) {
-  // Locality target from BENCH_sharded.json: cells of a few thousand
-  // vertices keep per-shard repair and republish cheap while |S| (and
-  // with it overlay rebuild cost) stays a small fraction of |V|. Below
-  // ~2 cells' worth of vertices, sharding only adds boundary overhead.
+  // Locality target (measured flat vs k-way on synthetic grids; the
+  // shape is guarded by ShardedEngineTest.ChooseShardCountHeuristicShape):
+  // cells of a few thousand vertices keep per-shard repair and
+  // republish cheap while |S| (and with it overlay rebuild cost) stays
+  // a small fraction of |V|. Below ~2 cells' worth of vertices,
+  // sharding only adds boundary overhead.
   constexpr uint32_t kTargetCellVertices = 4096;
   constexpr uint32_t kMaxShards = 64;
   uint32_t k = num_vertices / kTargetCellVertices;
   k = std::max(k, 1u);
   k = std::min(k, kMaxShards);
   // Update pressure: every effective batch republishes the overlay,
-  // whose per-epoch micros still grow with k in BENCH_sharded.json —
-  // but incremental row repair cut the localized (single-cell) epoch
-  // cost ~10x (STL k=4: ~1140 us full republish vs ~365 us repaired,
-  // ~130 us at k=3, with only the dirty-row set re-run), so the engine
-  // now tolerates an order of magnitude more update traffic before
-  // trading shards away. Halve k per decade of sustained update rate
-  // beyond ~1000/s — only a truly write-dominated feed wants fewer,
-  // bigger shards.
+  // whose per-epoch micros still grow with k — but incremental row
+  // repair cut the localized (single-cell) epoch cost ~10x (STL k=4:
+  // ~1140 us full republish vs ~365 us repaired, ~130 us at k=3, with
+  // only the dirty-row set re-run; ShardCountTest.
+  // SingleCellEpochsMostlyRepair guards that such epochs repair), so
+  // the engine now tolerates an order of magnitude more update traffic
+  // before trading shards away. Halve k per decade of sustained update
+  // rate beyond ~1000/s — only a truly write-dominated feed wants
+  // fewer, bigger shards.
   double rate = updates_per_second;
   while (k > 1 && rate >= 1000.0) {
     k = (k + 1) / 2;
@@ -286,7 +289,7 @@ void ShardedEngine::PublishInitialSnapshot() {
   PoolExecutor executor(core_.pool());
   for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
     PublishInfo info;
-    auto view = states_[c].index->PublishView(/*flat_publish=*/false, &info);
+    auto view = states_[c].index->PublishView(&info);
     if (states_[c].index->capabilities().fast_point_queries) {
       overlay_->RebuildClique(c, *view, &executor);
     } else {
@@ -496,7 +499,7 @@ void ShardedEngine::ApplyAndPublish(const UpdateBatch& batch) {
   for (uint32_t c = 0; c < k; ++c) {
     if (per_shard[c].empty()) continue;
     PublishInfo info;
-    auto view = states_[c].index->PublishView(/*flat_publish=*/false, &info);
+    auto view = states_[c].index->PublishView(&info);
     counters.label_pages_cloned.fetch_add(info.label_pages_cloned,
                                           std::memory_order_relaxed);
     counters.cow_bytes_cloned.fetch_add(info.label_bytes_cloned,

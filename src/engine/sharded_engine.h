@@ -26,8 +26,9 @@
 // ShardedEngineOptions::target_shards == 0 delegates the choice of k to
 // ChooseShardCount().
 //
-// Query routing (all answers exact — bit-identical to a flat engine on
-// the same weights, guarded by bench_sharded_scaling --check) is the
+// Query routing (all answers exact — equal to per-epoch Dijkstra, and
+// so to a flat engine on the same weights; guarded by
+// ShardedBackendTest in tests/sharded_engine_test.cc) is the
 // five-case decomposition of RouteShardedPair below, the one copy every
 // sharded tier runs: this engine on its shard views, ShardedSnapshot::
 // Query uncached, and the router (dist/shard_router.h) on rows fetched
@@ -43,9 +44,9 @@
 // plus one shared inner vector min_{b2} D[b1][b2] + dt[b2] per group,
 // computed through OverlayTable::MinPlusRowsInto. A single query is a
 // one-element span through the same code, so batch and per-query
-// answers are bit-identical on the pinned epoch (asserted in
-// tests/sharded_engine_test.cc and the bench_sharded_scaling --check
-// guard).
+// answers are bit-identical on the pinned epoch (asserted by
+// ShardedBackendTest.ConcurrentReadersMatchDijkstraPerEpoch in
+// tests/sharded_engine_test.cc).
 //
 // Update locality: a batch that only touches edges inside cell i
 // republishes shard i's epoch and the overlay; every other shard's
@@ -129,17 +130,18 @@ struct ShardedQueryResult {
 };
 
 /// The shard count the engine picks when the caller passes
-/// target_shards == 0: derived from the BENCH_sharded.json measurements
-/// (ROADMAP "shard-count auto-tuning"). Two forces, both visible in the
-/// bench rows: bigger networks amortize per-shard repair locality, so k
+/// target_shards == 0: derived from flat-vs-sharded measurements at
+/// k in {2, 4, 8} on synthetic grids; ShardedEngineTest.
+/// ChooseShardCountHeuristicShape guards the shape below. Two forces:
+/// bigger networks amortize per-shard repair locality, so k
 /// grows roughly linearly with |V| until cells reach a few thousand
 /// vertices; but every effective epoch republishes the boundary
 /// overlay, whose cost grows with |S| (and |S| with k), so a heavy
 /// update feed pushes k back down toward fewer, bigger shards.
 /// Incremental overlay repair moved that knee up an order of magnitude
-/// (localized epochs re-run only the dirty boundary rows — see the
-/// bench's localized phase), so the trade-off only bites at ~1000
-/// updates/s and beyond.
+/// (localized epochs re-run only the dirty boundary rows —
+/// ShardCountTest.SingleCellEpochsMostlyRepair asserts it), so the
+/// trade-off only bites at ~1000 updates/s and beyond.
 /// `updates_per_second` is the caller's expected sustained update rate
 /// (0 = read-mostly). Always returns at least 1.
 uint32_t ChooseShardCount(uint32_t num_vertices, double updates_per_second);

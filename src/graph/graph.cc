@@ -168,14 +168,6 @@ uint64_t Graph::AddResidentBytes(
   return bytes;
 }
 
-Graph Graph::DeepCopy() const {
-  Graph copy;
-  copy.topo_ = topo_;
-  copy.edges_ = edges_.DeepCopy();
-  copy.arcs_ = arcs_.DeepCopy();
-  return copy;
-}
-
 std::pair<std::vector<uint32_t>, uint32_t> ConnectedComponents(
     const Graph& g) {
   const uint32_t n = g.NumVertices();

@@ -186,16 +186,11 @@ class Graph {
     return s;
   }
 
-  /// Element bytes of the two weight-bearing tables — exactly what
-  /// DeepCopy physically copies (the shared topology never is).
+  /// Element bytes of the two weight-bearing tables — what a full copy
+  /// of the weights would copy (the shared topology never is).
   uint64_t CowPayloadBytes() const {
     return edges_.PayloadBytes() + arcs_.PayloadBytes();
   }
-
-  /// A fully detached copy: every weight chunk cloned (topology still
-  /// shared — it is immutable), CoW counters reset. The flat-copy
-  /// publish baseline and tests use this.
-  Graph DeepCopy() const;
 
  private:
   /// Immutable structure shared by every copy of a graph.

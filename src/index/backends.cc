@@ -104,8 +104,7 @@ class StlBackend : public DistanceIndex {
                : BatchExecution::kLabelSearch;
   }
 
-  std::shared_ptr<const IndexView> PublishView(bool flat_publish,
-                                               PublishInfo* info) override {
+  std::shared_ptr<const IndexView> PublishView(PublishInfo* info) override {
     // Harvest the CoW clone counters accumulated since the last publish:
     // pages detached by this batch's maintenance are the real byte cost
     // of isolating the previous epoch from this one.
@@ -114,11 +113,6 @@ class StlBackend : public DistanceIndex {
     info->label_bytes_cloned = lc.bytes_cloned - harvested_bytes_;
     harvested_pages_ = lc.chunks_cloned;
     harvested_bytes_ = lc.bytes_cloned;
-    if (flat_publish) {
-      Labelling deep = index_.labels().DeepCopy();
-      info->deep_bytes_copied = deep.PayloadBytes();
-      return std::make_shared<StlView>(hierarchy_, std::move(deep));
-    }
     // Structural share: O(pages) pointer copies + refcount bumps, zero
     // entry copies.
     return std::make_shared<StlView>(hierarchy_, index_.labels());
@@ -177,8 +171,7 @@ class ChBackend : public DistanceIndex {
     return BatchExecution::kIncremental;
   }
 
-  std::shared_ptr<const IndexView> PublishView(bool /*flat_publish*/,
-                                               PublishInfo* info) override {
+  std::shared_ptr<const IndexView> PublishView(PublishInfo* info) override {
     // The CH edge weights mutate in place during maintenance, so every
     // epoch needs its own detached copy — of the query state only
     // (PublishCopy sheds support lists and scratch).
@@ -237,8 +230,7 @@ class H2hBackend : public DistanceIndex {
     return BatchExecution::kIncremental;
   }
 
-  std::shared_ptr<const IndexView> PublishView(bool /*flat_publish*/,
-                                               PublishInfo* info) override {
+  std::shared_ptr<const IndexView> PublishView(PublishInfo* info) override {
     // Query state only (labels + LCA tables); the embedded CH index and
     // the maintenance scratch stay with the master.
     auto copy = std::make_shared<const H2hIndex>(h2h_.PublishCopy());
@@ -307,8 +299,8 @@ class Hc2lBackend : public DistanceIndex {
     return BatchExecution::kFullRebuild;
   }
 
-  std::shared_ptr<const IndexView> PublishView(bool /*flat_publish*/,
-                                               PublishInfo* /*info*/) override {
+  std::shared_ptr<const IndexView> PublishView(
+      PublishInfo* /*info*/) override {
     // The rebuild already paid the copy cost; publication is a pointer
     // share.
     return std::make_shared<Hc2lView>(index_);

@@ -1,8 +1,9 @@
 // DistanceIndex: the backend abstraction the serving engine is generic
 // over. The paper positions STL against CH, H2H and HC2L; this layer
 // puts all four behind one capability surface so QueryEngine can serve
-// concurrent traffic from any of them (and benchmarks can race them on
-// identical workloads — see bench/bench_backend_shootout.cc).
+// concurrent traffic from any of them (and one concurrent audit holds
+// all four to the same contract — BackendEngineTest in
+// tests/engine_test.cc).
 //
 // Split mirrors the engine's serving/maintenance split:
 //
@@ -146,10 +147,9 @@ class DistanceIndex {
                                     MaintenanceStrategy strategy) = 0;
 
   /// Publishes the current state as an immutable view and reports the
-  /// copy work done. `flat_publish` forces the deep-copy baseline where
-  /// a CoW fast path exists (no-op for backends that always deep-copy).
+  /// copy work done.
   virtual std::shared_ptr<const IndexView> PublishView(
-      bool flat_publish, PublishInfo* info) = 0;
+      PublishInfo* info) = 0;
 
   /// Master index footprint in bytes (labels/edges + hierarchy/tree).
   virtual uint64_t MemoryBytes() const = 0;

@@ -22,32 +22,6 @@ std::vector<QueryPair> RandomQueryPairs(const Graph& g, size_t count,
   return pairs;
 }
 
-std::vector<QueryPair> HotSpotQueryPairs(const Graph& g, size_t count,
-                                         double hot_fraction,
-                                         size_t hot_pairs, uint64_t seed) {
-  STL_CHECK(hot_fraction >= 0.0 && hot_fraction <= 1.0);
-  if (hot_fraction <= 0.0 || hot_pairs == 0) {
-    return RandomQueryPairs(g, count, seed);
-  }
-  // The hot pool comes from a decorrelated stream so changing the pool
-  // size does not reshuffle the uniform tail.
-  const std::vector<QueryPair> hot =
-      RandomQueryPairs(g, hot_pairs, seed ^ 0x9e3779b97f4a7c15ULL);
-  Rng rng(seed);
-  std::vector<QueryPair> pairs;
-  pairs.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    if (rng.NextDouble() < hot_fraction) {
-      pairs.push_back(hot[rng.NextBounded(hot.size())]);
-    } else {
-      pairs.emplace_back(
-          static_cast<Vertex>(rng.NextBounded(g.NumVertices())),
-          static_cast<Vertex>(rng.NextBounded(g.NumVertices())));
-    }
-  }
-  return pairs;
-}
-
 Weight ApproximateDiameter(const Graph& g) {
   if (g.NumVertices() == 0) return 0;
   Dijkstra dij(g);

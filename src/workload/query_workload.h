@@ -21,17 +21,6 @@ using QueryPair = std::pair<Vertex, Vertex>;
 std::vector<QueryPair> RandomQueryPairs(const Graph& g, size_t count,
                                         uint64_t seed);
 
-/// Uniform random pairs with a skewed hot set: a `hot_fraction` of the
-/// returned pairs is drawn (with repetition) from a fixed pool of
-/// `hot_pairs` random pairs; the rest is uniform. Models the
-/// repeated-query skew of serving traffic — the workload shape under
-/// which the engines' epoch-keyed result cache earns hits. Fully
-/// deterministic in `seed`; hot_fraction <= 0 or hot_pairs == 0
-/// degenerates to RandomQueryPairs.
-std::vector<QueryPair> HotSpotQueryPairs(const Graph& g, size_t count,
-                                         double hot_fraction,
-                                         size_t hot_pairs, uint64_t seed);
-
 /// Approximate network diameter via a double Dijkstra sweep (lower bound,
 /// tight enough for bucketing).
 Weight ApproximateDiameter(const Graph& g);

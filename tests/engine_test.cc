@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -483,31 +485,71 @@ TEST(QueryEngineTest, CowSnapshotsSurviveAliasingAndMatchScratchBuilds) {
   EXPECT_GT(stats.resident_index_bytes, 0u);
 }
 
-TEST(QueryEngineTest, FlatPublishBaselineStillServesExactAnswers) {
-  Graph g = testing_util::SmallRoadNetwork(8, 33);
-  EngineOptions opt = SmallEngineOptions();
-  opt.flat_publish = true;
-  QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
-  Rng rng(33);
-  const uint32_t m = engine.CurrentSnapshot()->graph.NumEdges();
-  std::vector<WeightUpdate> updates;
-  for (int i = 0; i < 10; ++i) {
-    updates.push_back(
-        WeightUpdate{static_cast<EdgeId>(rng.NextBounded(m)), 0,
-                     1 + static_cast<Weight>(rng.NextBounded(300))});
+// The CoW publish guard on a 100x100 grid: for batch sizes 1/4/16/64
+// (40 epochs each, one fresh engine per size), publication deep-copies
+// nothing, the bytes cloned stay within the dirty granularity — label
+// pages (each at most the largest physical page: kPageEntries entries,
+// or one oversized dedicated-page label) plus graph chunks (edge chunks
+// <= kEdgeChunkSize Edge, arc chunks vertex-aligned around
+// kEdgeChunkSize Arc; 4x bounds the max-degree overshoot far beyond any
+// road network's) — and a single-edge epoch clones >= 10x fewer bytes
+// than a deep copy of the published labels and graph weights would.
+// The grid size matters: the ratio grows with the index, so a small
+// graph would not show it.
+TEST(QueryEngineTest, CowPublishClonesOnlyDirtyPages) {
+  const Graph base = testing_util::SmallRoadNetwork(100, 7);
+  const uint32_t m = base.NumEdges();
+  for (const size_t batch : {size_t{1}, size_t{4}, size_t{16}, size_t{64}}) {
+    SCOPED_TRACE("batch size " + std::to_string(batch));
+    EngineOptions opt;
+    opt.num_query_threads = 1;  // the writer path is what is measured
+    opt.max_batch_size = batch;
+    QueryEngine engine(base, HierarchyOptions{}, opt);
+    engine.ResetStats();
+    Rng rng(1000 + batch);
+    std::vector<WeightUpdate> round_updates;
+    for (int round = 0; round < 40; ++round) {
+      round_updates.clear();
+      for (size_t i = 0; i < batch; ++i) {
+        const EdgeId e = static_cast<EdgeId>(rng.NextBounded(m));
+        const Weight old = engine.CurrentSnapshot()->graph.EdgeWeight(e);
+        Weight nw;
+        do {
+          nw = 1 + static_cast<Weight>(rng.NextBounded(2 * old + 2));
+        } while (nw == old);
+        round_updates.push_back(WeightUpdate{e, old, nw});
+      }
+      // Atomic bulk enqueue: the writer pops the whole round as one
+      // batch, so each epoch really carries `batch` updates.
+      engine.EnqueueUpdates(round_updates);
+      engine.Flush();
+    }
+    const EngineStats stats = engine.Stats();
+    ASSERT_GE(stats.epochs_published, 1u);
+    EXPECT_EQ(stats.publish_bytes_deep_copied, 0u);
+
+    const auto snap = engine.CurrentSnapshot();
+    const uint64_t page_bytes =
+        std::max<uint64_t>(Labelling::kPageEntries * sizeof(Weight),
+                           snap->StlLabels()->MaxPageBytes());
+    const uint64_t bound =
+        stats.label_pages_cloned * page_bytes +
+        stats.graph_chunks_cloned * uint64_t{4} * Graph::kEdgeChunkSize *
+            sizeof(Arc);
+    EXPECT_LE(stats.cow_bytes_cloned, bound);
+
+    if (batch == 1) {
+      // What a deep-copy publish copies per epoch: every label entry
+      // plus every graph weight chunk.
+      const uint64_t flat_bytes_per_epoch =
+          snap->StlLabels()->PayloadBytes() + snap->graph.CowPayloadBytes();
+      const double cow_bytes_per_epoch =
+          static_cast<double>(stats.cow_bytes_cloned) /
+          static_cast<double>(stats.epochs_published);
+      EXPECT_LE(cow_bytes_per_epoch * 10.0,
+                static_cast<double>(flat_bytes_per_epoch));
+    }
   }
-  engine.EnqueueUpdates(updates);  // atomic bulk enqueue
-  engine.Flush();
-  auto snap = engine.CurrentSnapshot();
-  Dijkstra dij(snap->graph);
-  const uint32_t n = snap->graph.NumVertices();
-  for (int i = 0; i < 60; ++i) {
-    Vertex s = static_cast<Vertex>(rng.NextBounded(n));
-    Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ASSERT_EQ(engine.Submit({s, t}).get().distance, dij.Distance(s, t));
-  }
-  EngineStats stats = engine.Stats();
-  EXPECT_GT(stats.publish_bytes_deep_copied, 0u);
 }
 
 // ------------------------------------------------- per-backend audit
@@ -696,6 +738,29 @@ TEST_P(BackendEngineTest, ConcurrentReadersWithWriterMatchDijkstraPerEpoch) {
   EXPECT_GE(stats.epochs_published, 1u);
   EXPECT_EQ(stats.updates_enqueued, 48u);
   EXPECT_EQ(stats.updates_applied + stats.updates_coalesced, 48u);
+}
+
+// The serving audit with the result cache on, per backend, on a 30x30
+// grid: per-query futures and batch tickets racing a writer that
+// streams increase / restore batches; every answer exact on its
+// serving epoch and every batched answer bit-identical to the
+// per-query route on its pinned snapshot.
+TEST_P(BackendEngineTest, CachedMixedWorkloadMatchesDijkstraPerEpoch) {
+  const Graph base = testing_util::SmallRoadNetwork(30, 7);
+  EngineOptions opt = BackendOptions();
+  opt.max_batch_size = 8;
+  opt.result_cache_entries = 1 << 15;
+  QueryEngine engine(base, HierarchyOptions{}, opt);
+  const testing_util::MixedAudit audit = testing_util::RunMixedWorkloadAudit(
+      engine, base, {.queries = 3000, .wave = 150, .update_rounds = 10,
+                     .batch_size = 8, .seed = 2024});
+  EXPECT_EQ(audit.futures_mismatches, 0u) << BackendName(GetParam());
+  EXPECT_EQ(audit.batch_mismatches, 0u) << BackendName(GetParam());
+  EXPECT_EQ(audit.not_ok, 0u) << BackendName(GetParam());
+  const EngineStats stats = engine.Stats();
+  EXPECT_GE(stats.epochs_published, 1u);
+  EXPECT_GT(stats.resident_index_bytes, 0u);
+  EXPECT_GT(stats.result_cache_hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

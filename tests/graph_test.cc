@@ -192,15 +192,6 @@ TEST(GraphTest, SoleOwnerWritesDoNotClone) {
   EXPECT_EQ(g.cow_stats().chunks_cloned, cloned1);
 }
 
-TEST(GraphTest, DeepCopyDetachesEverything) {
-  Graph g = testing_util::SmallRoadNetwork(8, 44);
-  Graph deep = g.DeepCopy();
-  g.SetEdgeWeight(1, 777);
-  EXPECT_NE(deep.EdgeWeight(1), 777u);
-  // A deep copy triggers no CoW clone on the source's next write.
-  EXPECT_EQ(g.cow_stats().chunks_cloned, 0u);
-}
-
 TEST(GraphTest, ResidentBytesDeduplicatesSharedChunks) {
   Graph g = testing_util::SmallRoadNetwork(12, 45);
   std::unordered_set<const void*> seen;

@@ -8,8 +8,13 @@
 // faults clear. Runs under TSan in CI (fixed seeds).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/loopback_transport.h"
 #include "dist/replica_node.h"
 #include "dist/shard_router.h"
 #include "dist/socket_transport.h"
@@ -27,6 +33,7 @@
 #include "graph/dijkstra.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "workload/query_workload.h"
 
 namespace stl {
 namespace {
@@ -446,6 +453,176 @@ TEST(DegradedModeTest, WriterStallFlipsDegradedAndRecovers) {
   }
   EXPECT_TRUE(recovered) << "degraded mode never cleared";
   EXPECT_GE(engine.Stats().degraded_entries, 1u);
+}
+
+// The overload drill at 2x measured capacity on a 24x24 grid, three
+// phases on one engine. A 200us injected reader delay on two reader
+// threads fixes the capacity (~10k qps) independently of host speed.
+//   capacity — closed-loop waves of Submit() futures, well under the
+//              admission bound, measure the sustainable qps.
+//   overload — an open-loop submitter paces 6000 tagged queries at 2x
+//              that rate against a 256-deep reject-new admission queue
+//              (every 4th with a 5ms deadline) while a collector drains
+//              the completion queue: no tag lost or delivered twice, no
+//              served answer wrong, shedding engaged, admitted work
+//              still served, and rejection cheaper than service
+//              (p99 of shed latency < p50 of served latency).
+//   stall    — a 100ms writer stall flips degraded mode; clearing it
+//              recovers, and a post-recovery batch is exact.
+TEST(OverloadDrillTest, TwiceCapacityShedsCheaplyAndRecovers) {
+  const Graph base = testing_util::SmallRoadNetwork(24, 71);
+  const uint32_t n = base.NumVertices();
+  SeededFaultInjector faults(71);
+  faults.SetRate(FaultSite::kReaderDelay, 1.0);
+  faults.SetDelayMicros(FaultSite::kReaderDelay, 200);
+
+  EngineOptions opt;
+  opt.num_query_threads = 2;
+  opt.result_cache_entries = 0;  // every query pays the service floor
+  opt.serving.max_queued_queries = 256;
+  opt.serving.admission_policy = AdmissionPolicy::kRejectNew;
+  opt.serving.writer_stall_ms = 10;
+  opt.serving.fault_injector = &faults;
+  QueryEngine engine(base, HierarchyOptions{}, opt);
+
+  // ---- capacity
+  double capacity_qps = 0;
+  {
+    engine.ResetStats();
+    Rng rng(711);
+    constexpr size_t kQueries = 2000;
+    constexpr size_t kWave = 64;
+    std::vector<std::future<QueryResult>> wave;
+    for (size_t i = 0; i < kQueries; i += kWave) {
+      wave.clear();
+      for (size_t j = i; j < std::min(kQueries, i + kWave); ++j) {
+        wave.push_back(
+            engine.Submit({static_cast<Vertex>(rng.NextBounded(n)),
+                           static_cast<Vertex>(rng.NextBounded(n))}));
+      }
+      for (auto& f : wave) f.get();
+    }
+    capacity_qps = engine.Stats().queries_per_second;
+  }
+  ASSERT_GT(capacity_qps, 0.0);
+
+  // ---- overload
+  {
+    engine.ResetStats();
+    const std::vector<QueryPair> pairs = RandomQueryPairs(base, 6000, 712);
+    CompletionQueue queue;
+    std::vector<StatusCode> code(pairs.size(), StatusCode::kOk);
+    std::vector<Weight> answer(pairs.size(), kInfDistance);
+    std::vector<double> latency(pairs.size(), 0);
+    std::vector<uint64_t> epoch_of(pairs.size(), 0);
+    std::vector<uint8_t> deliveries(pairs.size(), 0);
+    size_t received = 0;
+    size_t double_deliveries = 0;
+    // Drains concurrently so the sink never backs up; a 5s silence
+    // leaves the missing tags counted as lost instead of hanging.
+    std::thread collector([&] {
+      Completion out[128];
+      while (received < pairs.size()) {
+        const size_t got = queue.WaitPoll(out, 128, milliseconds(5000));
+        if (got == 0) return;
+        for (size_t i = 0; i < got; ++i) {
+          const uint64_t tag = out[i].tag;
+          if (tag >= pairs.size() || ++deliveries[tag] > 1) {
+            ++double_deliveries;
+            continue;
+          }
+          code[tag] = out[i].code;
+          answer[tag] = out[i].distance;
+          latency[tag] = out[i].latency_micros;
+          epoch_of[tag] = out[i].epoch;
+        }
+        received += got;
+      }
+    });
+
+    // A burst every 500us sized for 2x capacity.
+    const size_t burst =
+        std::max<size_t>(1, static_cast<size_t>(2 * capacity_qps / 2000.0));
+    auto next_tick = steady_clock::now();
+    for (size_t i = 0; i < pairs.size(); i += burst) {
+      for (size_t tag = i; tag < std::min(pairs.size(), i + burst); ++tag) {
+        const Deadline dl = tag % 4 == 3
+                                ? steady_clock::now() + milliseconds(5)
+                                : kNoDeadline;
+        engine.SubmitTagged(pairs[tag], tag, &queue, dl);
+      }
+      next_tick += std::chrono::microseconds(500);
+      std::this_thread::sleep_until(next_tick);
+    }
+    collector.join();
+    EXPECT_EQ(received, pairs.size()) << "tags lost";
+    EXPECT_EQ(double_deliveries, 0u);
+
+    // No updates run in this phase: every served answer comes from the
+    // one current snapshot.
+    const auto snap = engine.CurrentSnapshot();
+    Dijkstra dij(snap->graph);
+    std::vector<double> served_latency;
+    std::vector<double> shed_latency;
+    size_t served_mismatches = 0;
+    for (size_t tag = 0; tag < pairs.size(); ++tag) {
+      if (deliveries[tag] == 0) continue;
+      if (code[tag] == StatusCode::kOverloaded) {
+        shed_latency.push_back(latency[tag]);
+      } else if (code[tag] == StatusCode::kOk) {
+        served_latency.push_back(latency[tag]);
+        if (epoch_of[tag] != snap->epoch ||
+            answer[tag] !=
+                dij.Distance(pairs[tag].first, pairs[tag].second)) {
+          ++served_mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(served_mismatches, 0u);
+    ASSERT_GT(shed_latency.size(), 0u) << "2x load never shed";
+    ASSERT_GT(served_latency.size(), 0u) << "admitted work never served";
+    auto percentile = [](std::vector<double> v, double q) {
+      std::sort(v.begin(), v.end());
+      return v[static_cast<size_t>(q * static_cast<double>(v.size() - 1))];
+    };
+    EXPECT_LT(percentile(shed_latency, 0.99),
+              percentile(served_latency, 0.5))
+        << "rejection must be cheaper than service";
+  }
+
+  // ---- stall
+  faults.Clear();  // drop the reader delay; arm only the stall
+  faults.SetRate(FaultSite::kWriterStall, 1.0);
+  faults.SetDelayMicros(FaultSite::kWriterStall, 100000);  // 100ms
+  engine.EnqueueUpdate(
+      0, std::min<Weight>(base.EdgeWeight(0) * 2 + 1, kMaxEdgeWeight));
+  bool entered = false;
+  const auto deadline = steady_clock::now() + milliseconds(5000);
+  while (!entered && steady_clock::now() < deadline) {
+    entered = engine.Stats().degraded;
+    if (!entered) std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_TRUE(entered) << "the writer stall never flipped degraded mode";
+  faults.Clear();  // the stall passes
+  engine.Flush();
+  bool recovered = false;
+  const auto rec_deadline = steady_clock::now() + milliseconds(5000);
+  while (!recovered && steady_clock::now() < rec_deadline) {
+    recovered = !engine.Stats().degraded;
+    if (!recovered) std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_TRUE(recovered) << "degraded mode never cleared";
+
+  const std::vector<QueryPair> final_pairs = RandomQueryPairs(base, 200, 713);
+  QueryEngine::Ticket ticket = engine.SubmitBatch(final_pairs);
+  ticket.Wait();
+  Dijkstra dij(ticket.snapshot()->graph);
+  for (size_t i = 0; i < ticket.size(); ++i) {
+    ASSERT_EQ(ticket.code(i), StatusCode::kOk) << "i=" << i;
+    ASSERT_EQ(ticket.distance(i),
+              dij.Distance(final_pairs[i].first, final_pairs[i].second))
+        << "i=" << i;
+  }
 }
 
 TEST(FaultTest, ApplyFailureDropsBatchButServingStaysExact) {
@@ -1074,6 +1251,53 @@ TEST(TransportChaosTest, AllReplicasStaleYieldTypedUnavailable) {
     ASSERT_EQ(r.code, StatusCode::kOk);
     ASSERT_EQ(r.distance, audit.Distance(s, t));
   }
+}
+
+// A replica that acks every install ok without ever advancing its
+// next_seq would keep the router's writer replaying the same entry
+// forever (an honest ReplicaNode always acks ok past the seq it was
+// sent). The router must treat it as a failed endpoint: construction —
+// which installs epoch 0 — returns, and the failure is counted. A
+// watchdog turns a hang into a bounded failure.
+TEST(RouterInstallTest, OkAckThatNeverAdvancesFailsTheEndpoint) {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool finished = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(mu);
+    if (!cv.wait_for(lock, std::chrono::seconds(30),
+                     [&] { return finished; })) {
+      std::fprintf(stderr,
+                   "ShardRouter construction never returned: the install "
+                   "loop spins on an ok ack that does not advance\n");
+      std::abort();
+    }
+  });
+
+  LoopbackTransport transport;
+  transport.AddEndpoint([](const uint8_t*, size_t) {
+    InstallAck ack;
+    ack.ok = true;
+    ack.next_seq = 0;
+    return ack.Encode();
+  });
+  ShardRouterOptions opt;
+  opt.engine.target_shards = 4;
+  opt.engine.num_query_threads = 2;
+  opt.num_query_threads = 2;
+  {
+    ShardRouter router(testing_util::SmallRoadNetwork(6, 331),
+                       HierarchyOptions{}, opt, &transport, {});
+    const RouterStats stats = router.Stats();
+    EXPECT_GE(stats.install_failures, 1u);
+    EXPECT_EQ(stats.wire_installs, 1u);
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    finished = true;
+  }
+  cv.notify_all();
+  watchdog.join();
 }
 
 // ------------------------------------------------------ socket chaos

@@ -121,6 +121,8 @@ TEST_P(RouterConformanceTest, LockstepBitIdenticalToDirectEngine) {
   EXPECT_EQ(stats.replicas, replicas());
   EXPECT_GT(stats.rpcs_sent, 0u);
   EXPECT_EQ(stats.serving.queries_unavailable, 0u);
+  // No faults armed: the transport delivers every response exactly once.
+  EXPECT_EQ(stats.rpc_duplicates_dropped, 0u);
   // Every replica holds every published epoch (installed before the
   // router's readers could pin it).
   for (const auto& replica : cluster.replicas) {
@@ -162,6 +164,45 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(BackendName(std::get<0>(info.param))) + "_r" +
              std::to_string(std::get<1>(info.param));
     });
+
+// The serving audit through the routed tier at 1, 2 and 3 replicas:
+// per-query futures and batch tickets racing a writer, every answer kOk
+// and exact on its serving epoch, and no duplicate response dropped
+// with no fault armed. The replica ring is deeper than the number of
+// epochs the run can publish, so a pinned epoch is never evicted
+// mid-flight however slow a sanitizer makes the fan-out.
+class RouterMixedWorkloadTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(RouterMixedWorkloadTest, FuturesAndBatchesMatchDijkstraUnderWriter) {
+  const Graph base = SmallRoadNetwork(20, 7);
+  ShardReplicaOptions deep_ring;
+  deep_ring.epoch_ring = 64;
+  LoopbackCluster cluster = MakeLoopbackCluster(GetParam(), deep_ring);
+  ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
+  opt.engine.num_query_threads = 4;
+  opt.num_query_threads = 4;
+  ShardRouter router(base, HierarchyOptions{}, opt, cluster.transport.get(),
+                     cluster.replica_ptrs());
+  const testing_util::MixedAudit audit = testing_util::RunMixedWorkloadAudit(
+      router, base, {.queries = 1500, .wave = 100, .update_rounds = 6,
+                     .batch_size = 8, .seed = 6161});
+  EXPECT_EQ(audit.futures_mismatches, 0u);
+  EXPECT_EQ(audit.batch_mismatches, 0u);
+  EXPECT_EQ(audit.not_ok, 0u);
+  const RouterStats stats = router.Stats();
+  EXPECT_GE(stats.serving.epochs_published, 1u);
+  EXPECT_EQ(stats.serving.queries_unavailable, 0u);
+  EXPECT_GT(stats.rpcs_sent, 0u);
+  EXPECT_EQ(stats.rpc_duplicates_dropped, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Replicas, RouterMixedWorkloadTest,
+                         ::testing::Values(1u, 2u, 3u),
+                         [](const auto& info) {
+                           std::string name = "r";
+                           name += std::to_string(info.param);
+                           return name;
+                         });
 
 // ------------------------------------------------------ epoch pinning
 

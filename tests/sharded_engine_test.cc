@@ -13,10 +13,12 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <tuple>
 
 #include "graph/dijkstra.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
+#include "workload/query_workload.h"
 
 namespace stl {
 namespace {
@@ -460,6 +462,136 @@ TEST(ShardedEngineTest, BoundaryEdgeUpdateKeepsEveryShardClean) {
     ASSERT_EQ(after->Query(s, t), dij.Distance(s, t));
   }
 }
+
+// The localized regime incremental overlay repair is built for, at
+// every shard count k in {2, 4, 8} for STL and CH on a 24x24 grid: the
+// partition reaches k cells with a non-empty boundary; epochs whose
+// updates all fall in ONE peripheral cell (alternating congest /
+// restore, 4 edges each) serve exact answers; and at k >= 4 at least
+// half of them take the repair path (no full rebuild, strictly fewer
+// overlay rows recomputed than the table has). At k = 2 one cell
+// touches most of S, so the threshold fallback is the correct
+// behaviour there and only exactness is asserted.
+class ShardCountTest
+    : public ::testing::TestWithParam<std::tuple<BackendKind, uint32_t>> {};
+
+TEST_P(ShardCountTest, SingleCellEpochsMostlyRepair) {
+  const auto [backend, k] = GetParam();
+  const Graph base = testing_util::SmallRoadNetwork(24, 7);
+  ShardedEngineOptions opt = SmallShardedOptions(backend, k);
+  opt.result_cache_entries = 1 << 15;
+  ShardedEngine engine(base, HierarchyOptions{}, opt);
+  ASSERT_GE(engine.num_shards(), k);
+  EXPECT_GT(engine.layout().num_boundary(), 0u);
+
+  // Update the shard with the smallest boundary set (ties broken by
+  // more edges): a peripheral cell whose clique entries sit on few
+  // cross-boundary shortest paths, so the increase-affected row set
+  // stays small.
+  const ShardLayout& lay = engine.layout();
+  const uint32_t shards = lay.num_shards();
+  std::vector<uint32_t> edge_count(shards, 0);
+  for (const uint32_t owner : lay.shard_of_edge) {
+    if (owner != ShardLayout::kOverlayShard) ++edge_count[owner];
+  }
+  uint32_t target = 0;
+  for (uint32_t c = 1; c < shards; ++c) {
+    const size_t bc = lay.shards[c].boundary_local.size();
+    const size_t bt = lay.shards[target].boundary_local.size();
+    if (edge_count[c] == 0) continue;
+    if (edge_count[target] == 0 || bc < bt ||
+        (bc == bt && edge_count[c] > edge_count[target])) {
+      target = c;
+    }
+  }
+  std::vector<EdgeId> pool;
+  for (EdgeId e = 0; e < base.NumEdges(); ++e) {
+    if (lay.shard_of_edge[e] == target) pool.push_back(e);
+  }
+  ASSERT_FALSE(pool.empty());
+
+  const std::vector<QueryPair> pairs = RandomQueryPairs(base, 300, 515151);
+  constexpr size_t kRounds = 8;
+  constexpr size_t kBatch = 4;
+  engine.ResetStats();
+  EngineStats prev = engine.Stats();
+  uint64_t epochs = 0;
+  uint64_t repaired_epochs = 0;
+  uint64_t mismatches = 0;
+  testing_util::EpochOracle oracle;
+  std::vector<std::future<ShardedQueryResult>> futures;
+  for (size_t round = 0; round < kRounds; ++round) {
+    const bool restore = round % 2 == 1;
+    Rng ering(12000 + 31 * (round / 2));  // restore reuses the edges
+    std::vector<WeightUpdate> batch;
+    for (size_t i = 0; i < kBatch; ++i) {
+      const EdgeId e = pool[ering.NextBounded(pool.size())];
+      const Weight w0 = base.EdgeWeight(e);
+      batch.push_back(WeightUpdate{
+          e, 0, restore ? w0 : std::min<Weight>(w0 * 2, kMaxEdgeWeight)});
+    }
+    engine.EnqueueUpdates(batch);
+    engine.Flush();
+    const EngineStats now = engine.Stats();
+    const uint64_t round_epochs =
+        now.epochs_published - prev.epochs_published;
+    epochs += round_epochs;
+    if (round_epochs > 0 &&
+        now.overlay_full_rebuilds == prev.overlay_full_rebuilds &&
+        now.overlay_rows_repaired - prev.overlay_rows_repaired <
+            now.overlay_rows_total - prev.overlay_rows_total) {
+      repaired_epochs += round_epochs;
+    }
+    prev = now;
+
+    futures.clear();
+    for (const QueryPair& q : pairs) futures.push_back(engine.Submit(q));
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const ShardedQueryResult r = futures[i].get();
+      if (r.distance != oracle.Distance(r.epoch, r.snapshot->graph,
+                                        pairs[i].first, pairs[i].second)) {
+        ++mismatches;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_GE(epochs, 1u);
+  if (engine.num_shards() >= 4) {
+    EXPECT_GE(repaired_epochs * 2, epochs)
+        << repaired_epochs << " of " << epochs << " single-cell epochs "
+        << "repaired; the rest rebuilt the overlay from scratch";
+  }
+}
+
+// The serving audit with the result cache on, at every shard count:
+// per-query futures and batch tickets racing a writer; every answer
+// exact on its serving epoch (so equal to a flat engine on the same
+// weights) and every batched (grouped, row-reusing) answer
+// bit-identical to the per-query route on its pinned snapshot.
+TEST_P(ShardCountTest, CachedMixedWorkloadMatchesDijkstraPerEpoch) {
+  const auto [backend, k] = GetParam();
+  const Graph base = testing_util::SmallRoadNetwork(24, 7);
+  ShardedEngineOptions opt = SmallShardedOptions(backend, k);
+  opt.result_cache_entries = 1 << 15;
+  ShardedEngine engine(base, HierarchyOptions{}, opt);
+  const testing_util::MixedAudit audit = testing_util::RunMixedWorkloadAudit(
+      engine, base, {.queries = 2000, .wave = 150, .update_rounds = 8,
+                     .batch_size = 8, .seed = 4242});
+  EXPECT_EQ(audit.futures_mismatches, 0u);
+  EXPECT_EQ(audit.batch_mismatches, 0u);
+  EXPECT_EQ(audit.not_ok, 0u);
+  EXPECT_GE(engine.Stats().epochs_published, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StlAndCh, ShardCountTest,
+    ::testing::Combine(::testing::Values(BackendKind::kStl,
+                                         BackendKind::kCh),
+                       ::testing::Values(2u, 4u, 8u)),
+    [](const auto& info) {
+      return std::string(BackendName(std::get<0>(info.param))) + "_k" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(ShardedEngineTest, DisconnectedGraphRoutesToInfinity) {
   Graph g = testing_util::TwoComponentGraph();

@@ -2,8 +2,12 @@
 #ifndef STL_TESTS_TEST_UTIL_H_
 #define STL_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
+#include <chrono>
+#include <future>
 #include <map>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/labelling.h"
@@ -13,6 +17,8 @@
 #include "graph/graph.h"
 #include "graph/updates.h"
 #include "util/rng.h"
+#include "util/status.h"
+#include "workload/query_workload.h"
 
 namespace stl {
 namespace testing_util {
@@ -104,6 +110,111 @@ inline WeightUpdate RandomUpdate(const Graph& g, Rng* rng) {
     nw = 1 + static_cast<Weight>(rng->NextBounded(w - 1));
   }
   return WeightUpdate{e, w, nw};
+}
+
+/// Shape of RunMixedWorkloadAudit's workload.
+struct MixedWorkload {
+  size_t queries = 2000;      ///< Pairs per phase.
+  size_t wave = 100;          ///< Pairs per closed-loop wave / batch.
+  size_t update_rounds = 8;   ///< Update batches per phase.
+  size_t batch_size = 8;      ///< Edges per update batch.
+  uint64_t seed = 1;          ///< Pairs and edges derive from it.
+};
+
+/// What RunMixedWorkloadAudit saw.
+struct MixedAudit {
+  uint64_t futures_mismatches = 0;  ///< Submit() answers vs Dijkstra.
+  /// SubmitBatch() answers vs Dijkstra on the pinned epoch, or vs the
+  /// per-query route (snapshot->Query) on the same snapshot.
+  uint64_t batch_mismatches = 0;
+  uint64_t not_ok = 0;  ///< Answers whose code was not kOk.
+};
+
+/// The serving audit shared by the engine, sharded and router suites:
+/// closed-loop waves of per-query Submit() futures, then waves of
+/// SubmitBatch() tickets over the same pairs, each phase racing a
+/// writer thread that streams alternating increase (x4) / restore
+/// batches. A quarter of the pairs repeat from a 64-pair hot pool, so
+/// an engine with a result cache serves hits across epochs. Every
+/// answer is checked against Dijkstra on the epoch it was served from;
+/// every batched answer also against the per-query route on the
+/// ticket's pinned snapshot (bit-identity).
+template <typename Engine>
+MixedAudit RunMixedWorkloadAudit(Engine& engine, const Graph& base,
+                                 const MixedWorkload& w) {
+  std::vector<QueryPair> pairs = RandomQueryPairs(base, w.queries, w.seed);
+  const std::vector<QueryPair> hot = RandomQueryPairs(base, 64, w.seed + 1);
+  for (size_t i = 3; i < pairs.size(); i += 4) {
+    pairs[i] = hot[(i / 4) % hot.size()];
+  }
+
+  auto stream_updates = [&engine, &base, &w] {
+    for (size_t round = 0; round < w.update_rounds; ++round) {
+      Rng ering(w.seed + 17 * (round / 2));  // restore reuses the edges
+      std::vector<WeightUpdate> batch;
+      for (size_t i = 0; i < w.batch_size; ++i) {
+        const EdgeId e =
+            static_cast<EdgeId>(ering.NextBounded(base.NumEdges()));
+        const Weight w0 = base.EdgeWeight(e);
+        batch.push_back(WeightUpdate{
+            e, 0,
+            round % 2 == 1 ? w0 : std::min<Weight>(w0 * 4, kMaxEdgeWeight)});
+      }
+      engine.EnqueueUpdates(batch);
+      std::this_thread::sleep_for(std::chrono::microseconds(300));
+    }
+  };
+
+  MixedAudit audit;
+  EpochOracle oracle;
+  {
+    std::thread updater(stream_updates);
+    std::vector<decltype(engine.Submit(pairs[0]))> futures;
+    for (size_t i = 0; i < pairs.size(); i += w.wave) {
+      const size_t end = std::min(pairs.size(), i + w.wave);
+      futures.clear();
+      for (size_t j = i; j < end; ++j) {
+        futures.push_back(engine.Submit(pairs[j]));
+      }
+      for (size_t j = i; j < end; ++j) {
+        const auto r = futures[j - i].get();
+        if (r.code != StatusCode::kOk) {
+          ++audit.not_ok;
+        } else if (r.distance != oracle.Distance(r.epoch, r.snapshot->graph,
+                                                 pairs[j].first,
+                                                 pairs[j].second)) {
+          ++audit.futures_mismatches;
+        }
+      }
+    }
+    updater.join();
+    engine.Flush();
+  }
+  {
+    std::thread updater(stream_updates);
+    for (size_t i = 0; i < pairs.size(); i += w.wave) {
+      const size_t end = std::min(pairs.size(), i + w.wave);
+      const std::vector<QueryPair> wave(pairs.begin() + i,
+                                        pairs.begin() + end);
+      auto ticket = engine.SubmitBatch(wave);
+      ticket.Wait();
+      Dijkstra& dij = oracle.For(ticket.epoch(), ticket.snapshot()->graph);
+      for (size_t q = 0; q < wave.size(); ++q) {
+        if (ticket.code(q) != StatusCode::kOk) {
+          ++audit.not_ok;
+          continue;
+        }
+        const auto [s, t] = wave[q];
+        if (ticket.distance(q) != dij.Distance(s, t) ||
+            ticket.distance(q) != ticket.snapshot()->Query(s, t)) {
+          ++audit.batch_mismatches;
+        }
+      }
+    }
+    updater.join();
+    engine.Flush();
+  }
+  return audit;
 }
 
 }  // namespace testing_util
