@@ -1,4 +1,5 @@
-// Ablation studies for the design choices DESIGN.md calls out:
+// Ablation studies for the index's design choices (the experiment
+// index is under "Paper reproduction notes" in docs/ARCHITECTURE.md):
 //
 //  1. Balance threshold beta (Definition 4.1): smaller beta permits more
 //     skewed cuts (deeper trees, potentially smaller separators); the

@@ -1,7 +1,8 @@
 // Shared helpers for the benchmark harnesses. Each bench binary
 // regenerates one table or figure of the paper on the synthetic dataset
-// registry (see DESIGN.md §4 for the experiment index and the expected
-// shapes). STL_BENCH_SCALE=small|medium|large selects dataset count and
+// registry (see "Paper reproduction notes" in docs/ARCHITECTURE.md for
+// the experiment index; each binary's header states the expected
+// shape). STL_BENCH_SCALE=small|medium|large selects dataset count and
 // workload sizes.
 #ifndef STL_BENCH_BENCH_COMMON_H_
 #define STL_BENCH_BENCH_COMMON_H_
@@ -71,7 +72,8 @@ inline void PrintHeader(const char* what, const BenchConfig& cfg) {
   std::printf("== %s ==\n", what);
   std::printf(
       "scale=%s (STL_BENCH_SCALE), datasets=%zu — synthetic stand-ins for "
-      "the paper's DIMACS/PTV networks (DESIGN.md §3)\n\n",
+      "the paper's DIMACS/PTV networks (docs/ARCHITECTURE.md, "
+      "Paper reproduction notes)\n\n",
       ScaleName(cfg.scale), cfg.datasets.size());
 }
 

@@ -12,7 +12,11 @@
 // With --port=0 the kernel picks an ephemeral port; the daemon prints
 // "LISTENING <port>" on stdout once it serves, which is how the
 // multi-process integration test (tests/replica_process_test.cc) and
-// scripts discover where to connect.
+// scripts discover where to connect. An unknown, malformed or
+// out-of-range flag exits with code 2 before anything is built or
+// printed on stdout.
+#include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +34,28 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void OnSignal(int) { g_stop = 1; }
 
+/// Every flag the daemon reads.
+constexpr const char* kFlags[] = {
+    "host",      "port",    "grid-side",  "graph-seed", "target-shards",
+    "max-batch", "threads", "epoch-ring", "backend"};
+
+/// Exits with code 2 on any argument that is not --<one of kFlags>=value:
+/// a misspelt flag would otherwise silently keep its default.
+void RejectUnknownArgs(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    bool known = false;
+    for (const char* name : kFlags) {
+      const std::string prefix = std::string("--") + name + "=";
+      known = known ||
+              std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0;
+    }
+    if (!known) {
+      std::fprintf(stderr, "unknown argument %s\n", argv[i]);
+      std::exit(2);
+    }
+  }
+}
+
 /// --flag=value parser; returns the value or `fallback`.
 const char* FlagValue(int argc, char** argv, const char* name,
                       const char* fallback) {
@@ -42,9 +68,23 @@ const char* FlagValue(int argc, char** argv, const char* name,
   return fallback;
 }
 
-long FlagInt(int argc, char** argv, const char* name, long fallback) {
+/// The integer value of --name=value, or `fallback` when the flag is
+/// absent. A value that is not a whole decimal integer in [lo, hi] is
+/// a usage error: the daemon exits with code 2 before it listens.
+long FlagInt(int argc, char** argv, const char* name, long fallback, long lo,
+             long hi) {
   const char* v = FlagValue(argc, argv, name, nullptr);
-  return v != nullptr ? std::strtol(v, nullptr, 10) : fallback;
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    std::fprintf(stderr, "invalid --%s=%s (an integer in [%ld, %ld])\n",
+                 name, v, lo, hi);
+    std::exit(2);
+  }
+  return value;
 }
 
 stl::BackendKind ParseBackend(const char* name) {
@@ -58,14 +98,17 @@ stl::BackendKind ParseBackend(const char* name) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  RejectUnknownArgs(argc, argv);
   const char* host = FlagValue(argc, argv, "host", "127.0.0.1");
-  const long port = FlagInt(argc, argv, "port", 0);
-  const long grid_side = FlagInt(argc, argv, "grid-side", 7);
-  const long graph_seed = FlagInt(argc, argv, "graph-seed", 211);
-  const long target_shards = FlagInt(argc, argv, "target-shards", 4);
-  const long max_batch = FlagInt(argc, argv, "max-batch", 8);
-  const long threads = FlagInt(argc, argv, "threads", 0);
-  const long epoch_ring = FlagInt(argc, argv, "epoch-ring", 8);
+  const long port = FlagInt(argc, argv, "port", 0, 0, 65535);
+  const long grid_side = FlagInt(argc, argv, "grid-side", 7, 2, 4096);
+  const long graph_seed =
+      FlagInt(argc, argv, "graph-seed", 211, 0, LONG_MAX);
+  const long target_shards =
+      FlagInt(argc, argv, "target-shards", 4, 1, 1024);
+  const long max_batch = FlagInt(argc, argv, "max-batch", 8, 1, 1 << 20);
+  const long threads = FlagInt(argc, argv, "threads", 0, 0, 64);
+  const long epoch_ring = FlagInt(argc, argv, "epoch-ring", 8, 1, 4096);
   const stl::BackendKind backend =
       ParseBackend(FlagValue(argc, argv, "backend", "stl"));
 

@@ -23,7 +23,8 @@
 //        behaviour the paper measures for DTDHL.
 //
 // This is a faithful reimplementation of the published designs, not the
-// authors' code; see DESIGN.md §3 for the substitution rationale.
+// authors' code; see "Paper reproduction notes" in docs/ARCHITECTURE.md
+// for the substitution rationale.
 #ifndef STL_BASELINES_H2H_H_
 #define STL_BASELINES_H2H_H_
 
@@ -79,10 +80,6 @@ class H2hIndex {
   H2hIndex() = default;
 
   uint32_t Lca(Vertex s, Vertex t) const;
-  /// Distance between v and its ancestor at depth j via the DP lookup.
-  Weight DistToAncestor(Vertex v, uint32_t j) const {
-    return dist_pool_[off_[v] + j];
-  }
   /// DP recompute of one label cell (reads only ancestor labels).
   Weight RecomputeCell(Vertex v, uint32_t j) const;
   void LabelPhase(const std::vector<ChIndex::ChangedEdge>& changed_edges,

@@ -16,7 +16,8 @@
 //     not stable under weight updates: HC2L is a static index (the paper
 //     gives no maintenance algorithm for it, and neither do we).
 //
-// Tail pruning from [12] is omitted (DESIGN.md §3).
+// Tail pruning from [12] is omitted ("Paper reproduction notes" in
+// docs/ARCHITECTURE.md).
 #ifndef STL_BASELINES_HC2L_H_
 #define STL_BASELINES_HC2L_H_
 

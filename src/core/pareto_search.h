@@ -20,11 +20,12 @@
 // effect Figure 8 measures), affected intervals are recorded per vertex,
 // and a single repair pass (Algorithm 5) settles true values.
 //
-// Deviation from the paper's pseudocode (documented in DESIGN.md): the
-// second search must not re-bump labels the first search already bumped
-// when tied shortest paths run through both endpoints. We track bumped
-// (vertex, position) pairs per update and test equality against the
-// pre-bump value, making the sequential searches exact.
+// Deviation from the paper's pseudocode (documented under "Paper
+// reproduction notes" in docs/ARCHITECTURE.md): the second search must
+// not re-bump labels the first search already bumped when tied shortest
+// paths run through both endpoints. We track bumped (vertex, position)
+// pairs per update and test equality against the pre-bump value, making
+// the sequential searches exact.
 #ifndef STL_CORE_PARETO_SEARCH_H_
 #define STL_CORE_PARETO_SEARCH_H_
 

@@ -1,11 +1,26 @@
 #include "dist/shard_router.h"
 
+#include <chrono>
 #include <optional>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace stl {
+
+namespace {
+
+// Wire replication (kInstall to socket replicas; in-process replicas
+// are installed directly). The deadline for one install ack:
+constexpr std::chrono::milliseconds kInstallTimeout{2000};
+// Send attempts per endpoint before a wire install gives up on it (the
+// router publishes anyway; the lagging replica answers the new epochs
+// kUnavailable until a later install catches it up).
+constexpr int kInstallAttempts = 3;
+// Installs kept for nack-triggered replay to lagging replicas.
+constexpr size_t kInstallLogEntries = 256;
+
+}  // namespace
 
 // ------------------------------------------------------------ SpanFanout
 
@@ -317,7 +332,7 @@ void ShardRouter::InstallAndPublish(
     install_log_.push_back(InstallLogEntry{
         req.seq,
         std::make_shared<const std::vector<uint8_t>>(req.Encode())});
-    while (install_log_.size() > options_.install_log_entries) {
+    while (install_log_.size() > kInstallLogEntries) {
       install_log_.pop_front();
       ++install_log_base_;
     }
@@ -339,7 +354,7 @@ void ShardRouter::InstallAndPublish(
 bool ShardRouter::WireInstallEndpoint(uint32_t endpoint) {
   if (install_log_.empty()) return true;
   const uint64_t target = next_install_seq_;
-  int attempts = options_.install_attempts;
+  int attempts = kInstallAttempts;
   uint64_t need = target - 1;  // newest first; nacks say where to replay
   while (attempts > 0) {
     if (need < install_log_base_) return false;  // evicted: can't catch up
@@ -396,11 +411,13 @@ bool ShardRouter::BlockingRpc(
   rpcs_sent_.fetch_add(1, std::memory_order_relaxed);
   transport_->Send(endpoint, tag, std::move(bytes), &mailbox_);
   std::unique_lock<std::mutex> lock(cell->mu);
-  // The transports guarantee exactly-once delivery per Send (a socket
-  // request that outlives its request_timeout fails kUnavailable), so
-  // this local deadline only guards a misconfigured install_timeout <
-  // transport timeout; a late delivery writes a cell nobody reads.
-  if (!cell->cv.wait_for(lock, options_.install_timeout,
+  // The transports guarantee exactly-once delivery per Send, and a
+  // socket request that outlives its request_timeout fails
+  // kUnavailable. That timeout defaults to 5000 ms, longer than
+  // kInstallTimeout, so for a hung replica this local deadline is the
+  // one that normally fires; the late delivery then writes a cell
+  // nobody reads.
+  if (!cell->cv.wait_for(lock, kInstallTimeout,
                          [&] { return cell->done; })) {
     return false;
   }

@@ -54,7 +54,6 @@
 #define STL_DIST_SHARD_ROUTER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -90,15 +89,6 @@ struct ShardRouterOptions {
   /// watchdog, drain, fault hooks). The transport fault sites fire in
   /// the transport itself (LoopbackTransport's injector), not here.
   ServingOptions serving;
-  /// Budget for one wire-install ack (kInstall replication to socket
-  /// replicas; unused with in-process replicas).
-  std::chrono::milliseconds install_timeout{2000};
-  /// Send attempts per endpoint before a wire install gives up on it
-  /// (the router publishes anyway; the lagging replica answers the new
-  /// epochs kUnavailable until a later install catches it up).
-  int install_attempts = 3;
-  /// Installs kept for nack-triggered replay to lagging replicas.
-  size_t install_log_entries = 256;
 };
 
 /// Router-tier counters: the router core's serving stats plus the RPC
@@ -127,7 +117,7 @@ struct RouterStats {
   /// replicas, which are installed directly).
   uint64_t wire_installs = 0;
   /// Publishes where at least one endpoint failed to ack its install
-  /// (the router published anyway; see install_attempts).
+  /// within its attempt budget (the router published anyway).
   uint64_t install_failures = 0;
 };
 
@@ -310,7 +300,7 @@ class ShardRouter {
 
   /// One blocking RPC (writer thread only — the install path is the
   /// single place the router blocks on the wire). False on transport
-  /// failure or install_timeout.
+  /// failure or when the ack misses its deadline.
   bool BlockingRpc(uint32_t endpoint,
                    std::shared_ptr<const std::vector<uint8_t>> bytes,
                    std::vector<uint8_t>* payload);

@@ -39,8 +39,7 @@ void QueryEngine::Policy::ApplyBatch(const UpdateBatch& batch) {
   QueryEngine& e = *engine;
   ServingCounters& counters = e.core_.counters();
   const MaintenanceStrategy strategy =
-      ChooseStrategy(e.options_.strategy,
-                     e.options_.auto_label_search_threshold, batch.size());
+      ChooseStrategy(e.options_.strategy, batch.size());
   counters.batch_counters.Count(e.index_->ApplyBatch(batch, strategy));
   counters.updates_applied.fetch_add(batch.size(),
                                      std::memory_order_relaxed);

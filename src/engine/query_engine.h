@@ -126,9 +126,6 @@ struct EngineOptions {
   size_t max_batch_size = 128;
   /// How the writer picks the STL maintenance algorithm per batch.
   StrategyMode strategy = StrategyMode::kAuto;
-  /// kAuto: batches with at least this many effective updates use Label
-  /// Search.
-  size_t auto_label_search_threshold = 16;
   /// Capacity of the epoch-keyed (s, t) result memo consulted by every
   /// submission path; 0 disables it. The serving epoch is part of the
   /// cache key, so publishes invalidate for free.

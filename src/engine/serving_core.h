@@ -145,11 +145,13 @@ enum class StrategyMode {
   kAuto,
 };
 
+/// StrategyMode::kAuto: batches with at least this many effective
+/// updates use Label Search, smaller ones Pareto Search.
+inline constexpr size_t kAutoLabelSearchThreshold = 16;
+
 /// The per-batch STL maintenance choice for `mode` on a batch of
-/// `batch_size` effective updates (`auto_threshold` only matters for
-/// StrategyMode::kAuto). Shared by both serving engines.
+/// `batch_size` effective updates. Shared by both serving engines.
 inline MaintenanceStrategy ChooseStrategy(StrategyMode mode,
-                                          size_t auto_threshold,
                                           size_t batch_size) {
   switch (mode) {
     case StrategyMode::kAlwaysParetoSearch:
@@ -159,7 +161,7 @@ inline MaintenanceStrategy ChooseStrategy(StrategyMode mode,
     case StrategyMode::kAuto:
       break;
   }
-  return batch_size >= auto_threshold
+  return batch_size >= kAutoLabelSearchThreshold
              ? MaintenanceStrategy::kLabelSearch
              : MaintenanceStrategy::kParetoSearch;
 }

@@ -144,37 +144,6 @@ class LocalPieces {
 
 }  // namespace
 
-uint32_t ChooseShardCount(uint32_t num_vertices,
-                          double updates_per_second) {
-  // Locality target (measured flat vs k-way on synthetic grids; the
-  // shape is guarded by ShardedEngineTest.ChooseShardCountHeuristicShape):
-  // cells of a few thousand vertices keep per-shard repair and
-  // republish cheap while |S| (and with it overlay rebuild cost) stays
-  // a small fraction of |V|. Below ~2 cells' worth of vertices,
-  // sharding only adds boundary overhead.
-  constexpr uint32_t kTargetCellVertices = 4096;
-  constexpr uint32_t kMaxShards = 64;
-  uint32_t k = num_vertices / kTargetCellVertices;
-  k = std::max(k, 1u);
-  k = std::min(k, kMaxShards);
-  // Update pressure: every effective batch republishes the overlay,
-  // whose per-epoch micros still grow with k — but incremental row
-  // repair cut the localized (single-cell) epoch cost ~10x (STL k=4:
-  // ~1140 us full republish vs ~365 us repaired, ~130 us at k=3, with
-  // only the dirty-row set re-run; ShardCountTest.
-  // SingleCellEpochsMostlyRepair guards that such epochs repair), so
-  // the engine now tolerates an order of magnitude more update traffic
-  // before trading shards away. Halve k per decade of sustained update
-  // rate beyond ~1000/s — only a truly write-dominated feed wants
-  // fewer, bigger shards.
-  double rate = updates_per_second;
-  while (k > 1 && rate >= 1000.0) {
-    k = (k + 1) / 2;
-    rate /= 10.0;
-  }
-  return k;
-}
-
 // ----------------------------------------------------- ShardedSnapshot
 
 Weight ShardedSnapshot::Query(Vertex s, Vertex t) const {
@@ -220,15 +189,10 @@ ShardedEngine::ShardedEngine(Graph graph,
                              const ShardedEngineOptions& options)
     : options_(options), core_(&policy_, CoreOptionsOf(options)) {
   graph_ = std::make_unique<Graph>(std::move(graph));
-  const uint32_t target =
-      options_.target_shards > 0
-          ? options_.target_shards
-          : ChooseShardCount(graph_->NumVertices(),
-                             options_.expected_update_rate);
-  STL_CHECK_GE(target, 1u);
+  STL_CHECK_GE(options_.target_shards, 1u);
 
   const CellPartition cells =
-      PartitionCells(*graph_, target, hierarchy_options);
+      PartitionCells(*graph_, options_.target_shards, hierarchy_options);
   ShardPlan plan = BuildShardPlan(*graph_, cells);
   layout_ = std::make_shared<const ShardLayout>(std::move(plan.layout));
 
@@ -265,7 +229,6 @@ ShardedEngine::ShardedEngine(Graph graph,
   }
   if (k > 0) capabilities_ = states_[0].index->capabilities();
   overlay_ = std::make_unique<BoundaryOverlay>(layout_.get(), *graph_);
-  overlay_->set_repair_threshold(options_.overlay_repair_threshold);
   uint32_t max_width = 0;
   for (uint32_t c = 0; c < k; ++c) {
     max_width = std::max(
@@ -288,18 +251,10 @@ ShardedEngine::~ShardedEngine() = default;  // core_ drains first
 void ShardedEngine::PublishInitialSnapshot() {
   PoolExecutor executor(core_.pool());
   for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
+    // Epoch 0: construction cost, so neither the CoW nor the clique
+    // time is counted as publish cost.
     PublishInfo info;
-    auto view = states_[c].index->PublishView(&info);
-    if (states_[c].index->capabilities().fast_point_queries) {
-      overlay_->RebuildClique(c, *view, &executor);
-    } else {
-      overlay_->RebuildClique(c, *states_[c].graph, &executor);
-    }
-    auto serving = std::make_shared<ShardServing>();
-    serving->shard = c;
-    serving->shard_epoch = 0;
-    serving->view = std::move(view);
-    serving_[c] = std::move(serving);
+    PublishShard(c, 0, &executor, &info);
   }
   auto snap = std::make_shared<ShardedSnapshot>();
   snap->epoch = 0;
@@ -308,6 +263,29 @@ void ShardedEngine::PublishInitialSnapshot() {
   snap->shards = serving_;
   snap->overlay = overlay_->Publish();
   core_.Publish(std::move(snap));
+}
+
+uint64_t ShardedEngine::PublishShard(uint32_t c, uint64_t shard_epoch,
+                                     OverlayExecutor* executor,
+                                     PublishInfo* info) {
+  auto serving = std::make_shared<ShardServing>();
+  serving->shard = c;
+  serving->shard_epoch = shard_epoch;
+  serving->view = states_[c].index->PublishView(info);
+  Timer clique_timer;
+  // The clique recompute, fanned across `executor`. Label backends
+  // answer the |S_c|^2 / 2 pairs by point queries against the view just
+  // published; CH re-derives the clique with |S_c| Dijkstras over the
+  // shard's master subgraph (ApplyBatch wrote the new weights into it),
+  // which beats that many bidirectional searches.
+  if (states_[c].index->capabilities().fast_point_queries) {
+    overlay_->RebuildClique(c, *serving->view, executor);
+  } else {
+    overlay_->RebuildClique(c, *states_[c].graph, executor);
+  }
+  const uint64_t clique_nanos = clique_timer.ElapsedNanos();
+  serving_[c] = std::move(serving);
+  return clique_nanos;
 }
 
 // ---------------------------------------------------- the sharded policy
@@ -479,9 +457,7 @@ void ShardedEngine::ApplyAndPublish(const UpdateBatch& batch) {
   for (uint32_t c = 0; c < k; ++c) {
     if (per_shard[c].empty()) continue;
     const MaintenanceStrategy strategy =
-        ChooseStrategy(options_.strategy,
-                       options_.auto_label_search_threshold,
-                       per_shard[c].size());
+        ChooseStrategy(options_.strategy, per_shard[c].size());
     counters.batch_counters.Count(
         states_[c].index->ApplyBatch(per_shard[c], strategy));
     shard_updates_[c].fetch_add(per_shard[c].size(),
@@ -499,39 +475,21 @@ void ShardedEngine::ApplyAndPublish(const UpdateBatch& batch) {
   for (uint32_t c = 0; c < k; ++c) {
     if (per_shard[c].empty()) continue;
     PublishInfo info;
-    auto view = states_[c].index->PublishView(&info);
+    overlay_nanos_.fetch_add(
+        PublishShard(c, ++states_[c].shard_epoch, &executor, &info),
+        std::memory_order_relaxed);
     counters.label_pages_cloned.fetch_add(info.label_pages_cloned,
                                           std::memory_order_relaxed);
     counters.cow_bytes_cloned.fetch_add(info.label_bytes_cloned,
                                         std::memory_order_relaxed);
     counters.publish_bytes_deep_copied.fetch_add(
         info.deep_bytes_copied, std::memory_order_relaxed);
-    auto serving = std::make_shared<ShardServing>();
-    serving->shard = c;
-    serving->shard_epoch = ++states_[c].shard_epoch;
-    serving->view = std::move(view);
-    Timer overlay_timer;
-    // The dirty-clique recompute, fanned across the reader pool. Label
-    // backends answer the |S_c|^2 / 2 pairs by point queries against
-    // the epoch just published; CH re-derives the clique with |S_c|
-    // Dijkstras over the shard's master subgraph (ApplyBatch wrote the
-    // new weights into it), which beats that many bidirectional
-    // searches.
-    if (states_[c].index->capabilities().fast_point_queries) {
-      overlay_->RebuildClique(c, *serving->view, &executor);
-    } else {
-      overlay_->RebuildClique(c, *states_[c].graph, &executor);
-    }
-    overlay_nanos_.fetch_add(overlay_timer.ElapsedNanos(),
-                             std::memory_order_relaxed);
-    serving_[c] = std::move(serving);
   }
-  bool allow_repair = options_.overlay_incremental;
+  // An injected kOverlayRepair fault makes repair "infeasible": the
+  // publish takes the from-scratch rebuild instead.
   FaultInjector* faults = options_.serving.fault_injector;
-  if (allow_repair && faults != nullptr &&
-      faults->Fire(FaultSite::kOverlayRepair)) {
-    allow_repair = false;  // injected: repair "infeasible", rebuild
-  }
+  const bool allow_repair =
+      faults == nullptr || !faults->Fire(FaultSite::kOverlayRepair);
   Timer overlay_timer;
   OverlayPublishStats overlay_stats;
   auto table = overlay_->Publish(allow_repair, &overlay_stats);

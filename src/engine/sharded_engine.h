@@ -22,9 +22,8 @@
 // k connected cells isolated by the separator set S; BuildShardPlan
 // (index/overlay.h) derives per-cell subgraphs on C_i ∪ S_i; one
 // DistanceIndex backend (any of STL/CH/H2H/HC2L) is built per cell; a
-// BoundaryOverlay maintains the exact S×S distance table D. Passing
-// ShardedEngineOptions::target_shards == 0 delegates the choice of k to
-// ChooseShardCount().
+// BoundaryOverlay maintains the exact S×S distance table D. k is the
+// caller's ShardedEngineOptions::target_shards (at least 1).
 //
 // Query routing (all answers exact — equal to per-epoch Dijkstra, and
 // so to a flat engine on the same weights; guarded by
@@ -129,44 +128,20 @@ struct ShardedQueryResult {
   Status status() const { return ServingStatus(code); }
 };
 
-/// The shard count the engine picks when the caller passes
-/// target_shards == 0: derived from flat-vs-sharded measurements at
-/// k in {2, 4, 8} on synthetic grids; ShardedEngineTest.
-/// ChooseShardCountHeuristicShape guards the shape below. Two forces:
-/// bigger networks amortize per-shard repair locality, so k
-/// grows roughly linearly with |V| until cells reach a few thousand
-/// vertices; but every effective epoch republishes the boundary
-/// overlay, whose cost grows with |S| (and |S| with k), so a heavy
-/// update feed pushes k back down toward fewer, bigger shards.
-/// Incremental overlay repair moved that knee up an order of magnitude
-/// (localized epochs re-run only the dirty boundary rows —
-/// ShardCountTest.SingleCellEpochsMostlyRepair asserts it), so the
-/// trade-off only bites at ~1000 updates/s and beyond.
-/// `updates_per_second` is the caller's expected sustained update rate
-/// (0 = read-mostly). Always returns at least 1.
-uint32_t ChooseShardCount(uint32_t num_vertices, double updates_per_second);
-
 /// Construction options for the sharded engine.
 struct ShardedEngineOptions {
   /// Index family built per shard (index/distance_index.h).
   BackendKind backend = BackendKind::kStl;
-  /// Requested cell count; the layout may produce more (extra connected
-  /// components) or fewer (graph too small to cut). 1 = a single shard
-  /// with an empty overlay; 0 = pick automatically via
-  /// ChooseShardCount(num_vertices, expected_update_rate).
+  /// Requested cell count, at least 1; the layout may produce more
+  /// (extra connected components) or fewer (graph too small to cut).
+  /// 1 = a single shard with an empty overlay.
   uint32_t target_shards = 4;
-  /// Expected sustained update rate (updates/second), consulted only by
-  /// the target_shards == 0 auto-tuner.
-  double expected_update_rate = 0;
   /// Reader threads.
   int num_query_threads = 4;
   /// Updates taken from the pending queue per global epoch.
   size_t max_batch_size = 128;
   /// Per-shard-batch STL maintenance choice (non-STL backends ignore).
   StrategyMode strategy = StrategyMode::kAuto;
-  /// kAuto: shard batches with at least this many effective updates use
-  /// Label Search.
-  size_t auto_label_search_threshold = 16;
   /// Capacity of the epoch-keyed (s, t) result memo consulted by every
   /// submission path; 0 disables it.
   size_t result_cache_entries = 0;
@@ -178,17 +153,6 @@ struct ShardedEngineOptions {
   /// bit-identical to freshly computed ones (they are exact shard
   /// distances on the validated shard epoch), so answers don't change.
   size_t boundary_row_cache_entries = 2048;
-  /// Incremental overlay repair: when a publish would re-run Dijkstra
-  /// from more than this fraction of the boundary rows, it falls back
-  /// to the from-scratch rebuild instead. Repaired rows cost the same
-  /// per-source Dijkstra as rebuilt ones and the min-plus patch over
-  /// the rest is cheap, so repair keeps winning until the dirty set
-  /// approaches the whole table (index/overlay.h).
-  double overlay_repair_threshold = 0.75;
-  /// Escape hatch: false forces every overlay publish down the
-  /// from-scratch path (bench baselines, bisection). Answers are
-  /// identical either way.
-  bool overlay_incremental = true;
   /// Overload-hardening knobs (admission bounds, deadlines enforcement,
   /// stall watchdog, bounded shutdown drain, fault injection). Defaults
   /// to everything off — the pre-hardening behaviour.
@@ -470,6 +434,12 @@ class ShardedEngine {
   void ApplyAndPublish(const UpdateBatch& batch);
   /// Builds and publishes the epoch-0 snapshot (constructor only).
   void PublishInitialSnapshot();
+  /// Publishes shard c's view as shard epoch `shard_epoch`, recomputes
+  /// its boundary clique through `executor` and stores the new
+  /// ShardServing in serving_[c]. Fills `info` with the view's CoW
+  /// accounting and returns the nanoseconds the clique took.
+  uint64_t PublishShard(uint32_t c, uint64_t shard_epoch,
+                        OverlayExecutor* executor, PublishInfo* info);
 
   const ShardedEngineOptions options_;
 

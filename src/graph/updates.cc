@@ -10,12 +10,6 @@ void ApplyBatch(Graph* g, const UpdateBatch& batch) {
   }
 }
 
-void RevertBatch(Graph* g, const UpdateBatch& batch) {
-  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-    g->SetEdgeWeight(it->edge, it->old_weight);
-  }
-}
-
 UpdateBatch InverseBatch(const UpdateBatch& batch) {
   UpdateBatch inv;
   inv.reserve(batch.size());

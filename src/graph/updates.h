@@ -31,9 +31,6 @@ using UpdateBatch = std::vector<WeightUpdate>;
 /// Applies all updates to the graph (sets new weights).
 void ApplyBatch(Graph* g, const UpdateBatch& batch);
 
-/// Reverts all updates (sets old weights).
-void RevertBatch(Graph* g, const UpdateBatch& batch);
-
 /// Returns the batch that undoes `batch` (old and new weights swapped,
 /// order reversed so overlapping edges unwind correctly).
 UpdateBatch InverseBatch(const UpdateBatch& batch);

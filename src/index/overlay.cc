@@ -192,6 +192,13 @@ namespace {
 
 using DirectAdjacency = std::vector<std::vector<std::pair<uint32_t, Weight>>>;
 
+// Repair falls back to the from-scratch rebuild when more than this
+// fraction of the n boundary rows need a Dijkstra re-run. A repaired
+// row costs the same Dijkstra as a rebuilt one and the min-plus patch
+// over the remaining rows is cheap (O((n - R) * R * n) adds), so repair
+// keeps winning until R approaches n.
+constexpr double kRepairThreshold = 0.75;
+
 // One-source Dijkstra over the combined overlay search graph. Reusable
 // across sources (stamp/epoch trick) — both the from-scratch rebuild
 // and the row repair run through this, so the two paths cannot
@@ -578,7 +585,7 @@ std::shared_ptr<const OverlayTable> BoundaryOverlay::Repair(
     }
   }
   if (static_cast<double>(dirty_rows.size()) >
-      repair_threshold_ * static_cast<double>(n)) {
+      kRepairThreshold * static_cast<double>(n)) {
     return nullptr;  // repair would touch too much; rebuild instead
   }
 

@@ -326,22 +326,12 @@ class BoundaryOverlay {
   /// edge) are re-run through Dijkstra; the rest are min-plus-patched
   /// through the recomputed anchor rows and pointer-share their chunks
   /// with the previous epoch when unchanged. Falls back to the
-  /// from-scratch rebuild when the dirty-row set exceeds
-  /// set_repair_threshold's fraction of n (or on the first publish /
-  /// `allow_repair == false`). Either path yields the exact all-pairs
-  /// table — bit-identical, since exact distances are unique.
+  /// from-scratch rebuild when the dirty-row set exceeds 3/4 of the n
+  /// rows (or on the first publish / `allow_repair == false`). Either
+  /// path yields the exact all-pairs table — bit-identical, since exact
+  /// distances are unique.
   std::shared_ptr<const OverlayTable> Publish(
       bool allow_repair = true, OverlayPublishStats* stats = nullptr);
-
-  /// Sets the repair fallback threshold: when more than `fraction` of
-  /// the n boundary rows need a Dijkstra re-run, Publish rebuilds from
-  /// scratch instead. A repaired row costs the same Dijkstra as a
-  /// rebuilt one and the min-plus patch over the remaining rows is
-  /// cheap (O((n - R) * R * n) adds), so repair keeps winning until R
-  /// approaches n — hence the high default (0.75).
-  void set_repair_threshold(double fraction) {
-    repair_threshold_ = fraction;
-  }
 
   /// Resident bytes of the mutable overlay state.
   uint64_t MemoryBytes() const;
@@ -395,7 +385,6 @@ class BoundaryOverlay {
   std::vector<uint32_t> direct_touch_stamp_;
   uint32_t publish_seq_ = 1;
   uint64_t pending_clique_entries_ = 0;
-  double repair_threshold_ = 0.75;
   std::shared_ptr<const OverlayTable> last_;  // previous published epoch
   // SearchAdjacency scratch (writer-only, reused across publishes).
   std::vector<std::vector<std::pair<uint32_t, Weight>>> search_adj_;

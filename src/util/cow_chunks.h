@@ -69,7 +69,6 @@ class CowChunks {
   uint32_t NumChunks() const {
     return static_cast<uint32_t>(chunks_.size());
   }
-  size_t ChunkSize(uint32_t c) const { return chunks_[c]->size(); }
 
   /// Read pointer to chunk c's elements. Stable until a write detaches
   /// the chunk (never happens through a sharing copy).

@@ -3,9 +3,10 @@
 // The paper's Table 2 uses nine DIMACS USA networks plus PTV Western
 // Europe. Offline we substitute deterministic synthetic road networks
 // with the same ~1.5x size progression, named after their role models
-// (NY-S = "NY-scaled" etc.). See DESIGN.md §3 for why this preserves the
-// trends. STL_BENCH_SCALE=small|medium|large controls how many datasets
-// (and how much workload) the bench binaries run, so the default suite
+// (NY-S = "NY-scaled" etc.). See "Paper reproduction notes" in
+// docs/ARCHITECTURE.md for why this preserves the trends.
+// STL_BENCH_SCALE=small|medium|large controls how many datasets (and
+// how much workload) the bench binaries run, so the default suite
 // finishes in minutes on a laptop.
 #ifndef STL_WORKLOAD_DATASETS_H_
 #define STL_WORKLOAD_DATASETS_H_

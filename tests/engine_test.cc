@@ -357,22 +357,39 @@ TEST(QueryEngineTest, ConcurrentReadersWithWriterMatchDijkstraPerEpoch) {
   const uint32_t m = g.NumEdges();
   EngineOptions opt;
   opt.num_query_threads = 4;
-  opt.max_batch_size = 4;
+  opt.max_batch_size = 64;
   opt.strategy = StrategyMode::kAuto;
-  opt.auto_label_search_threshold = 3;
   QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
 
-  // Writer-side driver: dribble random updates so batches land between
-  // query waves.
+  // Writer-side driver: rounds of lone updates (batches below
+  // kAutoLabelSearchThreshold, so STL-P) and one atomic group of
+  // distinct edges (one batch well above it, so STL-L). Each is drained
+  // before the next is enqueued, so the writer sees exactly those batch
+  // sizes while the readers race both kinds of epoch.
+  constexpr int kRounds = 8;
+  constexpr int kLoneUpdates = 3;
+  constexpr uint32_t kGroupSize = 2 * kAutoLabelSearchThreshold;
+  ASSERT_GE(m, kGroupSize);
   std::atomic<bool> done{false};
   std::thread updater([&engine, m, &done] {
     Rng urng(127);
-    for (int i = 0; i < 80; ++i) {
-      EdgeId e = static_cast<EdgeId>(urng.NextBounded(m));
-      engine.EnqueueUpdate(e, 1 + static_cast<Weight>(urng.NextBounded(300)));
-      if (i % 8 == 7) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    auto random_weight = [&urng] {
+      return 1 + static_cast<Weight>(urng.NextBounded(300));
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kLoneUpdates; ++i) {
+        engine.EnqueueUpdate(static_cast<EdgeId>(urng.NextBounded(m)),
+                             random_weight());
+        engine.Flush();
       }
+      const EdgeId first = static_cast<EdgeId>(urng.NextBounded(m));
+      std::vector<WeightUpdate> group;
+      for (uint32_t j = 0; j < kGroupSize; ++j) {
+        group.push_back(WeightUpdate{(first + j) % m, 0, random_weight()});
+      }
+      engine.EnqueueUpdates(group);
+      engine.Flush();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     done.store(true);
   });
@@ -424,12 +441,12 @@ TEST(QueryEngineTest, ConcurrentReadersWithWriterMatchDijkstraPerEpoch) {
   EXPECT_EQ(stats.queries_served, total);
   EXPECT_EQ(stats.query_batches_submitted, tickets.size());
   EXPECT_GE(stats.epochs_published, 1u);
-  EXPECT_EQ(stats.updates_enqueued, 80u);
-  EXPECT_EQ(stats.updates_applied + stats.updates_coalesced, 80u);
-  // With threshold 3 and max_batch_size 4, both engines should have run
-  // at least once across 80 updates... but batch sizes depend on timing,
-  // so only assert that some batch ran.
-  EXPECT_GE(stats.batches_pareto + stats.batches_label, 1u);
+  constexpr uint64_t kUpdates = kRounds * (kLoneUpdates + kGroupSize);
+  EXPECT_EQ(stats.updates_enqueued, kUpdates);
+  EXPECT_EQ(stats.updates_applied + stats.updates_coalesced, kUpdates);
+  // Both maintenance algorithms served epochs the readers raced.
+  EXPECT_GT(stats.batches_pareto, 0u);
+  EXPECT_GT(stats.batches_label, 0u);
 }
 
 // The CoW aliasing audit: hold every epoch's snapshot while the writer

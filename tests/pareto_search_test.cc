@@ -75,7 +75,8 @@ TEST(ParetoSearchTest, IncreaseThenRestore) {
 TEST(ParetoSearchTest, TiedShortestPathsThroughBothEndpoints) {
   // Diamond with equal-length sides plus the updated chord: shortest
   // paths tie through both endpoints of the update, exercising the
-  // second-search bump guard (DESIGN.md deviation note).
+  // second-search bump guard (the deviation noted under "Paper
+  // reproduction notes" in docs/ARCHITECTURE.md).
   //      1
   //    .' '.
   //   0     3 --- 4

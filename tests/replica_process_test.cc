@@ -84,6 +84,27 @@ class ReplicaProcess {
     return static_cast<uint16_t>(port);
   }
 
+  /// Reads the child's stdout into `out` until EOF (or through a
+  /// "LISTENING" line, after which the child would serve forever and is
+  /// SIGTERMed) and reaps it. Returns its exit code, or -1 when it did
+  /// not exit on its own.
+  int WaitForExit(std::string* out) {
+    char c = 0;
+    while (::read(out_fd_, &c, 1) == 1) {
+      out->push_back(c);
+      if (c == '\n' && out->find("LISTENING") != std::string::npos) {
+        Terminate();
+        return -1;
+      }
+    }
+    int wstatus = 0;
+    const pid_t reaped = ::waitpid(pid_, &wstatus, 0);
+    pid_ = -1;
+    ::close(out_fd_);
+    out_fd_ = -1;
+    return reaped > 0 && WIFEXITED(wstatus) ? WEXITSTATUS(wstatus) : -1;
+  }
+
   /// SIGTERMs the child and reaps it; true iff it exited cleanly (0).
   bool Terminate() {
     if (pid_ <= 0) return true;
@@ -196,6 +217,33 @@ TEST(ReplicaProcessTest, LockstepConformanceAgainstSpawnedServers) {
 
   EXPECT_TRUE(proc_a.Terminate()) << "replica_server A unclean exit";
   EXPECT_TRUE(proc_b.Terminate()) << "replica_server B unclean exit";
+}
+
+// An unknown, malformed or out-of-range flag is a usage error: the
+// daemon exits with code 2 before it builds anything or prints
+// LISTENING, instead of serving with a wrapped or defaulted value (a
+// wrapped port, a shard count that no longer matches the router's) or
+// aborting on a check.
+TEST(ReplicaProcessTest, InvalidFlagsExitWithUsageErrorBeforeListening) {
+  const char* bin = std::getenv("STL_REPLICA_SERVER_BIN");
+  if (bin == nullptr || bin[0] == '\0') {
+    GTEST_SKIP() << "STL_REPLICA_SERVER_BIN not set (run via ctest)";
+  }
+  const std::vector<std::string> bad_flags = {
+      "--port=70000",       "--port=-1",          "--port=80x",
+      "--target-shards=abc", "--target-shards=-1", "--target-shards=0",
+      "--max-batch=0",      "--grid-side=1",      "--graph-seed=",
+      "--threads=65",       "--epoch-ring=0",     "--backend=dijkstra",
+      "--target-shard=2",   "--port",             "stray"};
+  for (const std::string& flag : bad_flags) {
+    // The first occurrence of a flag wins, so the bad one goes first;
+    // the rest keep an accidentally accepted flag cheap to serve.
+    ReplicaProcess proc(bin, {flag, "--port=0", "--grid-side=4"});
+    ASSERT_TRUE(proc.ok()) << flag;
+    std::string out;
+    EXPECT_EQ(proc.WaitForExit(&out), 2) << flag;
+    EXPECT_EQ(out.find("LISTENING"), std::string::npos) << flag;
+  }
 }
 
 // A replica_server that dies mid-serving degrades, not corrupts: its

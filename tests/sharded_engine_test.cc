@@ -251,42 +251,6 @@ TEST(ShardedEngineTest, ExhaustiveAllPairsMatchFloydWarshall) {
   }
 }
 
-TEST(ShardedEngineTest, ChooseShardCountHeuristicShape) {
-  // Tiny networks don't shard: the boundary overhead has nothing to
-  // amortize against.
-  EXPECT_EQ(ChooseShardCount(0, 0.0), 1u);
-  EXPECT_EQ(ChooseShardCount(1000, 0.0), 1u);
-  // k grows with the network...
-  EXPECT_GE(ChooseShardCount(1u << 16, 0.0), 2u);
-  EXPECT_GE(ChooseShardCount(1u << 20, 0.0),
-            ChooseShardCount(1u << 16, 0.0));
-  // ...but is capped, and a heavy update feed pushes it back down
-  // (every effective epoch rebuilds the overlay).
-  EXPECT_LE(ChooseShardCount(UINT32_MAX, 0.0), 64u);
-  EXPECT_LE(ChooseShardCount(1u << 20, 10000.0),
-            ChooseShardCount(1u << 20, 0.0));
-  EXPECT_GE(ChooseShardCount(1u << 20, 1e12), 1u);
-}
-
-TEST(ShardedEngineTest, AutoShardCountPicksKAndServesExactly) {
-  Graph g = testing_util::SmallRoadNetwork(8, 59);
-  Graph ref = g;
-  ShardedEngineOptions opt = SmallShardedOptions(BackendKind::kStl, 0);
-  opt.expected_update_rate = 20.0;
-  ShardedEngine engine(std::move(g), HierarchyOptions{}, opt);
-  // The engine picked k itself (64 vertices -> a single shard under the
-  // heuristic) and still serves exact answers.
-  EXPECT_GE(engine.num_shards(),
-            ChooseShardCount(ref.NumVertices(), opt.expected_update_rate));
-  Dijkstra dij(ref);
-  Rng rng(59);
-  for (int i = 0; i < 80; ++i) {
-    Vertex s = static_cast<Vertex>(rng.NextBounded(ref.NumVertices()));
-    Vertex t = static_cast<Vertex>(rng.NextBounded(ref.NumVertices()));
-    ASSERT_EQ(engine.Submit({s, t}).get().distance, dij.Distance(s, t));
-  }
-}
-
 TEST(ShardedEngineTest, CompletionQueueDeliversExactlyOnceUnderRaces) {
   Graph g = testing_util::SmallRoadNetwork(7, 67);
   const uint32_t n = g.NumVertices();
