@@ -10,7 +10,12 @@
 //
 // The "STL [s]" column builds on one thread, like the HC2L and H2H
 // builds beside it; "STL all cores [s]" is the default build, which
-// spreads the label columns over every core.
+// runs the bisection and the label columns on every core. The "STL
+// construction split" table breaks both STL builds into the stable tree
+// hierarchy and the labelling pass (BuildInfo).
+#include <string>
+#include <utility>
+
 #include "baselines/h2h.h"
 #include "baselines/hc2l.h"
 #include "bench/bench_common.h"
@@ -25,6 +30,8 @@ int main() {
   TablePrinter size_table({"Network", "STL", "HC2L", "IncH2H", "DTDHL"});
   TablePrinter time_table({"Network", "STL [s]", "STL all cores [s]",
                            "HC2L [s]", "H2H [s]"});
+  TablePrinter split_table({"Network", "STL build", "hierarchy_seconds",
+                            "labelling_seconds", "total_seconds"});
   TablePrinter entry_table(
       {"Network", "STL entries", "HC2L entries", "IncH2H entries",
        "STL height", "IncH2H height"});
@@ -37,10 +44,9 @@ int main() {
     HierarchyOptions serial;
     serial.num_threads = 1;
     StlIndex stl_idx = StlIndex::Build(&g_stl, serial);
-    const double stl_all_seconds =
-        StlIndex::Build(&g_stl_all, HierarchyOptions{})
-            .build_info()
-            .total_seconds;
+    const HierarchyOptions all_cores;
+    const BuildInfo all_info =
+        StlIndex::Build(&g_stl_all, all_cores).build_info();
     Hc2lIndex hc2l = Hc2lIndex::Build(g_ref, HierarchyOptions{});
     H2hIndex h2h = H2hIndex::Build(&g_h2h);
 
@@ -52,9 +58,19 @@ int main() {
              h2h.MemoryBytes(H2hIndex::Maintenance::kDTDHL))});
     time_table.AddRow(
         {spec.name, TablePrinter::Fixed(stl_idx.build_info().total_seconds, 2),
-         TablePrinter::Fixed(stl_all_seconds, 2),
+         TablePrinter::Fixed(all_info.total_seconds, 2),
          TablePrinter::Fixed(hc2l.build_seconds(), 2),
          TablePrinter::Fixed(h2h.build_seconds(), 2)});
+    const std::pair<std::string, BuildInfo> builds[] = {
+        {"1 thread", stl_idx.build_info()},
+        {"all cores (" + std::to_string(all_cores.num_threads) + ")",
+         all_info}};
+    for (const auto& [build, info] : builds) {
+      split_table.AddRow({spec.name, build,
+                          TablePrinter::Fixed(info.hierarchy_seconds, 3),
+                          TablePrinter::Fixed(info.labelling_seconds, 3),
+                          TablePrinter::Fixed(info.total_seconds, 3)});
+    }
     entry_table.AddRow(
         {spec.name,
          TablePrinter::Count(stl_idx.hierarchy().TotalLabelEntries()),
@@ -67,6 +83,8 @@ int main() {
   size_table.Print();
   std::printf("\nConstruction Time\n");
   time_table.Print();
+  std::printf("\nSTL construction split\n");
+  split_table.Print();
   std::printf("\n# Label Entries / Tree Height\n");
   entry_table.Print();
   return 0;

@@ -145,17 +145,24 @@ namespace {
 /// caller (ColumnBuilder) so the per-column cost is output-sensitive.
 /// Cache-line aligned: the workers' builders sit side by side in one
 /// vector, and each push and pop writes the heap's size.
+///
+/// The queue is a monotone radix heap: a pushed key d + w is never below
+/// the popped d. It pops equal keys in another order than a binary heap
+/// would, but only settled distances are written, and those do not depend
+/// on that order, so the labels are the same bytes.
 class alignas(64) ColumnBuilder {
  public:
-  /// `heap_capacity` entries are reserved up front; 2|E| + 1 (the root
-  /// plus one push per arc, since each vertex settles once) means the
-  /// heap never grows.
-  ColumnBuilder(const Graph& g, const TreeHierarchy& h,
-                size_t heap_capacity = 0)
+  /// Entries reserved per radix-heap bucket. A bucket holds part of one
+  /// search's frontier; on the 160x160 perfbench grid (25.6k vertices)
+  /// the fullest bucket holds 1025-2048 entries, so this much (16 KiB a
+  /// bucket, pages touched only as used) keeps such builds from growing a
+  /// bucket on a worker. A wider frontier grows its bucket once per
+  /// builder.
+  static constexpr size_t kBucketReserve = 2048;
+
+  ColumnBuilder(const Graph& g, const TreeHierarchy& h)
       : g_(g), h_(h), dist_(g.NumVertices(), kInfDistance),
-        stamp_(g.NumVertices(), 0) {
-    heap_.reserve(heap_capacity);
-  }
+        stamp_(g.NumVertices(), 0), heap_(kBucketReserve) {}
 
   /// Calls write(v, col, d) for every vertex v settled at distance d.
   template <typename Write>
@@ -191,7 +198,7 @@ class alignas(64) ColumnBuilder {
   std::vector<Weight> dist_;
   std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 0;
-  MinHeap<Weight, Vertex> heap_;
+  RadixHeap<Vertex> heap_;
 };
 
 }  // namespace
@@ -219,7 +226,7 @@ Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
   std::vector<ColumnBuilder> builders;
   builders.reserve(workers);
   for (size_t t = 0; t < workers; ++t) {
-    builders.emplace_back(g, h, 2 * size_t{g.NumEdges()} + 1);
+    builders.emplace_back(g, h);
   }
   std::atomic<size_t> cursor{0};
   auto work = [&](ColumnBuilder* builder) {
@@ -240,32 +247,6 @@ Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
   if (workers > 0) work(&builders[0]);
   for (auto& t : threads) t.join();
   return labels;
-}
-
-void RebuildColumn(const Graph& g, const TreeHierarchy& h, Vertex r,
-                   Labelling* labels) {
-  // Reset the column first: the restricted Dijkstra only writes settled
-  // vertices, and an update may have disconnected part of the subgraph.
-  const uint32_t col = h.Tau(r);
-  // Collect Desc(r) by the same restricted traversal, ignoring weights.
-  std::vector<Vertex> stack = {r};
-  std::vector<uint8_t> seen(g.NumVertices(), 0);
-  seen[r] = 1;
-  while (!stack.empty()) {
-    Vertex v = stack.back();
-    stack.pop_back();
-    labels->Set(v, col, v == r ? 0 : kInfDistance);
-    for (const Arc& a : g.ArcsOf(v)) {
-      if (h.Tau(a.head) > col && !seen[a.head]) {
-        seen[a.head] = 1;
-        stack.push_back(a.head);
-      }
-    }
-  }
-  ColumnBuilder builder(g, h);
-  builder.FillColumn(r, [labels](Vertex v, uint32_t c, Weight d) {
-    labels->Set(v, c, d);
-  });
 }
 
 namespace {

@@ -215,13 +215,6 @@ Weight QueryDistance(const TreeHierarchy& h, const Labelling& labels,
 std::vector<Vertex> QueryPath(const Graph& g, const TreeHierarchy& h,
                               const Labelling& labels, Vertex s, Vertex t);
 
-/// Recomputes the label column of a single ancestor position from scratch
-/// (restricted Dijkstra). Used by tests and by index repair tooling.
-/// `labels` may share pages with other copies, so writes go through the
-/// CoW-checked Set: only the pages of Desc(r) are detached.
-void RebuildColumn(const Graph& g, const TreeHierarchy& h, Vertex r,
-                   Labelling* labels);
-
 }  // namespace stl
 
 #endif  // STL_CORE_LABELLING_H_

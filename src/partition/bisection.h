@@ -25,9 +25,11 @@ struct HierarchyOptions {
   int num_starts = 3;
   /// Seed for the randomized start selection.
   uint64_t seed = 7;
-  /// Worker threads for STL label construction, every core by default
-  /// (BuildLabelling; the labels do not depend on it). The bisection
-  /// itself is sequential, and so are the CH, H2H and HC2L builds.
+  /// Worker threads for STL construction, every core by default: the
+  /// bisection recurses on the two halves of a split in parallel
+  /// (BuildPartitionTree), and BuildLabelling spreads the label columns.
+  /// Neither the hierarchy nor the labels depend on it. The CH, H2H and
+  /// HC2L builds, and the cell partition, are sequential.
   int num_threads =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
 };
@@ -51,6 +53,13 @@ struct PartitionTree {
 
 /// Builds the bisection tree of `g`. Every vertex of `g` appears in
 /// exactly one node (the ell mapping is total and surjective).
+///
+/// Runs on up to options.num_threads workers (the calling thread is one),
+/// each with its own SeparatorFinder: a region large enough to be worth
+/// a hand-off goes to a shared queue once its parent is cut. Every region
+/// draws its random separator starts from its own stream, forked from
+/// options.seed along the region's root path, so the tree is the same for
+/// every num_threads. Finished subtrees are spliced back in preorder.
 PartitionTree BuildPartitionTree(const Graph& g,
                                  const HierarchyOptions& options);
 

@@ -36,7 +36,9 @@ CellPartition PartitionCells(const Graph& g, uint32_t target_cells,
   part.cell_of.assign(n, CellPartition::kBoundaryCell);
   if (n == 0) return part;
 
-  SeparatorFinder finder(g, options.seed);
+  // One random stream for the whole cut sequence.
+  SeparatorFinder finder(g);
+  Rng rng(options.seed);
 
   // Regions start as the connected components and stay connected: after
   // each cut, the sides are re-split into components before they become
@@ -54,7 +56,7 @@ CellPartition PartitionCells(const Graph& g, uint32_t target_cells,
     regions.erase(regions.begin() + static_cast<ptrdiff_t>(pick));
     uncuttable.erase(uncuttable.begin() + static_cast<ptrdiff_t>(pick));
 
-    SeparatorResult res = finder.Find(region, options.num_starts);
+    SeparatorResult res = finder.Find(region, options.num_starts, &rng);
     if (res.separator.empty() || (res.left.empty() && res.right.empty())) {
       // Degenerate cut (e.g. a clique-ish region); keep as one cell.
       regions.push_back(std::move(region));

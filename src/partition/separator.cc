@@ -5,9 +5,8 @@
 
 namespace stl {
 
-SeparatorFinder::SeparatorFinder(const Graph& g, uint64_t seed)
+SeparatorFinder::SeparatorFinder(const Graph& g)
     : g_(g),
-      rng_(seed),
       region_stamp_(g.NumVertices(), 0),
       side_stamp_(g.NumVertices(), 0),
       side_(g.NumVertices(), 0),
@@ -116,7 +115,7 @@ uint32_t SeparatorFinder::TrySplit(Vertex start,
 }
 
 SeparatorResult SeparatorFinder::Find(const std::vector<Vertex>& region,
-                                      int num_starts) {
+                                      int num_starts, Rng* rng) {
   STL_CHECK_GE(region.size(), 2u);
   MarkRegion(region);
 
@@ -133,7 +132,7 @@ SeparatorResult SeparatorFinder::Find(const std::vector<Vertex>& region,
     if (p2 != p1) starts.push_back(p2);
   }
   while (static_cast<int>(starts.size()) < num_starts) {
-    Vertex r = region[rng_.NextBounded(region.size())];
+    Vertex r = region[rng->NextBounded(region.size())];
     if (std::find(starts.begin(), starts.end(), r) == starts.end()) {
       starts.push_back(r);
     } else if (region.size() <= starts.size()) {

@@ -30,14 +30,17 @@ struct SeparatorResult {
 };
 
 /// Reusable separator finder; buffers are sized to the host graph once.
+/// Not thread-safe: concurrent searches need one finder each.
 class SeparatorFinder {
  public:
-  SeparatorFinder(const Graph& g, uint64_t seed);
+  explicit SeparatorFinder(const Graph& g);
 
   /// Finds a balanced separator of the subgraph induced by `region`,
   /// which must be connected and contain at least 2 vertices. Tries
-  /// `num_starts` BFS roots and returns the smallest separator found.
-  SeparatorResult Find(const std::vector<Vertex>& region, int num_starts);
+  /// `num_starts` BFS roots (two peripheral vertices, the rest drawn
+  /// from `rng`) and returns the smallest separator found.
+  SeparatorResult Find(const std::vector<Vertex>& region, int num_starts,
+                       Rng* rng);
 
   /// Connected components of the subgraph induced by `region`
   /// (each inner vector is one component).
@@ -59,7 +62,6 @@ class SeparatorFinder {
                     SeparatorResult* out);
 
   const Graph& g_;
-  Rng rng_;
   uint32_t epoch_ = 0;
   std::vector<uint32_t> region_stamp_;
   uint32_t side_epoch_ = 0;

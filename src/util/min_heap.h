@@ -1,6 +1,6 @@
-// Lazy-deletion binary min-heaps used by all Dijkstra-style searches.
+// Lazy-deletion min-heaps used by all Dijkstra-style searches.
 //
-// Two flavours:
+// Three flavours:
 //  * MinHeap<Payload>          — orders (key, payload) by key asc, then
 //                                payload asc (deterministic tie-break).
 //  * ParetoHeap                — orders (key, level, vertex) by key asc,
@@ -8,14 +8,20 @@
 //                                algorithms must process tuples with the
 //                                larger ancestor level first among equal
 //                                distances (Section 5.2).
+//  * RadixHeap<Payload>        — monotone radix heap over uint32 keys:
+//                                every pushed key must be >= the last key
+//                                popped, which holds for a Dijkstra with
+//                                non-negative weights. Pops in key order;
+//                                ties pop in no particular order.
 //
-// Both are "lazy": stale entries are filtered by the caller via its own
+// All are "lazy": stale entries are filtered by the caller via its own
 // distance / level arrays, which is the standard idiom for label-correcting
 // searches on road networks and avoids decrease-key bookkeeping.
 #ifndef STL_UTIL_MIN_HEAP_H_
 #define STL_UTIL_MIN_HEAP_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -40,7 +46,6 @@ class MinHeap {
   bool empty() const { return heap_.empty(); }
   size_t size() const { return heap_.size(); }
   void clear() { heap_.clear(); }
-  void reserve(size_t n) { heap_.reserve(n); }
 
   void Push(Key key, Payload payload) {
     heap_.push_back(Entry{key, payload});
@@ -111,6 +116,81 @@ class ParetoHeap {
   }
 
   std::vector<ParetoEntry> heap_;
+};
+
+/// Monotone radix heap (Ahuja, Mehlhorn, Orlin and Tarjan) over uint32
+/// keys. Bucket 0 holds keys equal to the last popped key `last`; bucket
+/// b >= 1 holds keys whose highest bit differing from `last` is b - 1.
+/// A pop from an empty bucket 0 finds the lowest non-empty bucket, makes
+/// its minimum the new `last` and redistributes it into lower buckets, so
+/// each entry moves at most 32 times however many entries the heap holds.
+///
+/// Each bucket is a vector. `bucket_reserve` entries per bucket are
+/// reserved at construction; a bucket that outgrows them grows like any
+/// vector and keeps its capacity across clear(), so a reused heap stops
+/// allocating once it has held its widest search.
+template <typename Payload>
+class RadixHeap {
+ public:
+  struct Entry {
+    uint32_t key;
+    Payload payload;
+  };
+
+  explicit RadixHeap(size_t bucket_reserve = 0) {
+    for (auto& bucket : buckets_) bucket.reserve(bucket_reserve);
+  }
+
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+
+  /// Drops every entry and resets the monotone bound to 0.
+  void clear() {
+    for (auto& bucket : buckets_) bucket.clear();
+    size_ = 0;
+    last_ = 0;
+  }
+
+  /// Pushes (key, payload). Requires key >= the last popped key.
+  void Push(uint32_t key, Payload payload) {
+    STL_DCHECK(key >= last_);
+    buckets_[BucketOf(key)].push_back(Entry{key, payload});
+    ++size_;
+  }
+
+  /// Pops an entry of minimum key.
+  Entry Pop() {
+    STL_DCHECK(size_ > 0);
+    if (buckets_[0].empty()) Refill();
+    --size_;
+    Entry e = buckets_[0].back();
+    buckets_[0].pop_back();
+    return e;
+  }
+
+ private:
+  static constexpr int kBuckets = 33;
+
+  int BucketOf(uint32_t key) const {
+    return key == last_ ? 0 : 32 - std::countl_zero(key ^ last_);
+  }
+
+  /// Bucket 0 is empty: moves the lowest non-empty bucket down.
+  void Refill() {
+    int i = 1;
+    while (buckets_[i].empty()) ++i;
+    std::vector<Entry>& from = buckets_[i];
+    uint32_t min_key = UINT32_MAX;
+    for (const Entry& e : from) min_key = std::min(min_key, e.key);
+    last_ = min_key;
+    // Every key of bucket i now maps to a bucket below i.
+    for (const Entry& e : from) buckets_[BucketOf(e.key)].push_back(e);
+    from.clear();
+  }
+
+  std::vector<Entry> buckets_[kBuckets];
+  size_t size_ = 0;
+  uint32_t last_ = 0;
 };
 
 }  // namespace stl

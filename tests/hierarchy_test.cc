@@ -189,6 +189,46 @@ TEST(HierarchyTest, SingleVertexGraph) {
   EXPECT_EQ(h.CommonAncestorCount(0, 0), 1u);
 }
 
+/// A road network beside a long path: disconnected, and large enough on
+/// both sides for the bisection to hand regions to its workers.
+Graph RoadBesidePath() {
+  Graph road = testing_util::SmallRoadNetwork(24, 3);
+  std::vector<Edge> edges(road.edges().begin(), road.edges().end());
+  const Vertex base = road.NumVertices();
+  const uint32_t path = 700;
+  for (Vertex i = 0; i + 1 < path; ++i) {
+    edges.push_back({base + i, base + i + 1, 1 + i % 5});
+  }
+  return testing_util::MakeGraph(base + path, std::move(edges));
+}
+
+TEST(HierarchyTest, SameHierarchyForEveryThreadCount) {
+  // Every region draws from its own stream, so the hierarchy may not
+  // depend on how many workers cut it or in which order they ran.
+  const std::vector<std::pair<const char*, Graph>> graphs = {
+      {"40x40 road network", testing_util::SmallRoadNetwork(40, 9)},
+      {"road beside path", RoadBesidePath()},
+      {"two components", testing_util::TwoComponentGraph()},
+      {"one vertex", testing_util::MakeGraph(1, {})},
+      {"two vertices", testing_util::MakeGraph(2, {{0, 1, 4}})},
+      {"three vertices",
+       testing_util::MakeGraph(3, {{0, 1, 4}, {1, 2, 2}})},
+      {"path", GeneratePath(3000, 2)},
+  };
+  HierarchyOptions serial;
+  serial.num_threads = 1;
+  for (const auto& [name, g] : graphs) {
+    const TreeHierarchy want = TreeHierarchy::Build(g, serial);
+    ASSERT_EQ(want.NumVertices(), g.NumVertices()) << name;
+    for (int threads : {2, 8, HierarchyOptions{}.num_threads}) {
+      HierarchyOptions opt;
+      opt.num_threads = threads;
+      EXPECT_TRUE(TreeHierarchy::Build(g, opt) == want)
+          << name << " at " << threads << " threads";
+    }
+  }
+}
+
 TEST(HierarchyTest, SerializeRoundTrip) {
   Graph g = testing_util::SmallRoadNetwork(10, 8);
   TreeHierarchy h = BuildFor(g, 8);

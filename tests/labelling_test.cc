@@ -158,17 +158,6 @@ TEST(LabellingTest, RandomGraphsNotJustGrids) {
   }
 }
 
-TEST(LabellingTest, RebuildColumnIsIdempotent) {
-  auto b = BuildAll(testing_util::SmallRoadNetwork(8, 11), 11);
-  Labelling copy = b.labels;
-  Rng rng(11);
-  for (int i = 0; i < 30; ++i) {
-    Vertex r = static_cast<Vertex>(rng.NextBounded(b.g.NumVertices()));
-    RebuildColumn(b.g, b.h, r, &copy);
-  }
-  EXPECT_EQ(testing_util::LabelDiffCount(b.labels, copy), 0u);
-}
-
 TEST(LabellingTest, SerializeRoundTrip) {
   auto b = BuildAll(testing_util::SmallRoadNetwork(8, 13), 13);
   const std::string path = std::string(::testing::TempDir()) + "/lab.bin";

@@ -45,9 +45,10 @@ class SeparatorSeeds : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SeparatorSeeds, SeparatesAndBalances) {
   Graph g = testing_util::SmallRoadNetwork(14, GetParam());
-  SeparatorFinder finder(g, GetParam());
+  SeparatorFinder finder(g);
+  Rng rng(GetParam());
   auto region = AllVertices(g);
-  SeparatorResult r = finder.Find(region, 3);
+  SeparatorResult r = finder.Find(region, 3, &rng);
   EXPECT_FALSE(r.separator.empty());
   ExpectSeparates(g, r);
   ExpectPartitions(region, r);
@@ -63,8 +64,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeparatorSeeds,
 
 TEST(SeparatorTest, TinyRegionOfTwo) {
   Graph g = testing_util::MakeGraph(2, {{0, 1, 3}});
-  SeparatorFinder finder(g, 1);
-  SeparatorResult r = finder.Find({0, 1}, 2);
+  SeparatorFinder finder(g);
+  Rng rng(1);
+  SeparatorResult r = finder.Find({0, 1}, 2, &rng);
   EXPECT_EQ(r.separator.size(), 1u);
   EXPECT_EQ(r.left.size() + r.right.size(), 1u);
 }
@@ -73,9 +75,10 @@ TEST(SeparatorTest, StarGraphCutsCenter) {
   std::vector<Edge> edges;
   for (Vertex v = 1; v <= 8; ++v) edges.push_back({0, v, 1});
   Graph g = testing_util::MakeGraph(9, edges);
-  SeparatorFinder finder(g, 1);
+  SeparatorFinder finder(g);
+  Rng rng(1);
   auto region = AllVertices(g);
-  SeparatorResult r = finder.Find(region, 3);
+  SeparatorResult r = finder.Find(region, 3, &rng);
   ExpectSeparates(g, r);
   // The centre is the only vertex cover of any star cut.
   EXPECT_EQ(r.separator.size(), 1u);
@@ -84,7 +87,8 @@ TEST(SeparatorTest, StarGraphCutsCenter) {
 
 TEST(SeparatorTest, SubRegionOnly) {
   Graph g = testing_util::SmallRoadNetwork(10, 4);
-  SeparatorFinder finder(g, 2);
+  SeparatorFinder finder(g);
+  Rng rng(2);
   // Region = first half of the vertices that are connected; use a BFS ball.
   std::vector<Vertex> region;
   auto comps = finder.RegionComponents(AllVertices(g));
@@ -96,14 +100,14 @@ TEST(SeparatorTest, SubRegionOnly) {
     return a.size() > b.size();
   });
   if (sub[0].size() >= 2) {
-    SeparatorResult r = finder.Find(sub[0], 2);
+    SeparatorResult r = finder.Find(sub[0], 2, &rng);
     ExpectPartitions(sub[0], r);
   }
 }
 
 TEST(SeparatorTest, RegionComponentsOnDisconnectedRegion) {
   Graph g = testing_util::TwoComponentGraph();
-  SeparatorFinder finder(g, 1);
+  SeparatorFinder finder(g);
   auto comps = finder.RegionComponents({0, 1, 2, 3, 4});
   ASSERT_EQ(comps.size(), 2u);
   std::set<size_t> sizes = {comps[0].size(), comps[1].size()};
@@ -200,6 +204,49 @@ TEST(BisectionTest, TwoVertexGraphAtMinimumLeafSize) {
   size_t total = 0;
   for (const auto& n : tree.nodes) total += n.vertices.size();
   EXPECT_EQ(total, 2u);
+}
+
+TEST(BisectionTest, EightWorkersKeepPreorderAndCoverEveryVertexOnce) {
+  Graph g = testing_util::SmallRoadNetwork(40, 5);
+  HierarchyOptions opt;
+  opt.num_threads = 8;
+  PartitionTree tree = BuildPartitionTree(g, opt);
+  const uint32_t n = static_cast<uint32_t>(tree.nodes.size());
+  ASSERT_GT(n, 1u);
+  EXPECT_EQ(tree.root, 0u);
+  EXPECT_EQ(tree.nodes[0].parent, PartitionTree::kNoChild);
+  // Children come after their parent, so subtree sizes fold in reverse.
+  std::vector<uint32_t> subtree(n, 1);
+  for (uint32_t id = n; id-- > 0;) {
+    for (uint32_t child : {tree.nodes[id].left, tree.nodes[id].right}) {
+      if (child == PartitionTree::kNoChild) continue;
+      ASSERT_GT(child, id);
+      ASSERT_LT(child, n);
+      EXPECT_EQ(tree.nodes[child].parent, id);
+      subtree[id] += subtree[child];
+    }
+  }
+  EXPECT_EQ(subtree[0], n);
+  // Preorder: the left child follows its parent directly, and the right
+  // child follows the whole left subtree.
+  for (uint32_t id = 0; id < n; ++id) {
+    const auto& node = tree.nodes[id];
+    uint32_t next = id + 1;
+    if (node.left != PartitionTree::kNoChild) {
+      EXPECT_EQ(node.left, next) << "node " << id;
+      next += subtree[node.left];
+    }
+    if (node.right != PartitionTree::kNoChild) {
+      EXPECT_EQ(node.right, next) << "node " << id;
+    }
+  }
+  std::vector<int> seen(g.NumVertices(), 0);
+  for (const auto& node : tree.nodes) {
+    EXPECT_FALSE(node.vertices.empty());
+    EXPECT_TRUE(std::is_sorted(node.vertices.begin(), node.vertices.end()));
+    for (Vertex v : node.vertices) ++seen[v];
+  }
+  for (Vertex v = 0; v < g.NumVertices(); ++v) EXPECT_EQ(seen[v], 1);
 }
 
 TEST(BisectionTest, PathGraphGivesLogDepth) {

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/socket_transport.h"
 #include "dist/wire.h"
+#include "graph/graph.h"
 #include "util/min_heap.h"
 #include "util/rng.h"
 #include "util/serialize.h"
@@ -90,6 +94,115 @@ TEST(MinHeapTest, TieBreaksByPayload) {
   EXPECT_EQ(h.Pop().payload, 10u);
   EXPECT_EQ(h.Pop().payload, 20u);
   EXPECT_EQ(h.Pop().payload, 30u);
+}
+
+/// Pops `heap` empty against a sorted reference of the same entries:
+/// every pop has the reference's smallest key, and pops one of the
+/// reference's entries (equal keys may pop in any order).
+void DrainAgainstReference(RadixHeap<uint32_t>* heap,
+                           std::multiset<std::pair<uint32_t, uint32_t>>* ref) {
+  while (!ref->empty()) {
+    ASSERT_FALSE(heap->empty());
+    ASSERT_EQ(heap->size(), ref->size());
+    auto [key, payload] = heap->Pop();
+    ASSERT_EQ(key, ref->begin()->first);
+    auto it = ref->find({key, payload});
+    ASSERT_NE(it, ref->end()) << "popped an entry never pushed";
+    ref->erase(it);
+  }
+  EXPECT_TRUE(heap->empty());
+}
+
+TEST(RadixHeapTest, RandomMonotonePushesMatchSortedReference) {
+  Rng rng(3);
+  RadixHeap<uint32_t> heap;
+  std::multiset<std::pair<uint32_t, uint32_t>> ref;
+  uint32_t last = 0;
+  for (uint32_t i = 0; i < 20000; ++i) {
+    if (ref.empty() || rng.NextBounded(3) != 0) {
+      // Dijkstra-like increments, occasionally a far jump.
+      const uint32_t step = rng.NextBounded(10) == 0
+                                ? static_cast<uint32_t>(rng.NextBounded(1u << 28))
+                                : static_cast<uint32_t>(rng.NextBounded(300));
+      const uint32_t key = std::min(last + step, kInfDistance);
+      heap.Push(key, i);
+      ref.insert({key, i});
+    } else {
+      auto [key, payload] = heap.Pop();
+      ASSERT_EQ(key, ref.begin()->first);
+      auto it = ref.find({key, payload});
+      ASSERT_NE(it, ref.end());
+      ref.erase(it);
+      last = key;
+    }
+  }
+  DrainAgainstReference(&heap, &ref);
+}
+
+TEST(RadixHeapTest, EqualKeysPopEveryPayloadOnce) {
+  RadixHeap<uint32_t> heap;
+  std::multiset<std::pair<uint32_t, uint32_t>> ref;
+  for (uint32_t p = 0; p < 500; ++p) {
+    heap.Push(77, p);
+    ref.insert({77, p});
+  }
+  heap.Push(78, 1000);
+  ref.insert({78, 1000});
+  DrainAgainstReference(&heap, &ref);
+}
+
+TEST(RadixHeapTest, InfiniteKeysPopLast) {
+  RadixHeap<uint32_t> heap;
+  std::multiset<std::pair<uint32_t, uint32_t>> ref;
+  const uint32_t keys[] = {kInfDistance, 5, kInfDistance, 0, kInfDistance - 1,
+                           kInfDistance, 1u << 20};
+  for (uint32_t i = 0; i < std::size(keys); ++i) {
+    heap.Push(keys[i], i);
+    ref.insert({keys[i], i});
+  }
+  DrainAgainstReference(&heap, &ref);
+}
+
+TEST(RadixHeapTest, ZeroWeightPushesPopBeforeLargerKeys) {
+  // A zero-weight arc pushes the key just popped: it must come out next,
+  // ahead of every larger key already queued.
+  RadixHeap<uint32_t> heap;
+  heap.Push(10, 0);
+  heap.Push(12, 1);
+  heap.Push(1000, 2);
+  EXPECT_EQ(heap.Pop().key, 10u);
+  heap.Push(10, 3);
+  heap.Push(10, 4);
+  auto a = heap.Pop();
+  auto b = heap.Pop();
+  EXPECT_EQ(a.key, 10u);
+  EXPECT_EQ(b.key, 10u);
+  EXPECT_EQ(std::min(a.payload, b.payload), 3u);
+  EXPECT_EQ(std::max(a.payload, b.payload), 4u);
+  EXPECT_EQ(heap.Pop().key, 12u);
+  heap.Push(12, 5);
+  EXPECT_EQ(heap.Pop().payload, 5u);
+  EXPECT_EQ(heap.Pop().key, 1000u);
+  EXPECT_TRUE(heap.empty());
+}
+
+TEST(RadixHeapTest, ReuseAfterClearAcceptsSmallerKeys) {
+  RadixHeap<uint32_t> heap(4);
+  for (uint32_t i = 0; i < 100; ++i) heap.Push(1000000 + i * 7, i);
+  for (int i = 0; i < 40; ++i) heap.Pop();  // the bound is now large
+  heap.clear();
+  EXPECT_TRUE(heap.empty());
+  EXPECT_EQ(heap.size(), 0u);
+  // clear() resets the monotone bound: keys below the old one are valid,
+  // and must still pop before keys just above it.
+  std::multiset<std::pair<uint32_t, uint32_t>> ref;
+  Rng rng(8);
+  for (uint32_t i = 0; i < 300; ++i) {
+    const uint32_t key = static_cast<uint32_t>(rng.NextBounded(2000000));
+    heap.Push(key, i);
+    ref.insert({key, i});
+  }
+  DrainAgainstReference(&heap, &ref);
 }
 
 TEST(ParetoHeapTest, DistanceAscThenLevelDesc) {
