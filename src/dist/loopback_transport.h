@@ -25,8 +25,9 @@ namespace stl {
 class LoopbackTransport final : public Transport {
  public:
   /// One endpoint's server side: decodes the request bytes and returns
-  /// the encoded response bytes (ShardReplica::Handle bound in tests).
-  /// Must be thread-safe.
+  /// the encoded response bytes (ReplicaNode::Handle, bound by
+  /// MakeLoopbackCluster, serves queries and kInstall alike). Must be
+  /// thread-safe.
   using Handler =
       std::function<std::vector<uint8_t>(const uint8_t* data, size_t size)>;
 

@@ -26,17 +26,12 @@ ShardReplica::ShardReplica(const ShardReplicaOptions& options)
 
 void ShardReplica::Install(std::shared_ptr<const ShardedSnapshot> snap) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (frozen_) return;
+  if (!ring_.empty() && ring_.back() == snap) return;
   ring_.push_back(std::move(snap));
   while (ring_.size() > std::max<size_t>(options_.epoch_ring, 1)) {
     ring_.pop_front();
   }
   installs_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardReplica::SetFrozen(bool frozen) {
-  std::lock_guard<std::mutex> lock(mu_);
-  frozen_ = frozen;
 }
 
 std::shared_ptr<const ShardedSnapshot> ShardReplica::FindEpoch(

@@ -7,11 +7,11 @@
 // sibling — epoch consistency is enforced where the data lives, not
 // trusted to the caller.
 //
-// Snapshots are installed by the router's writer (the control plane;
-// in-process for the loopback tier) and served concurrently by
-// whatever thread the transport delivers requests on; a mutex guards
-// only the ring itself — the served state is immutable, so the actual
-// row/point computation runs outside the lock.
+// Snapshots are installed by the owning ReplicaNode (on each verified
+// kInstall) and served concurrently by whatever thread the transport
+// delivers requests on; a mutex guards only the ring itself — the
+// served state is immutable, so the actual row/point computation runs
+// outside the lock.
 #ifndef STL_DIST_REPLICA_H_
 #define STL_DIST_REPLICA_H_
 
@@ -35,22 +35,18 @@ struct ShardReplicaOptions {
   size_t epoch_ring = 8;
 };
 
-/// An in-process shard replica: the server side of the wire protocol
-/// (dist/wire.h). Thread-safe: Install and Handle may run
-/// concurrently from different threads.
+/// The query half of a replica: the server side of the two query
+/// kinds of the wire protocol (dist/wire.h). Thread-safe: Install and
+/// Handle may run concurrently from different threads.
 class ShardReplica {
  public:
   /// A replica with an empty ring; Install() publishes versions to it.
   explicit ShardReplica(const ShardReplicaOptions& options = {});
 
   /// Installs `snap` as the newest held version, evicting the oldest
-  /// beyond the epoch ring. No-op while frozen (SetFrozen).
+  /// beyond the epoch ring. No-op when `snap` already is the newest
+  /// held version, so the ring never holds one epoch twice.
   void Install(std::shared_ptr<const ShardedSnapshot> snap);
-
-  /// Test hook: a frozen replica ignores Install, so it falls behind
-  /// the writer and answers requests for newer epochs kUnavailable —
-  /// the deterministic way to force staleness and sibling failover.
-  void SetFrozen(bool frozen);
 
   /// Serves one encoded ShardRequest and returns the encoded
   /// ShardResponse. Malformed requests, unknown shards/vertices and
@@ -68,7 +64,7 @@ class ShardReplica {
   uint64_t requests_rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
-  /// Snapshots installed so far (frozen installs are not counted).
+  /// Snapshots installed so far (repeats of the newest not counted).
   uint64_t installs() const {
     return installs_.load(std::memory_order_relaxed);
   }
@@ -83,7 +79,6 @@ class ShardReplica {
   mutable std::mutex mu_;
   /// Held versions, oldest first (guarded by mu_; entries immutable).
   std::deque<std::shared_ptr<const ShardedSnapshot>> ring_;
-  bool frozen_ = false;  // guarded by mu_
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> installs_{0};

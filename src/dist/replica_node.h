@@ -1,6 +1,7 @@
-// The server side of a wire-connected replica: one ReplicaNode is what
-// a replica_server process (examples/replica_server.cpp) or an
-// in-process FrameServer serves. It bundles the query half — a
+// The server side of a replica: one ReplicaNode is what a
+// replica_server process (examples/replica_server.cpp), an in-process
+// FrameServer or a LoopbackTransport endpoint (MakeLoopbackCluster,
+// dist/shard_router.h) serves. It bundles the query half — a
 // ShardReplica ring answering boundary-row / point-query requests —
 // with the replication half: an inner ShardedEngine that applies
 // kInstall update batches shipped by the router.
@@ -47,7 +48,7 @@ class ReplicaNode {
   /// Matches FrameServer::Handler.
   std::vector<uint8_t> Handle(const uint8_t* data, size_t size);
 
-  /// The query-serving replica (test observability: counters, freeze).
+  /// The query-serving replica (test observability: counters).
   ShardReplica* replica() { return &replica_; }
 
   /// Installs applied (acked ok) so far. Relaxed; test assertions.

@@ -10,10 +10,10 @@ namespace stl {
 
 namespace {
 
-// Wire replication (kInstall to socket replicas; in-process replicas
-// are installed directly). The deadline for one install ack:
+// Replication (kInstall to every replica). The deadline for one
+// install ack:
 constexpr std::chrono::milliseconds kInstallTimeout{2000};
-// Send attempts per endpoint before a wire install gives up on it (the
+// Send attempts per endpoint before an install gives up on it (the
 // router publishes anyway; the lagging replica answers the new epochs
 // kUnavailable until a later install catches it up).
 constexpr int kInstallAttempts = 3;
@@ -240,10 +240,10 @@ ShardRouter::ShardRouter(Graph graph,
                          std::vector<ShardReplica*> replicas)
     : options_(options),
       transport_(transport),
-      replicas_(std::move(replicas)),
       engine_(std::move(graph), hierarchy_options, options.engine),
       core_(&policy_, CoreOptionsOf(options)) {
   STL_CHECK(transport_ != nullptr);
+  STL_CHECK(replicas.empty());  // see the constructor doc
   core_.Start();  // installs + publishes the inner epoch 0
 }
 
@@ -315,12 +315,10 @@ void ShardRouter::InstallAndPublish(
   // Install BEFORE publish: once a reader can pin this epoch, every
   // replica already holds it, so a fresh query never fails on a
   // version that merely hasn't propagated yet.
-  if (!replicas_.empty()) {
-    for (ShardReplica* r : replicas_) r->Install(snap);
-  } else if (transport_->NumEndpoints() > 0) {
-    // Wire replication: ship the coalesced batch as the next kInstall
-    // sequence; every ReplicaNode applies it to its own (identical)
-    // engine and must arrive at these exact epochs before acking.
+  if (transport_->NumEndpoints() > 0) {
+    // Ship the coalesced batch as the next kInstall sequence; every
+    // ReplicaNode applies it to its own (identical) engine and must
+    // arrive at these exact epochs before acking.
     InstallRequest req;
     req.seq = next_install_seq_++;
     req.expected_engine_epoch = snap->epoch;
@@ -511,26 +509,20 @@ void ShardRouter::Policy::AugmentStats(EngineStats* s) const {
 
 // ------------------------------------------------------ LoopbackCluster
 
-std::vector<ShardReplica*> LoopbackCluster::replica_ptrs() const {
-  std::vector<ShardReplica*> ptrs;
-  ptrs.reserve(replicas.size());
-  for (const auto& r : replicas) ptrs.push_back(r.get());
-  return ptrs;
-}
-
 LoopbackCluster MakeLoopbackCluster(
-    uint32_t num_replicas, const ShardReplicaOptions& replica_options,
-    FaultInjector* faults) {
+    const Graph& graph, const HierarchyOptions& hierarchy_options,
+    const ShardRouterOptions& router_options, uint32_t num_replicas,
+    const ShardReplicaOptions& replica_options, FaultInjector* faults) {
   LoopbackCluster cluster;
   cluster.transport = std::make_unique<LoopbackTransport>(faults);
   cluster.replicas.reserve(num_replicas);
   for (uint32_t i = 0; i < num_replicas; ++i) {
-    cluster.replicas.push_back(
-        std::make_unique<ShardReplica>(replica_options));
-    ShardReplica* replica = cluster.replicas.back().get();
+    cluster.replicas.push_back(std::make_unique<ReplicaNode>(
+        graph, hierarchy_options, router_options.engine, replica_options));
+    ReplicaNode* node = cluster.replicas.back().get();
     cluster.transport->AddEndpoint(
-        [replica](const uint8_t* data, size_t size) {
-          return replica->Handle(data, size);
+        [node](const uint8_t* data, size_t size) {
+          return node->Handle(data, size);
         });
   }
   return cluster;

@@ -15,11 +15,14 @@
 //                    thread issues and returns; no thread parks per RPC
 //
 //   updates          router writer -> inner ShardedEngine (the
-//                    authoritative writer tier) -> new snapshot is
-//                    installed on every replica — directly for
-//                    in-process replicas, or as a kInstall wire message
-//                    applied by each ReplicaNode's own engine — THEN
+//                    authoritative writer tier) -> the update batch is
+//                    shipped to every replica as a kInstall wire
+//                    message, applied by each ReplicaNode's own engine
+//                    and epoch-checked -> THEN the new snapshot is
 //                    published to the router's readers
+//
+// Every replica, behind loopback, TCP or a separate process, is a
+// ReplicaNode fed by that one sequenced install stream.
 //
 // Epoch-consistent fan-out is the hard invariant: a batch pins one
 // snapshot, every row request carries that snapshot's per-shard
@@ -65,6 +68,7 @@
 
 #include "dist/loopback_transport.h"
 #include "dist/replica.h"
+#include "dist/replica_node.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
 #include "engine/sharded_engine.h"
@@ -113,8 +117,8 @@ struct RouterStats {
   /// Responses delivered under an already-settled tag (transport
   /// duplicates) and absorbed by the one-shot claim.
   uint64_t rpc_duplicates_dropped = 0;
-  /// kInstall sequences shipped over the wire (0 with in-process
-  /// replicas, which are installed directly).
+  /// kInstall sequences shipped to the replicas: seq 0 (which only
+  /// verifies epoch 0) plus one per router-published epoch.
   uint64_t wire_installs = 0;
   /// Publishes where at least one endpoint failed to ack its install
   /// within its attempt budget (the router published anyway).
@@ -134,12 +138,10 @@ class ShardRouter {
 
   /// Builds the inner engine from `graph`, installs the initial epoch
   /// on the replicas and starts the router core. `transport` (not
-  /// owned) must route endpoint i to replica i. Two deployment shapes:
-  /// in-process — `replicas` (not owned; must outlive the router) are
-  /// installed directly and MakeLoopbackCluster wires the transport;
-  /// over the wire — `replicas` is empty and every transport endpoint
-  /// is a ReplicaNode (e.g. behind a FrameServer or a replica_server
-  /// process), kept in sync by kInstall replication.
+  /// owned) must route endpoint i to replica i: a ReplicaNode built
+  /// from the same graph, hierarchy options and `options.engine`, kept
+  /// in sync by kInstall replication. `replicas` must be empty; it
+  /// stays only because existing callers still pass an empty list.
   ShardRouter(Graph graph, const HierarchyOptions& hierarchy_options,
               const ShardRouterOptions& options, Transport* transport,
               std::vector<ShardReplica*> replicas);
@@ -280,13 +282,12 @@ class ShardRouter {
   void CallReplicaAsync(const ShardRequest& req,
                         std::function<void(bool, ShardResponse)> done);
 
-  /// Installs `snap` on every replica — in-process directly, or over
-  /// the wire as the kInstall sequence carrying `updates` — then
-  /// publishes it to the router core. Healthy path: install strictly
-  /// before publish, so a reader-pinned epoch is always held by the
-  /// replicas. A failed wire install is counted and published anyway:
-  /// the lagging replica answers the new epochs with typed
-  /// kUnavailable (never wrong bytes) until replay catches it up.
+  /// Installs `snap` on every replica as the next kInstall sequence,
+  /// carrying `updates`, then publishes it to the router core. Healthy
+  /// path: install strictly before publish, so a reader-pinned epoch
+  /// is always held by the replicas. A failed install is counted and
+  /// published anyway: the lagging replica answers the new epochs with
+  /// typed kUnavailable (never wrong bytes) until replay catches it up.
   void InstallAndPublish(std::shared_ptr<const ShardedSnapshot> snap,
                          const UpdateBatch& updates);
 
@@ -306,14 +307,13 @@ class ShardRouter {
                    std::vector<uint8_t>* payload);
 
   const ShardRouterOptions options_;
-  Transport* const transport_;           // not owned
-  std::vector<ShardReplica*> replicas_;  // not owned
+  Transport* const transport_;  // not owned
 
   Mailbox mailbox_;
   std::atomic<uint32_t> next_replica_{0};  // round-robin fan-out start
   // Inner epoch of the last snapshot handed to InstallAndPublish
   // (router writer thread only; skips republishing coalesced no-ops —
-  // wire replicas skip the identical no-ops, so the streams stay
+  // the replicas skip the identical no-ops, so the streams stay
   // aligned).
   uint64_t last_published_epoch_ = 0;
 
@@ -341,25 +341,25 @@ class ShardRouter {
   ServingCore<Policy> core_;  // last member: its readers die first
 };
 
-/// An in-process cluster: N replicas plus a LoopbackTransport wired so
-/// endpoint i serves from replica i — everything a test or bench needs
-/// to stand up the routed tier deterministically.
+/// An in-process cluster: N ReplicaNodes behind one LoopbackTransport,
+/// endpoint i serving from replicas[i] — everything a test needs to
+/// stand up the routed tier deterministically.
 struct LoopbackCluster {
-  /// The replicas, owned by the cluster (endpoint order).
-  std::vector<std::unique_ptr<ShardReplica>> replicas;
+  /// The replica nodes, owned by the cluster (endpoint order).
+  std::vector<std::unique_ptr<ReplicaNode>> replicas;
   /// The transport routing endpoint i to replicas[i]->Handle.
   std::unique_ptr<LoopbackTransport> transport;
-
-  /// Non-owning replica pointers in endpoint order (ShardRouter's
-  /// constructor shape).
-  std::vector<ShardReplica*> replica_ptrs() const;
 };
 
-/// Builds `num_replicas` replicas (each with `replica_options`) behind
-/// one loopback transport; `faults` (not owned, may be null) arms the
-/// transport fault sites.
+/// Builds `num_replicas` ReplicaNodes (each with `replica_options`)
+/// behind one loopback transport. `graph`, `hierarchy_options` and
+/// `router_options.engine` must be what the router is built with: the
+/// nodes replay its install stream on identical engines. `faults` (not
+/// owned, may be null) arms the transport fault sites.
 LoopbackCluster MakeLoopbackCluster(
-    uint32_t num_replicas, const ShardReplicaOptions& replica_options = {},
+    const Graph& graph, const HierarchyOptions& hierarchy_options,
+    const ShardRouterOptions& router_options, uint32_t num_replicas,
+    const ShardReplicaOptions& replica_options = {},
     FaultInjector* faults = nullptr);
 
 }  // namespace stl

@@ -2,8 +2,8 @@
 // EventLoop, accepts TCP connections, reassembles request frames via
 // Conn, and hands each (tag, payload) to a caller-supplied Handler —
 // the same bytes-in/bytes-out shape LoopbackTransport dispatches to,
-// so a ShardReplica (or ReplicaNode) serves over real sockets and over
-// loopback through one code path. Responses are written back on the
+// so a ReplicaNode serves over real sockets and over loopback through
+// one code path, kInstall replication included. Responses are written back on the
 // same connection under the request's tag.
 //
 // With worker_threads > 0 the handler runs on a small pool and the

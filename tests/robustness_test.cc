@@ -982,9 +982,10 @@ TEST(ShardedRobustnessTest, OverlayRepairFaultFallsBackExactly) {
 // ------------------------------------------------- transport chaos
 
 // Edges owned by a cell (neither endpoint on the separator): updating
-// one forces that shard to republish, so a frozen replica falls behind
-// the pinned shard_epoch DETERMINISTICALLY — boundary-edge updates only
-// touch the overlay, which the router serves locally.
+// one forces that shard to republish, so a replica whose install is
+// lost falls behind the pinned shard_epoch DETERMINISTICALLY —
+// boundary-edge updates only touch the overlay, which the router serves
+// locally.
 std::vector<EdgeId> IntraCellEdges(const ShardedSnapshot& snap,
                                    size_t max_edges) {
   std::vector<EdgeId> out;
@@ -1000,6 +1001,48 @@ std::vector<EdgeId> IntraCellEdges(const ShardedSnapshot& snap,
   return out;
 }
 
+// A transport decorator that loses every kInstall frame sent to an armed
+// endpoint, answering the sink with a typed kUnavailable as
+// LoopbackTransport's drop site does; query kinds pass through. A
+// replica whose installs are lost keeps serving the epochs it holds and
+// falls behind the writer: the deterministic way to make it stale.
+class InstallDroppingTransport final : public Transport {
+ public:
+  explicit InstallDroppingTransport(Transport* inner) : inner_(inner) {}
+
+  /// Drops installs to `endpoints` from now on; an empty list stops
+  /// dropping.
+  void Arm(std::vector<uint32_t> endpoints) {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = std::move(endpoints);
+  }
+
+  uint32_t NumEndpoints() const override { return inner_->NumEndpoints(); }
+
+  void Send(uint32_t endpoint, uint64_t tag,
+            std::shared_ptr<const std::vector<uint8_t>> request,
+            TransportSink* sink) override {
+    WireKind kind = WireKind::kBoundaryRow;
+    if (PeekWireKind(request->data(), request->size(), &kind).ok() &&
+        kind == WireKind::kInstall && Armed(endpoint)) {
+      sink->OnResponse(tag, Status::Unavailable("test: install dropped"),
+                       {});
+      return;
+    }
+    inner_->Send(endpoint, tag, std::move(request), sink);
+  }
+
+ private:
+  bool Armed(uint32_t endpoint) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::find(armed_.begin(), armed_.end(), endpoint) != armed_.end();
+  }
+
+  Transport* const inner_;
+  std::mutex mu_;
+  std::vector<uint32_t> armed_;  // guarded by mu_
+};
+
 // Routed tier under a hostile transport (drops, delays, duplicates all
 // armed at once): every submitted tag still completes exactly once,
 // every ANSWERED query is exact for its epoch, and failures are the
@@ -1013,14 +1056,14 @@ TEST(TransportChaosTest, TagsExactlyOnceUnderDropDelayDuplicate) {
   faults.SetRate(FaultSite::kTransportDelay, 0.2);
   faults.SetDelayMicros(FaultSite::kTransportDelay, 200);
   faults.SetRate(FaultSite::kTransportDuplicate, 0.25);
-  LoopbackCluster cluster =
-      MakeLoopbackCluster(2, ShardReplicaOptions{}, &faults);
   ShardRouterOptions opt;
   opt.engine.target_shards = 4;
   opt.engine.num_query_threads = 2;
   opt.num_query_threads = 4;
+  LoopbackCluster cluster = MakeLoopbackCluster(
+      g, HierarchyOptions{}, opt, 2, ShardReplicaOptions{}, &faults);
   ShardRouter router(std::move(g), HierarchyOptions{}, opt,
-                     cluster.transport.get(), cluster.replica_ptrs());
+                     cluster.transport.get(), {});
   const std::shared_ptr<const ShardedSnapshot> snap0 =
       router.CurrentSnapshot();
   Dijkstra audit(snap0->graph);  // no updates: epoch 0 throughout
@@ -1080,22 +1123,24 @@ TEST(TransportChaosTest, TagsExactlyOnceUnderDropDelayDuplicate) {
   EXPECT_GT(stats.rpc_retries, 0u);
 }
 
-// Deterministic failover: one replica frozen before an update falls
-// behind the pinned epoch; every query still answers (the sibling
-// serves), and the stale replica's refusals are visible in the stats.
+// Deterministic failover: one replica that loses an update's install
+// falls behind the pinned epoch; every query still answers (the
+// sibling serves), and the stale replica's refusals are visible in the
+// stats.
 TEST(TransportChaosTest, StaleReplicaFailsOverToSibling) {
   Graph g = testing_util::SmallRoadNetwork(6, 823);
   const uint32_t n = g.NumVertices();
-  LoopbackCluster cluster = MakeLoopbackCluster(2);
   ShardRouterOptions opt;
   opt.engine.target_shards = 4;
   opt.engine.num_query_threads = 2;
   opt.num_query_threads = 2;
-  ShardRouter router(std::move(g), HierarchyOptions{}, opt,
-                     cluster.transport.get(), cluster.replica_ptrs());
+  LoopbackCluster cluster = MakeLoopbackCluster(g, HierarchyOptions{}, opt, 2);
+  InstallDroppingTransport transport(cluster.transport.get());
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport, {});
 
-  // Freeze replica 0, then republish a shard: it now misses the epoch.
-  cluster.replicas[0]->SetFrozen(true);
+  // Lose replica 0's installs, then republish a shard: it now misses the
+  // epoch.
+  transport.Arm({0});
   Rng rng(823);
   const std::vector<EdgeId> dirty =
       IntraCellEdges(*router.CurrentSnapshot(), 4);
@@ -1129,8 +1174,8 @@ TEST(TransportChaosTest, StaleReplicaFailsOverToSibling) {
   // over to the live sibling.
   EXPECT_GT(stats.rpc_failovers, 0u);
   EXPECT_GT(stats.rpc_stale_responses, 0u);
-  EXPECT_GT(cluster.replicas[0]->requests_rejected(), 0u);
-  EXPECT_GT(cluster.replicas[1]->requests_served(), 0u);
+  EXPECT_GT(cluster.replicas[0]->replica()->requests_rejected(), 0u);
+  EXPECT_GT(cluster.replicas[1]->replica()->requests_served(), 0u);
 }
 
 // A replica that answers the pinned epoch with a boundary row of the
@@ -1140,12 +1185,16 @@ TEST(TransportChaosTest, StaleReplicaFailsOverToSibling) {
 TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
   Graph g = testing_util::SmallRoadNetwork(6, 829);
   const uint32_t n = g.NumVertices();
-  LoopbackCluster cluster = MakeLoopbackCluster(2);
+  ShardRouterOptions opt;
+  opt.engine.target_shards = 4;
+  opt.engine.num_query_threads = 2;
+  opt.num_query_threads = 2;
+  LoopbackCluster cluster = MakeLoopbackCluster(g, HierarchyOptions{}, opt, 2);
   // Endpoint 0 truncates every boundary row it serves; endpoint 1 is
   // honest.
   LoopbackTransport transport;
-  ShardReplica* truncating = cluster.replicas[0].get();
-  ShardReplica* honest = cluster.replicas[1].get();
+  ReplicaNode* truncating = cluster.replicas[0].get();
+  ReplicaNode* honest = cluster.replicas[1].get();
   transport.AddEndpoint([truncating](const uint8_t* data, size_t size) {
     std::vector<uint8_t> bytes = truncating->Handle(data, size);
     ShardResponse resp;
@@ -1159,12 +1208,7 @@ TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
   transport.AddEndpoint([honest](const uint8_t* data, size_t size) {
     return honest->Handle(data, size);
   });
-  ShardRouterOptions opt;
-  opt.engine.target_shards = 4;
-  opt.engine.num_query_threads = 2;
-  opt.num_query_threads = 2;
-  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport,
-                     cluster.replica_ptrs());
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport, {});
   const std::shared_ptr<const ShardedSnapshot> snap =
       router.CurrentSnapshot();
   Dijkstra audit(snap->graph);
@@ -1193,20 +1237,21 @@ TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
 }
 
 // kUnavailable is reserved for total replica failure: with EVERY
-// replica frozen behind the pinned epoch, RPC-dependent queries fail
-// typed (and only those — local-only routes still answer exactly).
+// replica's install lost, so all lag behind the pinned epoch,
+// RPC-dependent queries fail typed (and only those — local-only routes
+// still answer exactly).
 TEST(TransportChaosTest, AllReplicasStaleYieldTypedUnavailable) {
   Graph g = testing_util::SmallRoadNetwork(6, 827);
   const uint32_t n = g.NumVertices();
-  LoopbackCluster cluster = MakeLoopbackCluster(2);
   ShardRouterOptions opt;
   opt.engine.target_shards = 4;
   opt.engine.num_query_threads = 2;
   opt.num_query_threads = 2;
-  ShardRouter router(std::move(g), HierarchyOptions{}, opt,
-                     cluster.transport.get(), cluster.replica_ptrs());
+  LoopbackCluster cluster = MakeLoopbackCluster(g, HierarchyOptions{}, opt, 2);
+  InstallDroppingTransport transport(cluster.transport.get());
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport, {});
 
-  for (auto& replica : cluster.replicas) replica->SetFrozen(true);
+  transport.Arm({0, 1});
   Rng rng(827);
   const std::vector<EdgeId> dirty =
       IntraCellEdges(*router.CurrentSnapshot(), 1);
@@ -1236,8 +1281,9 @@ TEST(TransportChaosTest, AllReplicasStaleYieldTypedUnavailable) {
   EXPECT_EQ(stats.serving.queries_unavailable, unavailable);
 
   // Thaw: replicas resume installing on the next publish and service
-  // recovers completely.
-  for (auto& replica : cluster.replicas) replica->SetFrozen(false);
+  // recovers completely. The next install meets a sequence gap (the
+  // lost one), so it goes through the nack and the router's replay.
+  transport.Arm({});
   router.EnqueueUpdate(
       dirty[0], router.CurrentSnapshot()->graph.EdgeWeight(dirty[0]) + 1);
   router.Flush();
@@ -1250,6 +1296,13 @@ TEST(TransportChaosTest, AllReplicasStaleYieldTypedUnavailable) {
     ShardedQueryResult r = router.Submit({s, t}).get();
     ASSERT_EQ(r.code, StatusCode::kOk);
     ASSERT_EQ(r.distance, audit.Distance(s, t));
+  }
+  // Each thawed node nacked the gap and then applied the replayed
+  // install and the new one: it holds the router's whole install log.
+  const RouterStats thawed = router.Stats();
+  for (const auto& node : cluster.replicas) {
+    EXPECT_GE(node->install_nacks(), 1u);
+    EXPECT_EQ(node->installs_applied(), thawed.wire_installs);
   }
 }
 

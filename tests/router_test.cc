@@ -67,10 +67,10 @@ TEST_P(RouterConformanceTest, LockstepBitIdenticalToDirectEngine) {
 
   ShardedEngine direct(std::move(g), HierarchyOptions{},
                        EngineOpts(backend()));
-  LoopbackCluster cluster = MakeLoopbackCluster(replicas());
+  LoopbackCluster cluster = MakeLoopbackCluster(
+      g_router, HierarchyOptions{}, RouterOpts(backend()), replicas());
   ShardRouter router(std::move(g_router), HierarchyOptions{},
-                     RouterOpts(backend()), cluster.transport.get(),
-                     cluster.replica_ptrs());
+                     RouterOpts(backend()), cluster.transport.get(), {});
   ASSERT_EQ(router.num_shards(), direct.num_shards());
 
   Rng rng(211);
@@ -126,7 +126,8 @@ TEST_P(RouterConformanceTest, LockstepBitIdenticalToDirectEngine) {
   // Every replica holds every published epoch (installed before the
   // router's readers could pin it).
   for (const auto& replica : cluster.replicas) {
-    EXPECT_EQ(replica->installs(), stats.serving.epochs_published + 1);
+    EXPECT_EQ(replica->replica()->installs(),
+              stats.serving.epochs_published + 1);
   }
 }
 
@@ -136,10 +137,10 @@ TEST_P(RouterConformanceTest, LockstepBitIdenticalToDirectEngine) {
 TEST_P(RouterConformanceTest, PerQuerySubmitMatchesSnapshotReference) {
   Graph g = SmallRoadNetwork(6, 223);
   const uint32_t n = g.NumVertices();
-  LoopbackCluster cluster = MakeLoopbackCluster(replicas());
+  LoopbackCluster cluster = MakeLoopbackCluster(
+      g, HierarchyOptions{}, RouterOpts(backend()), replicas());
   ShardRouter router(std::move(g), HierarchyOptions{},
-                     RouterOpts(backend()), cluster.transport.get(),
-                     cluster.replica_ptrs());
+                     RouterOpts(backend()), cluster.transport.get(), {});
   Rng rng(223);
   for (int i = 0; i < 64; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
@@ -177,12 +178,13 @@ TEST_P(RouterMixedWorkloadTest, FuturesAndBatchesMatchDijkstraUnderWriter) {
   const Graph base = SmallRoadNetwork(20, 7);
   ShardReplicaOptions deep_ring;
   deep_ring.epoch_ring = 64;
-  LoopbackCluster cluster = MakeLoopbackCluster(GetParam(), deep_ring);
   ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
   opt.engine.num_query_threads = 4;
   opt.num_query_threads = 4;
+  LoopbackCluster cluster = MakeLoopbackCluster(base, HierarchyOptions{},
+                                                opt, GetParam(), deep_ring);
   ShardRouter router(base, HierarchyOptions{}, opt, cluster.transport.get(),
-                     cluster.replica_ptrs());
+                     {});
   const testing_util::MixedAudit audit = testing_util::RunMixedWorkloadAudit(
       router, base, {.queries = 1500, .wave = 100, .update_rounds = 6,
                      .batch_size = 8, .seed = 6161});
@@ -224,9 +226,10 @@ TEST(RouterEpochPinningTest, BatchPinsSingleEpochUnderConcurrentWriter) {
   // ShardReplicaTest.RingRefusesEvictedEpochs).
   ShardReplicaOptions deep_ring;
   deep_ring.epoch_ring = 64;
-  LoopbackCluster cluster = MakeLoopbackCluster(2, deep_ring);
+  LoopbackCluster cluster =
+      MakeLoopbackCluster(g, HierarchyOptions{}, opt, 2, deep_ring);
   ShardRouter router(std::move(g), HierarchyOptions{}, opt,
-                     cluster.transport.get(), cluster.replica_ptrs());
+                     cluster.transport.get(), {});
 
   // Writer races the readers: 48 updates trickled through the router.
   std::atomic<bool> done{false};
@@ -327,10 +330,11 @@ class RecordingSink : public CompletionSink {
 TEST(RouterCompletionTest, TaggedDeliveryExactlyOnceAndExact) {
   Graph g = SmallRoadNetwork(6, 401);
   const uint32_t n = g.NumVertices();
-  LoopbackCluster cluster = MakeLoopbackCluster(2);
+  LoopbackCluster cluster = MakeLoopbackCluster(
+      g, HierarchyOptions{}, RouterOpts(BackendKind::kStl), 2);
   ShardRouter router(std::move(g), HierarchyOptions{},
                      RouterOpts(BackendKind::kStl),
-                     cluster.transport.get(), cluster.replica_ptrs());
+                     cluster.transport.get(), {});
   // No updates in this test: epoch 0 is the ground truth throughout.
   const std::shared_ptr<const ShardedSnapshot> snap0 =
       router.CurrentSnapshot();
@@ -374,9 +378,10 @@ TEST(ShardReplicaTest, RingRefusesEvictedEpochs) {
   ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
   ShardReplicaOptions ring1;
   ring1.epoch_ring = 1;  // strictest: only the newest version is held
-  LoopbackCluster cluster = MakeLoopbackCluster(1, ring1);
+  LoopbackCluster cluster =
+      MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1, ring1);
   ShardRouter router(std::move(g), HierarchyOptions{}, opt,
-                     cluster.transport.get(), cluster.replica_ptrs());
+                     cluster.transport.get(), {});
 
   // Hold the epoch-0 snapshot, then advance past the ring.
   std::shared_ptr<const ShardedSnapshot> old_snap =
@@ -468,8 +473,8 @@ TEST(SocketTransportTest, RouterDegradesToTypedUnavailable) {
 
 // An in-process socket cluster: N ReplicaNodes, each served by its own
 // FrameServer on an ephemeral localhost port. The router reaches them
-// ONLY through a SocketTransport (empty in-process replica list), so
-// queries AND the kInstall replication stream cross real sockets.
+// through a SocketTransport, so queries AND the kInstall replication
+// stream cross real sockets.
 struct SocketCluster {
   std::vector<std::unique_ptr<ReplicaNode>> nodes;
   std::vector<std::unique_ptr<FrameServer>> servers;  // after nodes: die first
@@ -707,10 +712,11 @@ TEST(RouterAsyncTest, FanoutParksNoReaderThread) {
   const uint32_t n = g.NumVertices();
   ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
   opt.num_query_threads = 1;  // the whole reader pool is ONE thread
-  LoopbackCluster cluster = MakeLoopbackCluster(1);
-  HoldingTransport holding(cluster.transport.get());
-  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &holding,
-                     cluster.replica_ptrs());
+  LoopbackCluster cluster =
+      MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1);
+  HoldingTransport holding(cluster.transport.get(), /*holding=*/false);
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &holding, {});
+  holding.Hold();  // the epoch-0 install has passed
 
   // Find a query that actually fans out (lands at least one RPC in the
   // holding transport). Trivial ones (s == t, both-boundary pairs)
