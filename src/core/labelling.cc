@@ -140,113 +140,246 @@ bool Labelling::operator==(const Labelling& o) const {
 
 namespace {
 
-/// Dijkstra from cut vertex r restricted to Desc(r), writing column
-/// tau(r) of every settled vertex's label. Reusable buffers live in the
-/// caller (ColumnBuilder) so the per-column cost is output-sensitive.
-/// Cache-line aligned: the workers' builders sit side by side in one
-/// vector, and each push and pop writes the heap's size.
-///
-/// The queue is a monotone radix heap: a pushed key d + w is never below
-/// the popped d. It pops equal keys in another order than a binary heap
-/// would, but only settled distances are written, and those do not depend
-/// on that order, so the labels are the same bytes.
-class alignas(64) ColumnBuilder {
- public:
-  /// Entries reserved per radix-heap bucket. A bucket holds part of one
-  /// search's frontier; on the 160x160 perfbench grid (25.6k vertices)
-  /// the fullest bucket holds 1025-2048 entries, so this much (16 KiB a
-  /// bucket, pages touched only as used) keeps such builds from growing a
-  /// bucket on a worker. A wider frontier grows its bucket once per
-  /// builder.
-  static constexpr size_t kBucketReserve = 2048;
+/// An arc of the preorder graph: head position and weight.
+struct PreorderArc {
+  uint32_t head;
+  Weight weight;
+};
 
-  ColumnBuilder(const Graph& g, const TreeHierarchy& h)
-      : g_(g), h_(h), dist_(g.NumVertices(), kInfDistance),
-        stamp_(g.NumVertices(), 0), heap_(kBucketReserve) {}
+/// The graph renumbered to hierarchy preorder: the vertex-pool order of
+/// TreeHierarchy, a node's own vertices (in tau order) before its
+/// subtrees'. Desc(x) of a cut vertex x is then one range of positions,
+/// from x's position to the end of its node's subtree, and the arcs sit
+/// in one flat array instead of Graph's CoW chunks.
+struct PreorderGraph {
+  std::vector<Vertex> vertex;         // position -> vertex
+  std::vector<uint32_t> arc_begin;    // position -> first arc; size n + 1
+  std::vector<PreorderArc> arcs;
+  std::vector<uint32_t> subtree_end;  // node -> one past its last position
 
-  /// Calls write(v, col, d) for every vertex v settled at distance d.
-  template <typename Write>
-  void FillColumn(Vertex r, Write write) {
-    const uint32_t col = h_.Tau(r);
-    ++epoch_;
-    heap_.clear();
-    dist_[r] = 0;
-    stamp_[r] = epoch_;
-    heap_.Push(0, r);
-    while (!heap_.empty()) {
-      auto [d, v] = heap_.Pop();
-      if (stamp_[v] != epoch_ || d != dist_[v]) continue;
-      write(v, col, d);
-      for (const Arc& a : g_.ArcsOf(v)) {
-        // Desc(r) membership: every edge joins ⪯-comparable vertices
-        // (Lemma 5.3), so staying at tau > tau(r) keeps the search inside
-        // the subgraph G[Desc(r)].
-        if (h_.Tau(a.head) <= col) continue;
-        Weight nd = SaturatingAdd(d, a.weight);
-        if (stamp_[a.head] != epoch_ || nd < dist_[a.head]) {
-          dist_[a.head] = nd;
-          stamp_[a.head] = epoch_;
-          heap_.Push(nd, a.head);
+  PreorderGraph(const Graph& g, const TreeHierarchy& h) {
+    const uint32_t n = g.NumVertices();
+    vertex.resize(n);
+    std::vector<uint32_t> pos_of(n);
+    std::vector<uint32_t> node_at(n, TreeHierarchy::kNoNode);
+    for (uint32_t nid = 0; nid < h.NumNodes(); ++nid) {
+      uint32_t p = h.GetNode(nid).first_vertex;
+      node_at[p] = nid;
+      for (Vertex v : h.VerticesOf(nid)) {
+        vertex[p] = v;
+        pos_of[v] = p++;
+      }
+    }
+    // A child's positions follow its parent's, so a descending sweep
+    // closes every child's subtree before its parent's.
+    subtree_end.resize(h.NumNodes());
+    for (uint32_t p = n; p-- > 0;) {
+      const uint32_t nid = node_at[p];
+      if (nid == TreeHierarchy::kNoNode) continue;
+      const TreeHierarchy::Node& node = h.GetNode(nid);
+      uint32_t end = node.first_vertex + node.num_vertices;
+      for (uint32_t child : {node.left, node.right}) {
+        if (child != TreeHierarchy::kNoNode) {
+          end = std::max(end, subtree_end[child]);
         }
       }
+      subtree_end[nid] = end;
+    }
+    arc_begin.resize(n + 1);
+    arcs.reserve(2 * static_cast<size_t>(g.NumEdges()));
+    for (uint32_t p = 0; p < n; ++p) {
+      for (const Arc& a : g.ArcsOf(vertex[p])) {
+        arcs.push_back(PreorderArc{pos_of[a.head], a.weight});
+      }
+      arc_begin[p + 1] = static_cast<uint32_t>(arcs.size());
+    }
+  }
+};
+
+/// One work item: `lanes` (at most kSearchLanes) tau-consecutive cut
+/// vertices x_0 .. x_{lanes-1} of one node, at positions first ..
+/// first + lanes - 1, with tau(x_0) = tau0. Positions [first, end) are
+/// Desc(x_0), which holds every Desc(x_l).
+struct Group {
+  uint32_t first;
+  uint32_t end;
+  uint32_t lanes;
+  uint32_t tau0;
+};
+
+/// One label-correcting search per group: lane l of a position holds its
+/// distance from x_l inside G[Desc(x_l)], so a group fills columns
+/// tau0 .. tau0 + lanes - 1, and each vertex's share of them is
+/// written once, contiguously, when the search ends. The sources of a
+/// group sit a few hops apart on one separator, so their shortest-path
+/// trees nearly coincide and one scan of a vertex serves all lanes
+/// (the multi-tree idea of PHAST, Delling et al., IPDPS 2011).
+///
+/// A vertex is pushed whenever some lane of it improves, keyed by the
+/// least improved lane, and is scanned when popped if any lane improved
+/// since its last scan; a scan relaxes all lanes. The pushed key is never
+/// below the popped one, so the monotone radix heap stays valid, and when
+/// the heap drains every lane is exact: the labels are the same bytes as
+/// one Dijkstra per column, in any order of equal keys.
+///
+/// Cache-line aligned: the workers' searches sit side by side in one
+/// vector, and each push and pop writes the heap's size.
+class alignas(64) GroupSearch {
+ public:
+  /// Entries reserved per radix-heap bucket. A bucket holds part of one
+  /// search's frontier; 2048 entries (16 KiB a bucket, pages touched only
+  /// as used) covers the fullest bucket of a 160x160 grid's searches, so
+  /// such builds do not grow a bucket on a worker. A wider frontier grows
+  /// its bucket once per search object.
+  static constexpr size_t kBucketReserve = 2048;
+
+  explicit GroupSearch(uint32_t n)
+      : lanes_(n), improved_(n, 0), heap_(kBucketReserve) {}
+
+  /// Searches `group` and writes its columns into rows (indexed by
+  /// position). Relax is RelaxLanesScalar or its AVX2 twin; the caller
+  /// instantiates this in a function compiled for the matching target.
+  template <uint32_t (*Relax)(const Weight*, Weight, uint32_t, Weight*,
+                              Weight*)>
+  [[gnu::always_inline]] inline void Run(const PreorderGraph& pg,
+                                         const Group& group,
+                                         Weight* const* rows) {
+    const uint32_t lo = group.first;
+    const uint32_t span = group.end - lo;
+    std::fill(lanes_.begin() + lo, lanes_.begin() + group.end, kUnreached);
+    heap_.clear();
+    for (uint32_t l = 0; l < group.lanes; ++l) {
+      lanes_[lo + l].d[l] = 0;
+      improved_[lo + l] = static_cast<uint8_t>(1u << l);
+      heap_.Push(0, lo + l);
+    }
+    while (!heap_.empty()) {
+      const uint32_t v = heap_.Pop().payload;
+      if (improved_[v] == 0) continue;  // scanned since this push
+      improved_[v] = 0;
+      const Weight* from = lanes_[v].d;
+      for (uint32_t i = pg.arc_begin[v]; i < pg.arc_begin[v + 1]; ++i) {
+        const PreorderArc a = pg.arcs[i];
+        // Every edge joins ⪯-comparable vertices (Lemma 5.3), so a head
+        // outside [lo, end) is an ancestor of x_0: outside every lane's
+        // subgraph.
+        const uint32_t off = a.head - lo;
+        if (off >= span) continue;
+        // Lane l may enter iff tau(head) >= tau(x_l) = tau0 + l. A head
+        // in x_0's node has tau tau0 + off; one in a child subtree has a
+        // tau past every vertex of the node, so every lane may enter.
+        const uint32_t open = std::min(off + 1, kSearchLanes);
+        Weight key = 0;
+        const uint32_t bits = Relax(from, a.weight, open, lanes_[a.head].d,
+                                    &key);
+        if (bits != 0) {
+          improved_[a.head] |= static_cast<uint8_t>(bits);
+          heap_.Push(key, a.head);
+        }
+      }
+    }
+    // The vertex at offset off < lanes is x_off, whose row ends at
+    // column tau0 + off: lanes past off were never opened to it. Lanes
+    // still at kInfDistance rewrite the value the row was allocated with.
+    for (uint32_t off = 0; off < span; ++off) {
+      std::memcpy(rows[lo + off] + group.tau0, lanes_[lo + off].d,
+                  std::min(off + 1, group.lanes) * sizeof(Weight));
     }
   }
 
  private:
-  const Graph& g_;
-  const TreeHierarchy& h_;
-  std::vector<Weight> dist_;
-  std::vector<uint32_t> stamp_;
-  uint32_t epoch_ = 0;
-  RadixHeap<Vertex> heap_;
+  struct alignas(32) LaneRow {
+    Weight d[kSearchLanes];
+  };
+  static constexpr LaneRow kUnreached = {
+      {kInfDistance, kInfDistance, kInfDistance, kInfDistance, kInfDistance,
+       kInfDistance, kInfDistance, kInfDistance}};
+
+  std::vector<LaneRow> lanes_;     // by position
+  std::vector<uint8_t> improved_;  // lanes improved since the last scan
+  RadixHeap<uint32_t> heap_;       // positions
 };
+
+void RunScalar(GroupSearch* search, const PreorderGraph& pg,
+               const Group& group, Weight* const* rows) {
+  search->Run<RelaxLanesScalar>(pg, group, rows);
+}
+
+#ifdef STL_HAVE_AVX2_KERNEL
+__attribute__((target("avx2"))) void RunAvx2(GroupSearch* search,
+                                             const PreorderGraph& pg,
+                                             const Group& group,
+                                             Weight* const* rows) {
+  search->Run<simd_internal::RelaxLanesAvx2>(pg, group, rows);
+}
+#endif
 
 }  // namespace
 
+namespace labelling_internal {
+
 Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
-                         int num_threads) {
+                         int num_threads, bool use_avx2) {
   STL_CHECK_EQ(g.NumVertices(), h.NumVertices());
   STL_CHECK_GE(num_threads, 1);
+  STL_CHECK(!use_avx2 || CpuHasAvx2());
+  auto run = RunScalar;
+#ifdef STL_HAVE_AVX2_KERNEL
+  if (use_avx2) run = RunAvx2;
+#endif
   Labelling labels = Labelling::AllocateFor(h);
+  const PreorderGraph pg(g, h);
   // The labelling is local and not yet copied, so it is sole-owned:
   // writes through pointers taken once per vertex skip the per-write
   // CoW check of Set.
   std::vector<Weight*> rows(labels.NumVertices());
-  for (Vertex v = 0; v < rows.size(); ++v) rows[v] = labels.MutableData(v);
-  // Cut vertices are independent work items writing disjoint label
-  // cells. Work-steal via one atomic cursor over the node order.
-  std::vector<Vertex> cuts;
-  cuts.reserve(g.NumVertices());
+  for (uint32_t p = 0; p < rows.size(); ++p) {
+    rows[p] = labels.MutableData(pg.vertex[p]);
+  }
+  // Groups write disjoint label cells (distinct columns, or equal
+  // columns of disjoint Desc sets). Work-steal via one atomic cursor
+  // over the node order, top-first.
+  std::vector<Group> groups;
   for (uint32_t nid = 0; nid < h.NumNodes(); ++nid) {
-    for (Vertex r : h.VerticesOf(nid)) cuts.push_back(r);
+    const TreeHierarchy::Node& node = h.GetNode(nid);
+    const uint32_t node_tau = node.cum_vertices - node.num_vertices;
+    for (uint32_t i = 0; i < node.num_vertices; i += kSearchLanes) {
+      groups.push_back(Group{node.first_vertex + i, pg.subtree_end[nid],
+                             std::min(node.num_vertices - i, kSearchLanes),
+                             node_tau + i});
+    }
   }
   // All scratch is allocated here, so the workers allocate nothing.
   const size_t workers =
-      std::min(static_cast<size_t>(num_threads), cuts.size());
-  std::vector<ColumnBuilder> builders;
-  builders.reserve(workers);
+      std::min(static_cast<size_t>(num_threads), groups.size());
+  std::vector<GroupSearch> searches;
+  searches.reserve(workers);
   for (size_t t = 0; t < workers; ++t) {
-    builders.emplace_back(g, h);
+    searches.emplace_back(g.NumVertices());
   }
   std::atomic<size_t> cursor{0};
-  auto work = [&](ColumnBuilder* builder) {
-    auto write = [&rows](Vertex v, uint32_t col, Weight d) {
-      rows[v][col] = d;
-    };
+  auto work = [&](GroupSearch* search) {
     for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-         i < cuts.size();
+         i < groups.size();
          i = cursor.fetch_add(1, std::memory_order_relaxed)) {
-      builder->FillColumn(cuts[i], write);
+      run(search, pg, groups[i], rows.data());
     }
   };
   std::vector<std::thread> threads;
   threads.reserve(workers);
   for (size_t t = 1; t < workers; ++t) {
-    threads.emplace_back(work, &builders[t]);
+    threads.emplace_back(work, &searches[t]);
   }
-  if (workers > 0) work(&builders[0]);
+  if (workers > 0) work(&searches[0]);
   for (auto& t : threads) t.join();
   return labels;
+}
+
+}  // namespace labelling_internal
+
+Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
+                         int num_threads) {
+  return labelling_internal::BuildLabelling(g, h, num_threads, CpuHasAvx2());
 }
 
 namespace {

@@ -181,22 +181,41 @@ class Labelling {
   CowChunks<Weight> pages_;
 };
 
-/// Builds the STL labels of `g` over hierarchy `h`: for each cut vertex r
-/// (in hierarchy order), a Dijkstra restricted to Desc(r) fills column
-/// tau(r) of every descendant's label (Remark 1). By Lemma 5.3 the
-/// restriction is the test tau(neighbour) > tau(r).
+/// Builds the STL labels of `g` over hierarchy `h`: column tau(r) of
+/// every descendant's label holds its distance from the cut vertex r
+/// inside G[Desc(r)] (Remark 1). By Lemma 5.3 the restriction is the
+/// test tau(neighbour) >= tau(r).
 ///
-/// Columns are embarrassingly parallel: distinct cut vertices write
-/// disjoint (vertex, column) cells (equal tau implies disjoint Desc
-/// sets), so min(num_threads, #cut vertices) workers take the cut
-/// vertices off one shared cursor; the calling thread is one of them.
-/// The result does not depend on the worker count. The labelling is
-/// freshly allocated and sole-owned, so workers write through a
-/// row-pointer table taken once per vertex, without CoW checks, and
-/// every worker's scratch is allocated on the calling thread before any
-/// worker starts.
+/// The cut vertices of each node are taken in groups of up to
+/// kSearchLanes (util/simd.h) tau-consecutive ones, and one
+/// label-correcting search per group fills all of the group's columns:
+/// every vertex keeps one distance lane per cut vertex of the group, and
+/// an arc is relaxed in all lanes at once, by an AVX2 step when the CPU
+/// has AVX2 and by its scalar twin otherwise. The search runs over the
+/// graph renumbered to hierarchy preorder, where each Desc(r) is one
+/// range of positions.
+///
+/// Groups are embarrassingly parallel: distinct groups write disjoint
+/// (vertex, column) cells (equal tau implies disjoint Desc sets), so
+/// min(num_threads, #groups) workers take the groups off one shared
+/// cursor, top of the hierarchy first; the calling thread is one of
+/// them. The labels do not depend on the worker count or the relax step.
+/// The labelling is freshly allocated and sole-owned, so workers write
+/// through a row-pointer table taken once per vertex, without CoW checks,
+/// and every worker's scratch is allocated on the calling thread before
+/// any worker starts.
 Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
                          int num_threads = 1);
+
+namespace labelling_internal {
+
+/// BuildLabelling with the relax step chosen by the caller: the AVX2 one
+/// iff use_avx2 (which requires CpuHasAvx2()), else the scalar one.
+/// BuildLabelling passes CpuHasAvx2(); the tests build through both.
+Labelling BuildLabelling(const Graph& g, const TreeHierarchy& h,
+                         int num_threads, bool use_avx2);
+
+}  // namespace labelling_internal
 
 // The min-plus reduction kernels (MinPlusReduce and friends) live in
 // util/simd.h, shared with the H2H and HC2L baseline query paths.

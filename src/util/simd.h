@@ -1,7 +1,8 @@
-// Min-plus reduction kernels shared by every label-scanning query path:
+// SIMD kernels with scalar twins.
+//
+// Min-plus reductions, shared by every label-scanning query path:
 // STL's common-ancestor scan (core/labelling.h), HC2L's LCA-cut scan
 // (baselines/hc2l.cc) and H2H's position-array scan (baselines/h2h.cc).
-//
 // Two shapes:
 //   * contiguous:  min over i < k of a[i] + b[i]
 //   * gathered:    min over p < k of a[idx[p]] + b[idx[p]]
@@ -11,6 +12,11 @@
 // input (equivalence-tested on adversarial labels in
 // tests/labelling_test.cc). Real label entries are <= kInfDistance, so
 // genuine queries never wrap.
+//
+// The lane relaxation of the label construction (BuildLabelling): one
+// arc relaxed in all kSearchLanes distance lanes of a grouped search at
+// once. Its caller picks the AVX2 or the scalar step once per build;
+// both give the same lanes, bits and key on every input in their domain.
 #ifndef STL_UTIL_SIMD_H_
 #define STL_UTIL_SIMD_H_
 
@@ -47,6 +53,32 @@ inline Weight MinPlusGatherReduceScalar(const Weight* a, const Weight* b,
     best = std::min(best, a[i] + b[i]);
   }
   return best;
+}
+
+/// Distance lanes of one grouped label search: one lane per source.
+inline constexpr uint32_t kSearchLanes = 8;
+
+/// Relaxes one arc of weight w in every search lane, the portable
+/// reference: for each lane l < open,
+///   to[l] = min(to[l], min(from[l] + w, kInfDistance)).
+/// Lanes l >= open are left alone. Returns the bit set of the lanes
+/// that improved, and stores the least improved value in *key (left
+/// untouched when none did). Every from[l], to[l] and w must be
+/// <= kInfDistance, so no sum wraps.
+inline uint32_t RelaxLanesScalar(const Weight* from, Weight w, uint32_t open,
+                                 Weight* to, Weight* key) {
+  uint32_t improved = 0;
+  Weight least = kInfDistance;
+  for (uint32_t l = 0; l < kSearchLanes; ++l) {
+    const Weight nd = std::min<Weight>(from[l] + w, kInfDistance);
+    if (l < open && nd < to[l]) {
+      to[l] = nd;
+      improved |= 1u << l;
+      least = std::min(least, nd);
+    }
+  }
+  if (improved != 0) *key = least;
+  return improved;
 }
 
 #ifdef STL_HAVE_AVX2_KERNEL
@@ -111,13 +143,43 @@ __attribute__((target("avx2"))) inline Weight MinPlusGatherReduceAvx2(
   return best;
 }
 
+/// RelaxLanesScalar in one 8-wide add, min and compare. Every value is
+/// <= kInfDistance < 2^30, so a sum stays below 2^31 and the signed
+/// compare orders the lanes as the scalar unsigned one does.
+__attribute__((target("avx2"))) inline uint32_t RelaxLanesAvx2(
+    const Weight* from, Weight w, uint32_t open, Weight* to, Weight* key) {
+  static_assert(kSearchLanes == 8, "one __m256i of uint32 lanes");
+  const __m256i inf = _mm256_set1_epi32(static_cast<int>(kInfDistance));
+  const __m256i nd = _mm256_min_epu32(
+      _mm256_add_epi32(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(from)),
+          _mm256_set1_epi32(static_cast<int>(w))),
+      inf);
+  const __m256i old = _mm256_loadu_si256(reinterpret_cast<__m256i*>(to));
+  const __m256i is_open =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(open)),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i better =
+      _mm256_and_si256(_mm256_cmpgt_epi32(old, nd), is_open);
+  const uint32_t improved = static_cast<uint32_t>(
+      _mm256_movemask_ps(_mm256_castsi256_ps(better)));
+  if (improved == 0) return 0;
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(to),
+                      _mm256_blendv_epi8(old, nd, better));
+  *key = HorizontalMinU32(_mm256_blendv_epi8(inf, nd, better));
+  return improved;
+}
+
 }  // namespace simd_internal
 
-/// True iff the reductions dispatch to the AVX2 kernels on this machine.
-inline bool MinPlusReduceUsesAvx2() {
-  static const bool use_avx2 = __builtin_cpu_supports("avx2");
-  return use_avx2;
+/// True iff this machine runs AVX2, so the kernels above may be called.
+inline bool CpuHasAvx2() {
+  static const bool has_avx2 = __builtin_cpu_supports("avx2");
+  return has_avx2;
 }
+
+/// True iff the reductions dispatch to the AVX2 kernels on this machine.
+inline bool MinPlusReduceUsesAvx2() { return CpuHasAvx2(); }
 
 inline Weight MinPlusReduce(const Weight* a, const Weight* b, uint32_t k) {
   if (k >= 8 && MinPlusReduceUsesAvx2()) {
@@ -136,6 +198,7 @@ inline Weight MinPlusGatherReduce(const Weight* a, const Weight* b,
 
 #else  // !STL_HAVE_AVX2_KERNEL
 
+inline bool CpuHasAvx2() { return false; }
 inline bool MinPlusReduceUsesAvx2() { return false; }
 
 inline Weight MinPlusReduce(const Weight* a, const Weight* b, uint32_t k) {

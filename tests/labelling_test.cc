@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "graph/dijkstra.h"
 #include "tests/test_util.h"
+#include "util/min_heap.h"
 #include "util/rng.h"
 
 namespace stl {
@@ -352,6 +355,254 @@ TEST(LabellingTest, QueryDistanceAgreesWithScalarReduction) {
         MinPlusReduceScalar(b.labels.Data(s), b.labels.Data(t), k);
     const Weight want = scalar >= kInfDistance ? kInfDistance : scalar;
     ASSERT_EQ(QueryDistance(b.h, b.labels, s, t), want);
+  }
+}
+
+// The construction the grouped search replaced, kept as the oracle: one
+// Dijkstra per cut vertex r, restricted to G[Desc(r)] by the test
+// tau(head) > tau(r), writing column tau(r) of every settled vertex.
+Labelling PerColumnReference(const Graph& g, const TreeHierarchy& h) {
+  Labelling labels = Labelling::AllocateFor(h);
+  std::vector<Weight> dist(g.NumVertices(), kInfDistance);
+  std::vector<uint32_t> stamp(g.NumVertices(), 0);
+  uint32_t epoch = 0;
+  RadixHeap<Vertex> heap;
+  for (uint32_t nid = 0; nid < h.NumNodes(); ++nid) {
+    for (Vertex r : h.VerticesOf(nid)) {
+      const uint32_t col = h.Tau(r);
+      ++epoch;
+      heap.clear();
+      dist[r] = 0;
+      stamp[r] = epoch;
+      heap.Push(0, r);
+      while (!heap.empty()) {
+        auto [d, v] = heap.Pop();
+        if (stamp[v] != epoch || d != dist[v]) continue;
+        labels.Set(v, col, d);
+        for (const Arc& a : g.ArcsOf(v)) {
+          if (h.Tau(a.head) <= col) continue;
+          const Weight nd = SaturatingAdd(d, a.weight);
+          if (stamp[a.head] != epoch || nd < dist[a.head]) {
+            dist[a.head] = nd;
+            stamp[a.head] = epoch;
+            heap.Push(nd, a.head);
+          }
+        }
+      }
+    }
+  }
+  return labels;
+}
+
+// A rows x (2 * side_cols + 1) grid whose hierarchy is cut by hand: the
+// root holds the middle column (`rows` cut vertices), and each half is
+// one leaf of rows * side_cols vertices. Weights 1..3, so ties abound.
+struct HandCutGrid {
+  Graph g;
+  TreeHierarchy h;
+};
+
+HandCutGrid MakeHandCutGrid(uint32_t rows, uint32_t side_cols,
+                            uint64_t seed) {
+  const uint32_t cols = 2 * side_cols + 1;
+  Rng rng(seed);
+  std::vector<Edge> edges;
+  for (uint32_t r = 0; r < rows; ++r) {
+    for (uint32_t c = 0; c < cols; ++c) {
+      const Vertex v = r * cols + c;
+      if (c + 1 < cols) {
+        edges.push_back(
+            {v, v + 1, 1 + static_cast<Weight>(rng.NextBounded(3))});
+      }
+      if (r + 1 < rows) {
+        edges.push_back(
+            {v, v + cols, 1 + static_cast<Weight>(rng.NextBounded(3))});
+      }
+    }
+  }
+  Graph g = testing_util::MakeGraph(rows * cols, std::move(edges));
+  PartitionTree tree;
+  tree.nodes.resize(3);
+  tree.nodes[0].left = 1;
+  tree.nodes[0].right = 2;
+  tree.nodes[1].parent = 0;
+  tree.nodes[2].parent = 0;
+  for (uint32_t r = 0; r < rows; ++r) {
+    for (uint32_t c = 0; c < cols; ++c) {
+      const uint32_t node = c == side_cols ? 0 : (c < side_cols ? 1 : 2);
+      tree.nodes[node].vertices.push_back(r * cols + c);
+    }
+  }
+  TreeHierarchy h = TreeHierarchy::FromPartitionTree(g, tree);
+  return HandCutGrid{std::move(g), std::move(h)};
+}
+
+// Three components (a road network, a random graph, a path) and two
+// isolated vertices: lanes that never leave kInfDistance.
+Graph ManyComponents(uint64_t seed) {
+  const Graph parts[] = {testing_util::SmallRoadNetwork(6, seed),
+                         GenerateRandomConnectedGraph(30, 20, 1, 5, seed),
+                         GeneratePath(12, 3)};
+  std::vector<Edge> edges;
+  uint32_t base = 2;  // vertices 0 and 1 stay isolated
+  for (const Graph& part : parts) {
+    for (const Edge& e : part.edges()) {
+      edges.push_back({base + e.u, base + e.v, e.w});
+    }
+    base += part.NumVertices();
+  }
+  return testing_util::MakeGraph(base, std::move(edges));
+}
+
+// A road network whose every fifth edge is closed (kMaxEdgeWeight), plus
+// a 150-vertex path of closed roads: sums past kInfDistance saturate.
+Graph ClosedRoads(uint64_t seed) {
+  Graph g = testing_util::SmallRoadNetwork(9, seed);
+  for (EdgeId e = 0; e < g.NumEdges(); e += 5) {
+    g.SetEdgeWeight(e, kMaxEdgeWeight);
+  }
+  const uint32_t n = g.NumVertices();
+  std::vector<Edge> edges(g.edges().begin(), g.edges().end());
+  const uint32_t path = 150;
+  edges.push_back({0, n, kMaxEdgeWeight});
+  for (uint32_t i = 0; i + 1 < path; ++i) {
+    edges.push_back({n + i, n + i + 1, kMaxEdgeWeight});
+  }
+  return testing_util::MakeGraph(n + path, std::move(edges));
+}
+
+// BuildLabelling against the per-column oracle, byte for byte, for every
+// worker count and both relax steps (the AVX2 one where the CPU has it).
+// Graph rejects zero weights, so weight-1 edges give the tightest ties;
+// the relax-step test below covers w = 0.
+TEST(LabellingTest, MatchesPerColumnReference) {
+  std::vector<bool> kernels = {false};
+  if (CpuHasAvx2()) kernels.push_back(true);
+  std::set<uint32_t> node_sizes;
+  auto check = [&](const Graph& g, const TreeHierarchy& h,
+                   const std::string& what) {
+    for (uint32_t nid = 0; nid < h.NumNodes(); ++nid) {
+      node_sizes.insert(h.GetNode(nid).num_vertices);
+    }
+    const Labelling want = PerColumnReference(g, h);
+    for (int threads : {1, 2, 4}) {
+      for (bool avx2 : kernels) {
+        const Labelling got =
+            labelling_internal::BuildLabelling(g, h, threads, avx2);
+        ASSERT_TRUE(got == want)
+            << what << " threads=" << threads << " avx2=" << avx2
+            << " differing entries=" << testing_util::LabelDiffCount(got, want);
+      }
+    }
+  };
+  auto check_seeds = [&](const Graph& g, const std::string& what,
+                         uint32_t leaf_size) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      HierarchyOptions opt;
+      opt.seed = seed;
+      opt.leaf_size = leaf_size;
+      check(g, TreeHierarchy::Build(g, opt),
+            what + " seed=" + std::to_string(seed) +
+                " leaf_size=" + std::to_string(leaf_size));
+    }
+  };
+  check_seeds(testing_util::SmallRoadNetwork(12, 31), "road", 2);
+  check_seeds(GenerateRandomConnectedGraph(150, 120, 1, 40, 32), "random", 2);
+  check_seeds(GenerateRandomConnectedGraph(120, 200, 1, 2, 33), "ties", 2);
+  check_seeds(ManyComponents(34), "components", 2);
+  check_seeds(ClosedRoads(35), "closed", 2);
+  // Leaves of up to 24 vertices: one node, groups of 8, 8, 8 and less.
+  check_seeds(testing_util::SmallRoadNetwork(10, 36), "road", 24);
+  for (uint32_t rows : {1u, 7u, 8u, 9u, 17u, 20u}) {
+    HandCutGrid grid = MakeHandCutGrid(rows, 2, rows);
+    check(grid.g, grid.h, "hand cut rows=" + std::to_string(rows));
+  }
+  // Full, partial and split groups were all exercised.
+  for (uint32_t size : {1u, 7u, 8u, 9u}) {
+    EXPECT_TRUE(node_sizes.count(size)) << size;
+  }
+  EXPECT_GT(*node_sizes.rbegin(), 16u);
+}
+
+// The AVX2 relax step against the scalar one, and the scalar one against
+// its definition, on lanes at and near kInfDistance, weights up to
+// kMaxEdgeWeight and beyond (w = 0 included), and every open-lane count.
+TEST(LabellingTest, RelaxLanesMatchesScalarOnAdversarialInputs) {
+  Rng rng(41);
+  const Weight lanes[] = {0,
+                          1,
+                          2,
+                          kMaxEdgeWeight - 1,
+                          kMaxEdgeWeight,
+                          kInfDistance - kMaxEdgeWeight,
+                          kInfDistance - 2,
+                          kInfDistance - 1,
+                          kInfDistance};
+  const Weight weights[] = {0, 1, 2, kMaxEdgeWeight - 1, kMaxEdgeWeight,
+                            kInfDistance};
+  auto pick = [&](int variant) {
+    return variant % 2 == 0
+               ? lanes[rng.NextBounded(std::size(lanes))]
+               : static_cast<Weight>(rng.NextBounded(kInfDistance + 1));
+  };
+  constexpr Weight kUntouched = 12345;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int variant = trial % 4;
+    Weight from[kSearchLanes], to[kSearchLanes];
+    for (uint32_t l = 0; l < kSearchLanes; ++l) {
+      from[l] = pick(variant);
+      to[l] = pick(variant / 2);
+    }
+    const Weight w = variant == 3
+                         ? static_cast<Weight>(rng.NextBounded(kMaxEdgeWeight))
+                         : weights[rng.NextBounded(std::size(weights))];
+    for (uint32_t open = 0; open <= kSearchLanes; ++open) {
+      Weight want[kSearchLanes];
+      uint32_t want_bits = 0;
+      Weight want_key = kUntouched;
+      for (uint32_t l = 0; l < kSearchLanes; ++l) {
+        want[l] = to[l];
+        const Weight nd = SaturatingAdd(from[l], w);
+        if (l < open && nd < to[l]) {
+          want[l] = nd;
+          want_bits |= 1u << l;
+          want_key = want_bits == (1u << l) ? nd : std::min(want_key, nd);
+        }
+      }
+      Weight scalar[kSearchLanes];
+      std::copy(to, to + kSearchLanes, scalar);
+      Weight scalar_key = kUntouched;
+      const uint32_t scalar_bits =
+          RelaxLanesScalar(from, w, open, scalar, &scalar_key);
+      ASSERT_EQ(scalar_bits, want_bits) << "trial=" << trial;
+      ASSERT_EQ(scalar_key, want_key) << "trial=" << trial;
+      ASSERT_TRUE(std::equal(want, want + kSearchLanes, scalar));
+#ifdef STL_HAVE_AVX2_KERNEL
+      if (CpuHasAvx2()) {
+        Weight avx2[kSearchLanes];
+        std::copy(to, to + kSearchLanes, avx2);
+        Weight avx2_key = kUntouched;
+        const uint32_t avx2_bits =
+            simd_internal::RelaxLanesAvx2(from, w, open, avx2, &avx2_key);
+        ASSERT_EQ(avx2_bits, scalar_bits) << "trial=" << trial;
+        ASSERT_EQ(avx2_key, scalar_key) << "trial=" << trial;
+        ASSERT_TRUE(std::equal(scalar, scalar + kSearchLanes, avx2))
+            << "trial=" << trial << " open=" << open;
+      }
+#endif
+    }
+  }
+}
+
+// A whole labelling through the scalar relax step equals the dispatched
+// build, serial and threaded.
+TEST(LabellingTest, ScalarRelaxBuildsTheDispatchedLabels) {
+  Graph g = testing_util::SmallRoadNetwork(24, 43);
+  TreeHierarchy h = TreeHierarchy::Build(g, HierarchyOptions{});
+  for (int threads : {1, 4}) {
+    EXPECT_TRUE(labelling_internal::BuildLabelling(g, h, threads, false) ==
+                BuildLabelling(g, h, threads))
+        << threads;
   }
 }
 
