@@ -7,7 +7,6 @@
 #include "graph/dijkstra.h"
 #include "index/distance_index.h"
 #include "util/logging.h"
-#include "util/min_heap.h"
 #include "util/simd.h"
 
 namespace stl {
@@ -190,58 +189,12 @@ void OverlayTable::MinPlusRowsInto(uint32_t s, const uint32_t* rows,
 
 namespace {
 
-using DirectAdjacency = std::vector<std::vector<std::pair<uint32_t, Weight>>>;
-
 // Repair falls back to the from-scratch rebuild when more than this
-// fraction of the n boundary rows need a Dijkstra re-run. A repaired
-// row costs the same Dijkstra as a rebuilt one and the min-plus patch
+// fraction of the n boundary rows need a search re-run. A repaired row
+// costs the same dense search as a rebuilt one and the min-plus patch
 // over the remaining rows is cheap (O((n - R) * R * n) adds), so repair
 // keeps winning until R approaches n.
 constexpr double kRepairThreshold = 0.75;
-
-// One-source Dijkstra over the combined overlay search graph. Reusable
-// across sources (stamp/epoch trick) — both the from-scratch rebuild
-// and the row repair run through this, so the two paths cannot
-// disagree on per-row values.
-class OverlaySearch {
- public:
-  explicit OverlaySearch(const DirectAdjacency& adj)
-      : adj_(adj), dist_(adj.size()), stamp_(adj.size(), 0) {}
-
-  // Fills row[0..n) with exact distances from src (kInfDistance where
-  // unreached).
-  void Run(uint32_t src, Weight* row) {
-    const uint32_t n = static_cast<uint32_t>(dist_.size());
-    std::fill(row, row + n, kInfDistance);
-    ++epoch_;
-    heap_.clear();
-    auto relax = [&](uint32_t v, Weight d) {
-      if (stamp_[v] != epoch_ || d < dist_[v]) {
-        stamp_[v] = epoch_;
-        dist_[v] = d;
-        heap_.Push(d, v);
-      }
-    };
-    relax(src, 0);
-    while (!heap_.empty()) {
-      const auto top = heap_.Pop();
-      const uint32_t u = top.payload;
-      if (top.key != dist_[u] || stamp_[u] != epoch_) continue;
-      row[u] = top.key;
-      for (const auto& [v, w] : adj_[u]) {
-        if (stamp_[v] == epoch_ && dist_[v] <= top.key + w) continue;
-        relax(v, top.key + w);
-      }
-    }
-  }
-
- private:
-  const DirectAdjacency& adj_;
-  std::vector<Weight> dist_;
-  std::vector<uint32_t> stamp_;
-  uint32_t epoch_ = 0;
-  MinHeap<Weight, uint32_t> heap_;
-};
 
 }  // namespace
 
@@ -346,53 +299,36 @@ void BoundaryOverlay::RebuildClique(uint32_t s, const IndexView& view,
   InstallClique(s, w, std::move(fresh));
 }
 
-const std::vector<std::vector<std::pair<uint32_t, Weight>>>&
-BoundaryOverlay::SearchAdjacency() {
+void BoundaryOverlay::BuildSearchMatrix() {
   const uint32_t n = layout_->num_boundary();
-  search_adj_.resize(n);
-  for (auto& arcs : search_adj_) arcs.clear();  // keeps capacity
-  adj_stamp_.assign(n, UINT32_MAX);
-  adj_slot_.resize(n);
-  // Direct S–S arcs first (registered for min-combining below).
+  search_matrix_.assign(static_cast<size_t>(n) * n, kInfDistance);
+  search_done_.resize(n);
+  for (uint32_t a = 0; a < n; ++a) {
+    search_matrix_[static_cast<size_t>(a) * n + a] = 0;
+  }
+  auto add = [&](uint32_t a, uint32_t b, Weight w) {
+    Weight& cell = search_matrix_[static_cast<size_t>(a) * n + b];
+    cell = std::min(cell, w);  // parallel arcs: keep the cheapest
+  };
   for (uint32_t i = 0; i < layout_->direct_edges.size(); ++i) {
     const ShardLayout::DirectEdge& de = layout_->direct_edges[i];
-    const Weight w = direct_weight_[i];
-    if (w >= kInfDistance) continue;
-    search_adj_[de.a_pos].emplace_back(de.b_pos, w);
-    search_adj_[de.b_pos].emplace_back(de.a_pos, w);
+    add(de.a_pos, de.b_pos, direct_weight_[i]);
+    add(de.b_pos, de.a_pos, direct_weight_[i]);
   }
-  for (uint32_t u = 0; u < n; ++u) {
-    auto& out = search_adj_[u];
-    for (uint32_t i = 0; i < out.size(); ++i) {
-      const uint32_t v = out[i].first;
-      if (adj_stamp_[v] != u) {
-        adj_stamp_[v] = u;
-        adj_slot_[v] = i;
-      }
-    }
-    auto add = [&](uint32_t v, Weight w) {
-      if (v == u || w >= kInfDistance) return;
-      if (adj_stamp_[v] != u) {
-        adj_stamp_[v] = u;
-        adj_slot_[v] = static_cast<uint32_t>(out.size());
-        out.emplace_back(v, w);
-      } else if (w < out[adj_slot_[v]].second) {
-        out[adj_slot_[v]].second = w;  // parallel arc: keep the cheapest
-      }
-    };
-    for (const auto& [s, idx] : layout_->memberships[u]) {
-      const ShardLayout::Shard& shard = layout_->shards[s];
-      const uint32_t width =
-          static_cast<uint32_t>(shard.boundary_pos.size());
-      STL_DCHECK(clique_[s].size() == static_cast<size_t>(width) * width);
-      const Weight* crow =
-          clique_[s].data() + static_cast<size_t>(idx) * width;
-      for (uint32_t j = 0; j < width; ++j) {
-        add(shard.boundary_pos[j], crow[j]);
-      }
+  for (uint32_t s = 0; s < layout_->num_shards(); ++s) {
+    const std::vector<uint32_t>& pos = layout_->shards[s].boundary_pos;
+    const uint32_t width = static_cast<uint32_t>(pos.size());
+    STL_DCHECK(clique_[s].size() == static_cast<size_t>(width) * width);
+    for (uint32_t i = 0; i < width; ++i) {
+      const Weight* crow = clique_[s].data() + static_cast<size_t>(i) * width;
+      for (uint32_t j = 0; j < width; ++j) add(pos[i], pos[j], crow[j]);
     }
   }
-  return search_adj_;
+}
+
+void BoundaryOverlay::SearchRow(uint32_t src, Weight* row) {
+  DenseSearchRow(search_matrix_.data(), layout_->num_boundary(), src, row,
+                 search_done_.data());
 }
 
 void BoundaryOverlay::InstallClique(uint32_t s, uint32_t w,
@@ -495,11 +431,10 @@ std::shared_ptr<const OverlayTable> BoundaryOverlay::FullRebuild(
     table->packed_[s].rows.Reserve(n);
   }
   if (n > 0) {
-    const DirectAdjacency& adj = SearchAdjacency();
-    OverlaySearch search(adj);
+    BuildSearchMatrix();
     std::vector<Weight> row(n);
     for (uint32_t src = 0; src < n; ++src) {
-      search.Run(src, row.data());
+      SearchRow(src, row.data());
       table->rows_.Append(row);
       for (uint32_t s = 0; s < k; ++s) {
         const ShardLayout::Shard& shard = layout_->shards[s];
@@ -590,12 +525,11 @@ std::shared_ptr<const OverlayTable> BoundaryOverlay::Repair(
   }
 
   auto table = std::make_shared<OverlayTable>(*last_);
-  const DirectAdjacency& adj = SearchAdjacency();
-  OverlaySearch search(adj);
+  BuildSearchMatrix();
   std::vector<Weight> scratch(n);
   uint64_t rows_rewritten = 0;
   for (const uint32_t r : dirty_rows) {
-    search.Run(r, scratch.data());
+    SearchRow(r, scratch.data());
     if (std::memcmp(scratch.data(), table->rows_.Data(r),
                     static_cast<size_t>(n) * sizeof(Weight)) != 0) {
       WriteRow(table.get(), r, scratch.data());
@@ -680,10 +614,8 @@ uint64_t BoundaryOverlay::MemoryBytes() const {
   for (const auto& c : clique_published_) {
     bytes += c.capacity() * sizeof(Weight);
   }
-  for (const auto& arcs : search_adj_) {
-    bytes += arcs.capacity() * sizeof(std::pair<uint32_t, Weight>);
-  }
-  bytes += (adj_stamp_.capacity() + adj_slot_.capacity()) * sizeof(uint32_t);
+  bytes += search_matrix_.capacity() * sizeof(Weight) +
+           search_done_.capacity() * sizeof(uint32_t);
   return bytes;
 }
 

@@ -10,9 +10,11 @@
 //                 DistanceIndex (any backend) serves it.
 //   overlay     — owns the remaining edges (both endpoints in S) and,
 //                 per cell, a clique of shard-local boundary-to-boundary
-//                 distances. Running Dijkstra over that small graph
-//                 yields D[b1][b2]: the EXACT full-graph distance
-//                 between every pair of boundary vertices.
+//                 distances. Those arcs make a small, nearly complete
+//                 graph, held as one dense |S| x |S| weight matrix; one
+//                 array-scan Dijkstra per row over it (DenseSearchRow,
+//                 util/simd.h) yields D[b1][b2]: the EXACT full-graph
+//                 distance between every pair of boundary vertices.
 //
 // Why this is exact: S is a vertex separator, so any path decomposes
 // into maximal segments whose interiors each lie inside one cell. Each
@@ -29,8 +31,8 @@
 // Incremental repair (docs/ARCHITECTURE.md "Incremental overlay
 // repair"): the overlay master diffs every clique rebuild and direct
 // weight write against its previous published table, derives the set
-// of boundary ROWS whose distances can have changed, re-runs Dijkstra
-// only from those sources, min-plus-patches the rest through the
+// of boundary ROWS whose distances can have changed, re-runs the row
+// search only from those sources, min-plus-patches the rest through the
 // recomputed anchor rows, and pointer-shares every untouched row with
 // the previous epoch through per-row copy-on-write chunks
 // (util/cow_chunks.h). A from-scratch rebuild remains the fallback
@@ -176,7 +178,7 @@ class OverlayExecutor {
 struct OverlayPublishStats {
   /// Rows of the published table (the boundary vertex count n).
   uint64_t rows_total = 0;
-  /// Rows recomputed by a full Dijkstra run (the dirty-source set R; n
+  /// Rows recomputed by a full row search (the dirty-source set R; n
   /// when the publish fell back to the from-scratch rebuild).
   uint64_t rows_repaired = 0;
   /// Non-dirty rows whose values moved under the anchor min-plus patch
@@ -323,13 +325,13 @@ class BoundaryOverlay {
   /// and `allow_repair`, runs incremental row repair: rows whose
   /// distances can have changed (endpoints of changed overlay edges,
   /// plus rows whose old shortest paths could have used an increased
-  /// edge) are re-run through Dijkstra; the rest are min-plus-patched
-  /// through the recomputed anchor rows and pointer-share their chunks
-  /// with the previous epoch when unchanged. Falls back to the
-  /// from-scratch rebuild when the dirty-row set exceeds 3/4 of the n
-  /// rows (or on the first publish / `allow_repair == false`). Either
-  /// path yields the exact all-pairs table — bit-identical, since exact
-  /// distances are unique.
+  /// edge) are re-run through the row search; the rest are
+  /// min-plus-patched through the recomputed anchor rows and
+  /// pointer-share their chunks with the previous epoch when unchanged.
+  /// Falls back to the from-scratch rebuild when the dirty-row set
+  /// exceeds 3/4 of the n rows (or on the first publish /
+  /// `allow_repair == false`). Either path yields the exact all-pairs
+  /// table — bit-identical, since exact distances are unique.
   std::shared_ptr<const OverlayTable> Publish(
       bool allow_repair = true, OverlayPublishStats* stats = nullptr);
 
@@ -359,13 +361,13 @@ class BoundaryOverlay {
   // the recompute counter and marks the shard dirty for the next
   // Publish's diff (shared tail of both RebuildClique forms).
   void InstallClique(uint32_t s, uint32_t w, std::vector<Weight> fresh);
-  // Rebuilds the combined per-source search graph — direct S–S arcs
-  // plus one arc per finite clique entry, min-combined per vertex pair
-  // — into search_adj_ and returns it. The scratch vectors keep their
-  // capacity across publishes, so steady-state repairs allocate
-  // nothing here.
-  const std::vector<std::vector<std::pair<uint32_t, Weight>>>&
-  SearchAdjacency();
+  // Rebuilds search_matrix_ in place from direct_weight_ and clique_.
+  void BuildSearchMatrix();
+  // Fills row[0..n) with the exact distances from boundary position
+  // `src` over search_matrix_ (kInfDistance where unreachable). The
+  // from-scratch rebuild and the row repair both run through this, so
+  // the two paths cannot disagree on per-row values.
+  void SearchRow(uint32_t src, Weight* row);
 
   const ShardLayout* layout_;
   std::vector<Weight> direct_weight_;  // aligned with layout->direct_edges
@@ -386,10 +388,17 @@ class BoundaryOverlay {
   uint32_t publish_seq_ = 1;
   uint64_t pending_clique_entries_ = 0;
   std::shared_ptr<const OverlayTable> last_;  // previous published epoch
-  // SearchAdjacency scratch (writer-only, reused across publishes).
-  std::vector<std::vector<std::pair<uint32_t, Weight>>> search_adj_;
-  std::vector<uint32_t> adj_stamp_;
-  std::vector<uint32_t> adj_slot_;
+  // The overlay search graph, writer-only and rebuilt in place by every
+  // publish that searches: n x n row-major, cell (a, b) the cheapest
+  // arc between boundary positions a and b over the direct S–S edge
+  // and every shard's clique entry, kInfDistance where there is none,
+  // 0 on the diagonal. The graph is nearly complete (each cell's
+  // clique joins its whole boundary set), so a dense matrix and the
+  // array-scan search (DenseSearchRow, util/simd.h) beat adjacency
+  // lists and a heap. Both vectors keep their capacity across
+  // publishes, so steady-state publishes allocate nothing here.
+  std::vector<Weight> search_matrix_;
+  std::vector<uint32_t> search_done_;  // DenseSearchRow scratch
 };
 
 }  // namespace stl

@@ -17,6 +17,11 @@
 // arc relaxed in all kSearchLanes distance lanes of a grouped search at
 // once. Its caller picks the AVX2 or the scalar step once per build;
 // both give the same lanes, bits and key on every input in their domain.
+//
+// The dense row search of the boundary overlay (index/overlay.h): one
+// single-source shortest-path search over an n x n weight matrix, the
+// array-scan form of Dijkstra's algorithm (no heap). AVX2 and scalar
+// twins give the same row on every input in their domain.
 #ifndef STL_UTIL_SIMD_H_
 #define STL_UTIL_SIMD_H_
 
@@ -79,6 +84,41 @@ inline uint32_t RelaxLanesScalar(const Weight* from, Weight w, uint32_t open,
   }
   if (improved != 0) *key = least;
   return improved;
+}
+
+/// Dense single-source search, the portable reference. `w` is an n x n
+/// row-major matrix: w[u * n + v] is the weight of arc u -> v, with
+/// kInfDistance for no arc and 0 on the diagonal; every cell must be
+/// <= kInfDistance. Fills dist[0..n) with the distances from `src`
+/// (< n), kInfDistance where unreachable. `done` is n words of scratch.
+///
+/// Each step settles the unsettled vertex of least key (the lowest
+/// index among ties) and relaxes its matrix row into `dist`, fused with
+/// the scan for the next least key: a settled vertex reads as
+/// UINT32_MAX through its `done` word. A least key of kInfDistance or
+/// more ends the search, so no distance exceeds kInfDistance: a
+/// relaxed sum is below 2 * kInfDistance, never wraps, and one at or
+/// above kInfDistance loses to the kInfDistance it is compared with.
+inline void DenseSearchRowScalar(const Weight* w, uint32_t n, uint32_t src,
+                                 Weight* dist, uint32_t* done) {
+  std::fill(dist, dist + n, kInfDistance);
+  std::fill(done, done + n, 0u);
+  dist[src] = 0;
+  uint32_t u = src;
+  for (uint32_t settled = 1;; ++settled) {
+    done[u] = UINT32_MAX;
+    if (settled == n) return;
+    const Weight d = dist[u];
+    const Weight* row = w + static_cast<size_t>(u) * n;
+    Weight least = UINT32_MAX;
+    for (uint32_t v = 0; v < n; ++v) {
+      dist[v] = std::min(dist[v], d + row[v]);
+      least = std::min(least, dist[v] | done[v]);
+    }
+    if (least >= kInfDistance) return;
+    u = 0;
+    while ((dist[u] | done[u]) != least) ++u;
+  }
 }
 
 #ifdef STL_HAVE_AVX2_KERNEL
@@ -170,6 +210,60 @@ __attribute__((target("avx2"))) inline uint32_t RelaxLanesAvx2(
   return improved;
 }
 
+/// DenseSearchRowScalar, eight lanes per add, min and key min; the
+/// index of the least key is found by cmpeq/movemask. Every compare is
+/// unsigned or an equality, so it matches the scalar twin bit for bit.
+__attribute__((target("avx2"))) inline void DenseSearchRowAvx2(
+    const Weight* w, uint32_t n, uint32_t src, Weight* dist,
+    uint32_t* done) {
+  std::fill(dist, dist + n, kInfDistance);
+  std::fill(done, done + n, 0u);
+  dist[src] = 0;
+  uint32_t u = src;
+  for (uint32_t settled = 1;; ++settled) {
+    done[u] = UINT32_MAX;
+    if (settled == n) return;
+    const Weight d = dist[u];
+    const Weight* row = w + static_cast<size_t>(u) * n;
+    const __m256i vd = _mm256_set1_epi32(static_cast<int>(d));
+    __m256i least8 = _mm256_set1_epi32(-1);
+    uint32_t v = 0;
+    for (; v + 8 <= n; v += 8) {
+      __m256i* dv = reinterpret_cast<__m256i*>(dist + v);
+      const __m256i nd = _mm256_min_epu32(
+          _mm256_loadu_si256(dv),
+          _mm256_add_epi32(
+              vd, _mm256_loadu_si256(
+                      reinterpret_cast<const __m256i*>(row + v))));
+      _mm256_storeu_si256(dv, nd);
+      const __m256i dn =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(done + v));
+      least8 = _mm256_min_epu32(least8, _mm256_or_si256(nd, dn));
+    }
+    Weight least = HorizontalMinU32(least8);
+    for (; v < n; ++v) {
+      dist[v] = std::min(dist[v], d + row[v]);
+      least = std::min(least, dist[v] | done[v]);
+    }
+    if (least >= kInfDistance) return;
+    const __m256i key = _mm256_set1_epi32(static_cast<int>(least));
+    uint32_t hit = 0;
+    for (u = 0; u + 8 <= n; u += 8) {
+      const __m256i k8 = _mm256_or_si256(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dist + u)),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(done + u)));
+      hit = static_cast<uint32_t>(_mm256_movemask_ps(
+          _mm256_castsi256_ps(_mm256_cmpeq_epi32(key, k8))));
+      if (hit != 0) break;
+    }
+    if (hit != 0) {
+      u += static_cast<uint32_t>(__builtin_ctz(hit));
+    } else {
+      while ((dist[u] | done[u]) != least) ++u;
+    }
+  }
+}
+
 }  // namespace simd_internal
 
 /// True iff this machine runs AVX2, so the kernels above may be called.
@@ -196,6 +290,16 @@ inline Weight MinPlusGatherReduce(const Weight* a, const Weight* b,
   return MinPlusGatherReduceScalar(a, b, idx, k);
 }
 
+/// The dense row search, on the AVX2 twin where the CPU has it.
+inline void DenseSearchRow(const Weight* w, uint32_t n, uint32_t src,
+                           Weight* dist, uint32_t* done) {
+  if (n >= 8 && CpuHasAvx2()) {
+    simd_internal::DenseSearchRowAvx2(w, n, src, dist, done);
+  } else {
+    DenseSearchRowScalar(w, n, src, dist, done);
+  }
+}
+
 #else  // !STL_HAVE_AVX2_KERNEL
 
 inline bool CpuHasAvx2() { return false; }
@@ -208,6 +312,11 @@ inline Weight MinPlusReduce(const Weight* a, const Weight* b, uint32_t k) {
 inline Weight MinPlusGatherReduce(const Weight* a, const Weight* b,
                                   const uint32_t* idx, uint32_t k) {
   return MinPlusGatherReduceScalar(a, b, idx, k);
+}
+
+inline void DenseSearchRow(const Weight* w, uint32_t n, uint32_t src,
+                           Weight* dist, uint32_t* done) {
+  DenseSearchRowScalar(w, n, src, dist, done);
 }
 
 #endif  // STL_HAVE_AVX2_KERNEL

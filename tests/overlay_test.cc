@@ -3,15 +3,20 @@
 // bitwise-identical to a from-scratch overlay built on the same
 // weights — increases, decreases, direct S–S updates, kInfDistance
 // disconnect/reconnect transitions, and multi-cell batches — while
-// pointer-sharing the rows the batch left clean. The engine-level
-// section replays the same contract through ShardedEngine on all four
-// backends under concurrent batch load (the TSan target).
+// pointer-sharing the rows the batch left clean. Those tables are also
+// checked against full-graph Dijkstra, which shares no code with the
+// overlay's row search, and the search kernel itself (DenseSearchRow,
+// util/simd.h) against a heap Dijkstra on random matrices. The
+// engine-level section replays the same contract through ShardedEngine
+// on all four backends under concurrent batch load (the TSan target).
 #include "index/overlay.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -19,7 +24,9 @@
 #include "graph/dijkstra.h"
 #include "partition/cells.h"
 #include "tests/test_util.h"
+#include "util/min_heap.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace stl {
 namespace {
@@ -315,6 +322,205 @@ TEST(OverlayRepairTest, RepairDisallowedFallsBackExactly) {
   EXPECT_TRUE(st.full_rebuild);
   EXPECT_EQ(st.rows_repaired, st.rows_total);
   ExpectSameTable(*table, *h.Scratch(), h.layout(), "repair disallowed");
+}
+
+// Checks every entry of `table` against a full-graph Dijkstra between
+// the two boundary vertices on `g`: an oracle that shares no code with
+// the overlay's row search, so a kernel fault cannot hide behind a
+// from-scratch overlay that runs the same search.
+void ExpectTableMatchesGraph(const OverlayTable& table,
+                             const ShardLayout& layout, const Graph& g,
+                             const std::string& context) {
+  const std::vector<Vertex>& boundary = layout.partition.boundary;
+  ASSERT_EQ(table.num_boundary(), boundary.size()) << context;
+  Dijkstra dij(g);
+  for (uint32_t a = 0; a < table.num_boundary(); ++a) {
+    const std::vector<Weight>& dist = dij.AllDistances(boundary[a]);
+    for (uint32_t b = 0; b < table.num_boundary(); ++b) {
+      ASSERT_EQ(table.At(a, b), dist[boundary[b]])
+          << context << " a=" << a << " b=" << b;
+    }
+  }
+}
+
+TEST(OverlayRepairTest, TablesMatchFullGraphDijkstra) {
+  for (const auto& [side, seed, cells] :
+       {std::tuple<uint32_t, uint64_t, uint32_t>{9, 110, 4},
+        std::tuple<uint32_t, uint64_t, uint32_t>{8, 105, 8}}) {
+    OverlayHarness h(side, seed, cells);
+    ExpectTableMatchesGraph(*h.PublishIncremental(), h.layout(), h.master(),
+                            "first publish");
+    Rng rng(seed);
+    uint64_t repaired_publishes = 0;
+    for (int round = 0; round < 12; ++round) {
+      // Mixed increases and decreases over the whole network, direct
+      // S-S edges included when the layout has them.
+      const int batch = 1 + static_cast<int>(rng.NextBounded(4));
+      for (int i = 0; i < batch; ++i) {
+        WeightUpdate u = testing_util::RandomUpdate(h.master(), &rng);
+        h.ApplyWeight(u.edge, u.new_weight);
+      }
+      OverlayPublishStats st;
+      auto table = h.PublishIncremental(&st);
+      if (!st.full_rebuild) ++repaired_publishes;
+      ExpectTableMatchesGraph(*table, h.layout(), h.master(),
+                              "cells=" + std::to_string(cells) +
+                                  " round=" + std::to_string(round));
+    }
+    EXPECT_GT(repaired_publishes, 0u) << "cells=" << cells;
+  }
+}
+
+// ---------------------------------------------------------------------
+// The row search kernel against the heap Dijkstra the overlay ran
+// before its dense search, made saturating: a key at or above
+// kInfDistance is unreachable, so no distance exceeds kInfDistance.
+
+void HeapSearchReference(const std::vector<Weight>& w, uint32_t n,
+                         uint32_t src, Weight* row) {
+  std::vector<Weight> dist(n, kInfDistance);
+  std::vector<uint8_t> settled(n, 0);
+  MinHeap<Weight, uint32_t> heap;
+  dist[src] = 0;
+  heap.Push(0, src);
+  while (!heap.empty()) {
+    const auto top = heap.Pop();
+    const uint32_t u = top.payload;
+    if (settled[u] || top.key != dist[u]) continue;
+    settled[u] = 1;
+    for (uint32_t v = 0; v < n; ++v) {
+      const Weight arc = w[static_cast<size_t>(u) * n + v];
+      if (v == u || arc >= kInfDistance) continue;
+      // Both terms are below kInfDistance, so the sum does not wrap.
+      const Weight nd = std::min(top.key + arc, kInfDistance);
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        heap.Push(nd, v);
+      }
+    }
+  }
+  std::copy(dist.begin(), dist.end(), row);
+}
+
+using SearchRowFn = void (*)(const Weight*, uint32_t, uint32_t, Weight*,
+                             uint32_t*);
+
+// The kernel arms this machine can run: the scalar twin always, the
+// AVX2 twin only where the CPU has AVX2.
+std::vector<std::pair<const char*, SearchRowFn>> SearchArms() {
+  std::vector<std::pair<const char*, SearchRowFn>> arms = {
+      {"scalar", &DenseSearchRowScalar}};
+#ifdef STL_HAVE_AVX2_KERNEL
+  if (CpuHasAvx2()) {
+    arms.emplace_back("avx2", &simd_internal::DenseSearchRowAvx2);
+  }
+#endif
+  return arms;
+}
+
+// Compares every row of `w` from every arm (and the dispatched search)
+// with the reference, starting each from garbage output and scratch.
+void ExpectSearchMatchesReference(const std::vector<Weight>& w, uint32_t n,
+                                  const std::string& context) {
+  std::vector<Weight> want(n);
+  std::vector<Weight> got(n);
+  std::vector<uint32_t> done(n);
+  auto arms = SearchArms();
+  arms.emplace_back("dispatched", &DenseSearchRow);
+  for (uint32_t src = 0; src < n; ++src) {
+    HeapSearchReference(w, n, src, want.data());
+    for (const auto& [name, fn] : arms) {
+      std::fill(got.begin(), got.end(), 0xabababab);
+      std::fill(done.begin(), done.end(), 0xcdcdcdcd);
+      fn(w.data(), n, src, got.data(), done.data());
+      ASSERT_EQ(got, want) << context << " arm=" << name << " src=" << src;
+    }
+  }
+}
+
+enum class MatrixKind { kMixed, kTies, kNearInfinity, kSplit };
+
+// An n x n search matrix with 0 on the diagonal. kMixed draws weights
+// up to kMaxEdgeWeight, zeros included; kTies draws 0-2, so equal keys
+// are common; kNearInfinity draws weights just below kInfDistance, so
+// sums pass it; kSplit cuts the vertices into two halves with no arc
+// between them and leaves every third vertex isolated (an all-kInf
+// row and column).
+std::vector<Weight> RandomSearchMatrix(uint32_t n, MatrixKind kind,
+                                       Rng* rng) {
+  std::vector<Weight> w(static_cast<size_t>(n) * n, kInfDistance);
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint32_t v = 0; v < n; ++v) {
+      Weight& cell = w[static_cast<size_t>(u) * n + v];
+      if (u == v) {
+        cell = 0;
+        continue;
+      }
+      if (kind == MatrixKind::kSplit &&
+          ((u < n / 2) != (v < n / 2) || u % 3 == 2 || v % 3 == 2)) {
+        continue;
+      }
+      if (rng->NextBounded(4) == 0) continue;  // no arc
+      switch (kind) {
+        case MatrixKind::kMixed:
+        case MatrixKind::kSplit:
+          cell = rng->NextBounded(8) == 0
+                     ? 0
+                     : static_cast<Weight>(
+                           rng->NextBounded(kMaxEdgeWeight + 1));
+          break;
+        case MatrixKind::kTies:
+          cell = static_cast<Weight>(rng->NextBounded(3));
+          break;
+        case MatrixKind::kNearInfinity:
+          cell = kInfDistance - 1 - static_cast<Weight>(rng->NextBounded(3));
+          break;
+      }
+    }
+  }
+  return w;
+}
+
+TEST(DenseSearchRowTest, MatchesHeapReferenceOnRandomMatrices) {
+  Rng rng(111);
+  for (const uint32_t n : {1u, 2u, 7u, 8u, 9u, 31u, 214u}) {
+    for (const MatrixKind kind :
+         {MatrixKind::kMixed, MatrixKind::kTies, MatrixKind::kNearInfinity,
+          MatrixKind::kSplit}) {
+      const std::vector<Weight> w = RandomSearchMatrix(n, kind, &rng);
+      ExpectSearchMatchesReference(
+          w, n,
+          "n=" + std::to_string(n) +
+              " kind=" + std::to_string(static_cast<int>(kind)));
+    }
+  }
+}
+
+TEST(DenseSearchRowTest, ChainOfNearInfiniteArcsSaturates) {
+  // A path 0-1-...-(n-1) of kInfDistance - 1 arcs: only the first hop
+  // is below kInfDistance. Unsaturated uint32 sums would exceed it from
+  // the second hop and wrap to a small finite value from the fifth.
+  for (const uint32_t n : {7u, 9u, 24u}) {
+    std::vector<Weight> w(static_cast<size_t>(n) * n, kInfDistance);
+    for (uint32_t u = 0; u < n; ++u) {
+      w[static_cast<size_t>(u) * n + u] = 0;
+      if (u + 1 < n) {
+        w[static_cast<size_t>(u) * n + u + 1] = kInfDistance - 1;
+        w[static_cast<size_t>(u + 1) * n + u] = kInfDistance - 1;
+      }
+    }
+    ExpectSearchMatchesReference(w, n, "chain n=" + std::to_string(n));
+    std::vector<Weight> row(n);
+    std::vector<uint32_t> done(n);
+    for (const auto& [name, fn] : SearchArms()) {
+      fn(w.data(), n, 0, row.data(), done.data());
+      EXPECT_EQ(row[0], 0u) << name;
+      EXPECT_EQ(row[1], kInfDistance - 1) << name;
+      for (uint32_t v = 2; v < n; ++v) {
+        EXPECT_EQ(row[v], kInfDistance) << name << " v=" << v;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
