@@ -1,13 +1,16 @@
 // A standalone shard-replica daemon: one ReplicaNode (dist/
 // replica_node.h) served over TCP by a FrameServer (net/server.h).
 //
-// The process builds its inner ShardedEngine from the SAME generated
-// graph and options the router uses — epoch determinism is the
+// The process builds its ShardedWriter from the SAME generated graph,
+// backend and shard count the router uses — epoch determinism is the
 // replication contract — then serves boundary-row / point-query
-// requests and applies the router's kInstall update stream, until
-// SIGTERM/SIGINT.
+// requests and applies the router's kInstall update stream, one epoch
+// per install, until SIGTERM/SIGINT.
 //
 //   replica_server --port=0 --grid-side=7 --graph-seed=211 --backend=stl
+//
+// Other flags: --host, --target-shards, --threads (handler workers) and
+// --epoch-ring (installed snapshots kept).
 //
 // With --port=0 the kernel picks an ephemeral port; the daemon prints
 // "LISTENING <port>" on stdout once it serves, which is how the
@@ -35,9 +38,9 @@ volatile std::sig_atomic_t g_stop = 0;
 void OnSignal(int) { g_stop = 1; }
 
 /// Every flag the daemon reads.
-constexpr const char* kFlags[] = {
-    "host",      "port",    "grid-side",  "graph-seed", "target-shards",
-    "max-batch", "threads", "epoch-ring", "backend"};
+constexpr const char* kFlags[] = {"host",          "port",    "grid-side",
+                                   "graph-seed",    "threads", "epoch-ring",
+                                   "target-shards", "backend"};
 
 /// Exits with code 2 on any argument that is not --<one of kFlags>=value:
 /// a misspelt flag would otherwise silently keep its default.
@@ -106,15 +109,14 @@ int main(int argc, char** argv) {
       FlagInt(argc, argv, "graph-seed", 211, 0, LONG_MAX);
   const long target_shards =
       FlagInt(argc, argv, "target-shards", 4, 1, 1024);
-  const long max_batch = FlagInt(argc, argv, "max-batch", 8, 1, 1 << 20);
   const long threads = FlagInt(argc, argv, "threads", 0, 0, 64);
   const long epoch_ring = FlagInt(argc, argv, "epoch-ring", 8, 1, 4096);
   const stl::BackendKind backend =
       ParseBackend(FlagValue(argc, argv, "backend", "stl"));
 
-  // The identical graph + options the router was built with (see
-  // tests/replica_process_test.cc): determinism is what makes the
-  // kInstall stream verifiable.
+  // The identical graph, backend and shard count the router was built
+  // with (see tests/replica_process_test.cc): determinism is what makes
+  // the kInstall stream verifiable.
   stl::RoadNetworkOptions road;
   road.width = static_cast<uint32_t>(grid_side);
   road.height = static_cast<uint32_t>(grid_side);
@@ -124,8 +126,6 @@ int main(int argc, char** argv) {
   stl::ShardedEngineOptions engine_opt;
   engine_opt.backend = backend;
   engine_opt.target_shards = static_cast<uint32_t>(target_shards);
-  engine_opt.num_query_threads = 2;
-  engine_opt.max_batch_size = static_cast<size_t>(max_batch);
 
   stl::ShardReplicaOptions replica_opt;
   replica_opt.epoch_ring = static_cast<size_t>(epoch_ring);

@@ -26,7 +26,6 @@ ShardReplica::ShardReplica(const ShardReplicaOptions& options)
 
 void ShardReplica::Install(std::shared_ptr<const ShardedSnapshot> snap) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!ring_.empty() && ring_.back() == snap) return;
   ring_.push_back(std::move(snap));
   while (ring_.size() > std::max<size_t>(options_.epoch_ring, 1)) {
     ring_.pop_front();

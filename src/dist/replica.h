@@ -44,8 +44,8 @@ class ShardReplica {
   explicit ShardReplica(const ShardReplicaOptions& options = {});
 
   /// Installs `snap` as the newest held version, evicting the oldest
-  /// beyond the epoch ring. No-op when `snap` already is the newest
-  /// held version, so the ring never holds one epoch twice.
+  /// beyond the epoch ring. `snap` must be newer than every held
+  /// version (ReplicaNode installs each epoch once).
   void Install(std::shared_ptr<const ShardedSnapshot> snap);
 
   /// Serves one encoded ShardRequest and returns the encoded
@@ -64,7 +64,7 @@ class ShardReplica {
   uint64_t requests_rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
-  /// Snapshots installed so far (repeats of the newest not counted).
+  /// Snapshots installed so far.
   uint64_t installs() const {
     return installs_.load(std::memory_order_relaxed);
   }

@@ -3,23 +3,29 @@
 // FrameServer or a LoopbackTransport endpoint (MakeLoopbackCluster,
 // dist/shard_router.h) serves. It bundles the query half — a
 // ShardReplica ring answering boundary-row / point-query requests —
-// with the replication half: an inner ShardedEngine that applies
-// kInstall update batches shipped by the router.
+// with the replication half: a ShardedWriter that applies the kInstall
+// update batches shipped by the router, inline on the thread that
+// handles the install. A replica runs no threads of its own.
 //
-// Replication is state-machine style: router and replica construct
-// identical engines from the identical graph and options, so applying
-// the identical coalesced update batches in the identical order yields
-// bit-identical snapshots with identical epoch ids on both sides. The
-// InstallRequest's expected_* epochs make that assumption checked, not
-// trusted: any divergence nacks (the replica keeps serving the epochs
-// it has) instead of silently serving different weights. Installs are
-// sequence-numbered per replica; a gap nacks with the needed seq and
-// the router replays from its bounded log.
+// Replication is state-machine style: router and replica build
+// identical writers from the identical graph and options, and each
+// install carries one batch that the router's writer applied as one
+// epoch. The replica coalesces it with the same CoalesceUpdates and
+// applies it whole — one install, one epoch, whatever its size — so
+// both sides produce bit-identical snapshots with identical epoch ids.
+// The InstallRequest's expected_* epochs make that assumption checked,
+// not trusted: any divergence nacks (the replica keeps serving the
+// epochs it has) instead of silently serving different weights.
+// Installs are sequence-numbered per replica; a gap nacks with the
+// needed seq and the router replays from its bounded log. A malformed
+// install (undecodable, an edge out of range or a weight outside
+// [1, kMaxEdgeWeight]) nacks without being applied.
 #ifndef STL_DIST_REPLICA_NODE_H_
 #define STL_DIST_REPLICA_NODE_H_
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -29,15 +35,17 @@
 
 namespace stl {
 
-/// One served replica: ShardReplica (queries) + inner engine
-/// (kInstall replication). See file comment. Thread-safe: Handle may
-/// run concurrently from server worker threads.
+/// One served replica: ShardReplica (queries) + ShardedWriter (kInstall
+/// replication). See file comment. Thread-safe: Handle may run
+/// concurrently from server worker threads.
 class ReplicaNode {
  public:
-  /// Builds the inner engine from `graph` — which MUST be the same
-  /// graph, hierarchy and engine options the router was built with
-  /// (epoch determinism is the replication contract) — and installs
-  /// its initial snapshot into the replica ring.
+  /// Builds the writer from `graph` — which MUST be the same graph,
+  /// hierarchy and writer options (backend, target_shards) the router
+  /// was built with: epoch determinism is the replication contract —
+  /// and installs its epoch-0 snapshot into the replica ring. Of
+  /// `engine_options` only the fields ShardedWriter reads matter; the
+  /// serving-side ones (threads, batch size, caches) are unused.
   ReplicaNode(Graph graph, const HierarchyOptions& hierarchy_options,
               const ShardedEngineOptions& engine_options,
               const ShardReplicaOptions& replica_options = {});
@@ -64,12 +72,14 @@ class ReplicaNode {
  private:
   std::vector<uint8_t> HandleInstall(const uint8_t* data, size_t size);
 
-  ShardedEngine engine_;
+  ShardedWriter writer_;
   ShardReplica replica_;
 
-  std::mutex install_mu_;   // serializes the apply/verify/install step
-  uint64_t next_seq_ = 0;   // guarded by install_mu_
-  bool diverged_ = false;   // guarded by install_mu_; sticky
+  std::mutex install_mu_;  // serializes the apply/verify/install step
+  // The writer's newest snapshot; guarded by install_mu_.
+  std::shared_ptr<const ShardedSnapshot> current_;
+  uint64_t next_seq_ = 0;  // guarded by install_mu_
+  bool diverged_ = false;  // guarded by install_mu_; sticky
 
   std::atomic<uint64_t> installs_applied_{0};
   std::atomic<uint64_t> install_nacks_{0};

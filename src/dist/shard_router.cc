@@ -240,14 +240,14 @@ ShardRouter::ShardRouter(Graph graph,
                          std::vector<ShardReplica*> replicas)
     : options_(options),
       transport_(transport),
-      engine_(std::move(graph), hierarchy_options, options.engine),
+      writer_(std::move(graph), hierarchy_options, options.engine),
       core_(&policy_, CoreOptionsOf(options)) {
   STL_CHECK(transport_ != nullptr);
   STL_CHECK(replicas.empty());  // see the constructor doc
-  core_.Start();  // installs + publishes the inner epoch 0
+  core_.Start();  // installs + publishes epoch 0
 }
 
-ShardRouter::~ShardRouter() = default;  // core_ drains first, then engine_
+ShardRouter::~ShardRouter() = default;  // core_ drains first
 
 std::future<ShardedQueryResult> ShardRouter::Submit(QueryPair query,
                                                     Deadline deadline) {
@@ -302,6 +302,7 @@ RouterStats ShardRouter::Stats() const {
 
 void ShardRouter::ResetStats() {
   core_.ResetStats();
+  writer_.ResetStats();
   rpcs_sent_.store(0, std::memory_order_relaxed);
   rpc_retries_.store(0, std::memory_order_relaxed);
   rpc_stale_.store(0, std::memory_order_relaxed);
@@ -317,7 +318,7 @@ void ShardRouter::InstallAndPublish(
   // version that merely hasn't propagated yet.
   if (transport_->NumEndpoints() > 0) {
     // Ship the coalesced batch as the next kInstall sequence; every
-    // ReplicaNode applies it to its own (identical) engine and must
+    // ReplicaNode applies it to its own (identical) writer and must
     // arrive at these exact epochs before acking.
     InstallRequest req;
     req.seq = next_install_seq_++;
@@ -440,7 +441,7 @@ void ShardRouter::CallReplicaAsync(
   call->shard = req.shard;
   call->shard_epoch = req.shard_epoch;
   if (req.kind == WireKind::kBoundaryRow) {
-    call->row_width = engine_.layout().shards[req.shard].boundary_local.size();
+    call->row_width = writer_.layout().shards[req.shard].boundary_local.size();
   }
   // Round-robin fan-out start spreads load across siblings; every
   // replica still gets tried before the query gives up.
@@ -453,36 +454,23 @@ void ShardRouter::CallReplicaAsync(
 // ----------------------------------------------------- the router policy
 
 void ShardRouter::Policy::PublishInitial() {
-  auto snap = router->engine_.CurrentSnapshot();
-  router->last_published_epoch_ = snap->epoch;
   // Seq 0 carries no updates: it only verifies the replicas built the
   // identical epoch-0 state from the identical graph.
-  router->InstallAndPublish(std::move(snap), UpdateBatch{});
+  router->InstallAndPublish(
+      router->writer_.PublishInitial(router->core_.pool()), UpdateBatch{});
 }
 
 Weight ShardRouter::Policy::ResolveOldWeight(EdgeId e) const {
-  // The router is the inner engine's only update source and ApplyBatch
-  // flushes synchronously, so the inner snapshot's weights are current
-  // as of every batch already routed through us.
-  return router->engine_.CurrentSnapshot()->graph.EdgeWeight(e);
+  return router->writer_.EdgeWeight(e);
 }
 
 void ShardRouter::Policy::ApplyBatch(const UpdateBatch& batch) {
-  ShardRouter* r = router;
-  r->engine_.EnqueueUpdates(batch);
-  r->engine_.Flush();
-  auto snap = r->engine_.CurrentSnapshot();
-  if (snap->epoch == r->last_published_epoch_) return;  // coalesced no-op
-  r->last_published_epoch_ = snap->epoch;
-  // Router-tier publish accounting (the inner engine allocated the
-  // epoch id; this counter is the router's own publish count).
-  r->core_.counters().epochs_published.fetch_add(
-      1, std::memory_order_relaxed);
-  r->InstallAndPublish(std::move(snap), batch);
+  router->InstallAndPublish(router->writer_.Apply(batch, router->core_.pool()),
+                            batch);
 }
 
 uint32_t ShardRouter::Policy::NumEdges() const {
-  return router->engine_.CurrentSnapshot()->graph.NumEdges();
+  return router->writer_.NumEdges();
 }
 
 void ShardRouter::Policy::RouteSpan(
@@ -502,9 +490,7 @@ void ShardRouter::Policy::RouteSpan(
 }
 
 void ShardRouter::Policy::AugmentStats(EngineStats* s) const {
-  s->backend = router->engine_.backend();
-  s->num_shards = router->engine_.num_shards();
-  s->boundary_vertices = router->engine_.layout().num_boundary();
+  router->writer_.FillStats(*router->CurrentSnapshot(), s);
 }
 
 // ------------------------------------------------------ LoopbackCluster

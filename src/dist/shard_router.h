@@ -14,15 +14,17 @@
 //                    kernels when the last fetch lands — the reader
 //                    thread issues and returns; no thread parks per RPC
 //
-//   updates          router writer -> inner ShardedEngine (the
-//                    authoritative writer tier) -> the update batch is
-//                    shipped to every replica as a kInstall wire
-//                    message, applied by each ReplicaNode's own engine
-//                    and epoch-checked -> THEN the new snapshot is
-//                    published to the router's readers
+//   updates          router core's writer thread coalesces a batch ->
+//                    the router's ShardedWriter applies it as one epoch
+//                    -> the batch is shipped to every replica as a
+//                    kInstall wire message, applied whole by each
+//                    ReplicaNode's own ShardedWriter and epoch-checked
+//                    -> THEN the new snapshot is published to the
+//                    router's readers
 //
 // Every replica, behind loopback, TCP or a separate process, is a
-// ReplicaNode fed by that one sequenced install stream.
+// ReplicaNode fed by that one sequenced install stream. The router owns
+// one ShardedWriter and one ServingCore, and nothing else that serves.
 //
 // Epoch-consistent fan-out is the hard invariant: a batch pins one
 // snapshot, every row request carries that snapshot's per-shard
@@ -77,15 +79,17 @@ namespace stl {
 
 /// Construction options for the router tier.
 struct ShardRouterOptions {
-  /// The inner authoritative engine (writer tier): partitioning,
-  /// per-shard backend, maintenance strategy. Its serving-side knobs
-  /// (threads, caches) apply to the inner engine only; the router has
-  /// its own below.
+  /// The router's ShardedWriter reads backend, target_shards and
+  /// serving.fault_injector (FaultSite::kOverlayRepair) of these; the
+  /// other fields are unused (the router's own serving knobs are
+  /// below). Replicas must be built with the same backend and
+  /// target_shards.
   ShardedEngineOptions engine;
-  /// Router reader threads (the tier that fans queries out).
+  /// Router reader threads (the tier that fans queries out; they also
+  /// lend the writer a hand with the boundary-clique recompute).
   int num_query_threads = 4;
-  /// Updates taken per router epoch (forwarded to the inner writer in
-  /// one atomic enqueue, so they land in few inner epochs).
+  /// Updates taken per router epoch: each coalesced slice is one epoch
+  /// on the router and on every replica.
   size_t max_batch_size = 128;
   /// Router-side epoch-keyed (s, t) result memo; 0 disables it.
   size_t result_cache_entries = 0;
@@ -99,8 +103,9 @@ struct ShardRouterOptions {
 /// fan-out accounting.
 struct RouterStats {
   /// The router core's serving-side stats (queries served/unavailable,
-  /// latency quantiles, cache rates; epochs_published counts router
-  /// publishes).
+  /// latency quantiles, cache rates) and its writer's work (updates
+  /// applied, epochs_published, batch, CoW, publish and overlay
+  /// counters, shard rows).
   EngineStats serving;
   /// Replica endpoints the transport reaches.
   uint32_t replicas = 0;
@@ -127,8 +132,8 @@ struct RouterStats {
 
 /// The replicated router over a pluggable transport. Mirrors
 /// ShardedEngine's public serving API (same submission paths, same
-/// exactly-once completion contract); updates flow through the inner
-/// authoritative engine and re-publish to every replica before the
+/// exactly-once completion contract); updates are applied by the
+/// router's ShardedWriter and installed on every replica before the
 /// router's readers see the new epoch. Thread-safe like the engines.
 class ShardRouter {
  public:
@@ -136,18 +141,18 @@ class ShardRouter {
   /// per batch; see engine/serving_core.h).
   using Ticket = BatchTicket<ShardedSnapshot>;
 
-  /// Builds the inner engine from `graph`, installs the initial epoch
-  /// on the replicas and starts the router core. `transport` (not
-  /// owned) must route endpoint i to replica i: a ReplicaNode built
-  /// from the same graph, hierarchy options and `options.engine`, kept
-  /// in sync by kInstall replication. `replicas` must be empty; it
+  /// Builds the writer from `graph`, installs the initial epoch on the
+  /// replicas and starts the router core. `transport` (not owned) must
+  /// route endpoint i to replica i: a ReplicaNode built from the same
+  /// graph, hierarchy options and `options.engine`, kept in sync by
+  /// kInstall replication. `replicas` must be empty; it
   /// stays only because existing callers still pass an empty list.
   ShardRouter(Graph graph, const HierarchyOptions& hierarchy_options,
               const ShardRouterOptions& options, Transport* transport,
               std::vector<ShardReplica*> replicas);
 
-  /// Drains the router core (answers or fails every submitted query,
-  /// including every in-flight async fan-out), then the inner engine.
+  /// Drains the router core: answers or fails every submitted query,
+  /// including every in-flight async fan-out.
   ~ShardRouter();
 
   ShardRouter(const ShardRouter&) = delete;  ///< Not copyable.
@@ -179,16 +184,16 @@ class ShardRouter {
                            Deadline deadline = kNoDeadline);
 
   /// Records a desired new weight for a global edge; applied by the
-  /// inner engine and re-published to every replica before the
+  /// router's writer and installed on every replica before the
   /// router's next epoch serves.
   void EnqueueUpdate(EdgeId edge, Weight new_weight);
 
-  /// Enqueues many updates atomically (one router epoch's worth lands
-  /// in few inner epochs).
+  /// Enqueues many updates atomically (up to max_batch_size of them
+  /// land in one epoch).
   void EnqueueUpdates(const std::vector<WeightUpdate>& updates);
 
   /// Blocks until every update enqueued before the call has been
-  /// applied by the inner engine, installed on every replica, and
+  /// applied by the router's writer, installed on every replica, and
   /// published to the router's readers.
   void Flush();
 
@@ -199,14 +204,14 @@ class ShardRouter {
   /// Global epoch of the latest router-published snapshot.
   uint64_t CurrentEpoch() const { return CurrentSnapshot()->epoch; }
 
-  /// Number of cells of the inner engine's partition.
-  uint32_t num_shards() const { return engine_.num_shards(); }
+  /// Number of cells of the writer's partition.
+  uint32_t num_shards() const { return writer_.layout().num_shards(); }
 
   /// Point-in-time router-tier counters.
   RouterStats Stats() const;
 
-  /// Zeroes the router core's counters and the RPC counters (bench
-  /// warmup). Call only while no queries are in flight.
+  /// Zeroes the router core's, the writer's and the RPC counters
+  /// (bench warmup). Call only while no queries are in flight.
   void ResetStats();
 
   /// Router reader thread count.
@@ -311,11 +316,6 @@ class ShardRouter {
 
   Mailbox mailbox_;
   std::atomic<uint32_t> next_replica_{0};  // round-robin fan-out start
-  // Inner epoch of the last snapshot handed to InstallAndPublish
-  // (router writer thread only; skips republishing coalesced no-ops —
-  // the replicas skip the identical no-ops, so the streams stay
-  // aligned).
-  uint64_t last_published_epoch_ = 0;
 
   /// One wire-install log entry: the sequence number and the
   /// encoded-once InstallRequest shared by every (re)send.
@@ -336,7 +336,7 @@ class ShardRouter {
   std::atomic<uint64_t> wire_installs_{0};
   std::atomic<uint64_t> install_failures_{0};
 
-  ShardedEngine engine_;  // the authoritative writer tier
+  ShardedWriter writer_;  // applied by the core's writer thread only
   Policy policy_{{}, this};
   ServingCore<Policy> core_;  // last member: its readers die first
 };
@@ -354,7 +354,7 @@ struct LoopbackCluster {
 /// Builds `num_replicas` ReplicaNodes (each with `replica_options`)
 /// behind one loopback transport. `graph`, `hierarchy_options` and
 /// `router_options.engine` must be what the router is built with: the
-/// nodes replay its install stream on identical engines. `faults` (not
+/// nodes replay its install stream on identical writers. `faults` (not
 /// owned, may be null) arms the transport fault sites.
 LoopbackCluster MakeLoopbackCluster(
     const Graph& graph, const HierarchyOptions& hierarchy_options,

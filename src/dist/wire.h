@@ -37,7 +37,7 @@ enum class WireKind : uint32_t {
   kPointQuery = 2,
   /// A snapshot install (state-machine replication): the router ships
   /// the coalesced weight-update batch that produced its next epoch;
-  /// the replica applies it to its own inner engine and must arrive at
+  /// the replica applies it to its own ShardedWriter and must arrive at
   /// exactly the expected engine/per-shard epochs before acking. See
   /// InstallRequest / dist/replica_node.h.
   kInstall = 3,
@@ -94,9 +94,9 @@ struct ShardResponse {
 };
 
 /// One over-the-wire snapshot install. Installs are state-machine
-/// replication: router and replica run identical inner ShardedEngines
-/// seeded from the same graph, so shipping the coalesced update batch
-/// (not the snapshot bytes) and applying it on both sides produces
+/// replication: router and replica run identical ShardedWriters seeded
+/// from the same graph, so shipping the coalesced update batch (not the
+/// snapshot bytes) and applying it on both sides as one epoch produces
 /// bit-identical snapshots with identical epoch ids — which the
 /// expected_* fields then verify explicitly, turning any divergence
 /// into a nack instead of silent wrong answers. `seq` orders installs
@@ -104,7 +104,7 @@ struct ShardResponse {
 /// seq it needs next and the router replays from its bounded log.
 struct InstallRequest {
   uint64_t seq = 0;  ///< Dense per-replica install sequence number.
-  /// Global epoch the router's engine reached after applying `updates`.
+  /// Global epoch the router's writer reached after applying `updates`.
   uint64_t expected_engine_epoch = 0;
   /// Per-shard epochs of that snapshot (index = shard id).
   std::vector<uint64_t> expected_shard_epochs;
@@ -130,7 +130,7 @@ struct InstallRequest {
 struct InstallAck {
   bool ok = false;        ///< Applied and epoch-verified.
   uint64_t next_seq = 0;  ///< The seq this replica expects next.
-  /// The replica engine's global epoch after handling the request.
+  /// The replica writer's global epoch after handling the request.
   uint64_t engine_epoch = 0;
 
   /// Encodes into a fresh buffer (magic/version header included).

@@ -38,9 +38,8 @@ void QueryEngine::Policy::ApplyBatch(const UpdateBatch& batch) {
   // epoch.
   QueryEngine& e = *engine;
   ServingCounters& counters = e.core_.counters();
-  const MaintenanceStrategy strategy =
-      ChooseStrategy(e.options_.strategy, batch.size());
-  counters.batch_counters.Count(e.index_->ApplyBatch(batch, strategy));
+  counters.batch_counters.Count(
+      e.index_->ApplyBatch(batch, ChooseStrategy(batch.size())));
   counters.updates_applied.fetch_add(batch.size(),
                                      std::memory_order_relaxed);
   const uint64_t epoch =

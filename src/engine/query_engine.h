@@ -124,8 +124,6 @@ struct EngineOptions {
   /// Updates taken from the pending queue per epoch (larger batches mean
   /// fewer snapshot publishes but staler reads).
   size_t max_batch_size = 128;
-  /// How the writer picks the STL maintenance algorithm per batch.
-  StrategyMode strategy = StrategyMode::kAuto;
   /// Capacity of the epoch-keyed (s, t) result memo consulted by every
   /// submission path; 0 disables it. The serving epoch is part of the
   /// cache key, so publishes invalidate for free.

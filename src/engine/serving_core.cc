@@ -56,11 +56,8 @@ size_t CompletionQueue::size() const {
 
 // ----------------------------------------------------- ServingCounters
 
-void ServingCounters::FillStats(EngineStats* s) const {
-  s->queries_served = queries_served.load(std::memory_order_relaxed);
+void WriterCounters::FillStats(EngineStats* s) const {
   s->updates_applied = updates_applied.load(std::memory_order_relaxed);
-  s->updates_coalesced =
-      updates_coalesced.load(std::memory_order_relaxed);
   s->epochs_published = epochs_published.load(std::memory_order_relaxed);
   s->batches_pareto =
       batch_counters.pareto.load(std::memory_order_relaxed);
@@ -69,9 +66,6 @@ void ServingCounters::FillStats(EngineStats* s) const {
       batch_counters.incremental.load(std::memory_order_relaxed);
   s->batches_rebuild =
       batch_counters.rebuild.load(std::memory_order_relaxed);
-  s->query_batches_submitted =
-      query_batches_submitted.load(std::memory_order_relaxed);
-  s->batched_queries = batched_queries.load(std::memory_order_relaxed);
   s->label_pages_cloned =
       label_pages_cloned.load(std::memory_order_relaxed);
   s->graph_chunks_cloned =
@@ -82,6 +76,29 @@ void ServingCounters::FillStats(EngineStats* s) const {
   s->publish_total_micros =
       static_cast<double>(publish_nanos.load(std::memory_order_relaxed)) /
       1e3;
+}
+
+void WriterCounters::Reset() {
+  updates_applied.store(0, std::memory_order_relaxed);
+  // epochs_published is deliberately not reset: it doubles as the epoch
+  // id allocator, and snapshot epochs must stay unique for the lifetime
+  // of the writer.
+  batch_counters.Reset();
+  label_pages_cloned.store(0, std::memory_order_relaxed);
+  graph_chunks_cloned.store(0, std::memory_order_relaxed);
+  cow_bytes_cloned.store(0, std::memory_order_relaxed);
+  publish_bytes_deep_copied.store(0, std::memory_order_relaxed);
+  publish_nanos.store(0, std::memory_order_relaxed);
+}
+
+void ServingCounters::FillStats(EngineStats* s) const {
+  WriterCounters::FillStats(s);
+  s->queries_served = queries_served.load(std::memory_order_relaxed);
+  s->updates_coalesced =
+      updates_coalesced.load(std::memory_order_relaxed);
+  s->query_batches_submitted =
+      query_batches_submitted.load(std::memory_order_relaxed);
+  s->batched_queries = batched_queries.load(std::memory_order_relaxed);
   s->queries_shed = queries_shed.load(std::memory_order_relaxed);
   s->batches_shed = batches_shed.load(std::memory_order_relaxed);
   s->queries_deadline_exceeded =
@@ -104,20 +121,11 @@ void ServingCounters::FillStats(EngineStats* s) const {
 }
 
 void ServingCounters::Reset() {
+  WriterCounters::Reset();
   queries_served.store(0, std::memory_order_relaxed);
-  updates_applied.store(0, std::memory_order_relaxed);
   updates_coalesced.store(0, std::memory_order_relaxed);
-  // epochs_published is deliberately not reset: it doubles as the epoch
-  // id allocator, and snapshot epochs must stay unique for the lifetime
-  // of the engine.
-  batch_counters.Reset();
   query_batches_submitted.store(0, std::memory_order_relaxed);
   batched_queries.store(0, std::memory_order_relaxed);
-  label_pages_cloned.store(0, std::memory_order_relaxed);
-  graph_chunks_cloned.store(0, std::memory_order_relaxed);
-  cow_bytes_cloned.store(0, std::memory_order_relaxed);
-  publish_bytes_deep_copied.store(0, std::memory_order_relaxed);
-  publish_nanos.store(0, std::memory_order_relaxed);
   queries_shed.store(0, std::memory_order_relaxed);
   batches_shed.store(0, std::memory_order_relaxed);
   queries_deadline_exceeded.store(0, std::memory_order_relaxed);

@@ -135,32 +135,15 @@ inline Status ServingStatus(StatusCode code) {
   }
 }
 
-/// How the writer picks the STL maintenance algorithm per batch (other
-/// backends use their own single maintenance scheme and ignore this).
-enum class StrategyMode {
-  kAlwaysParetoSearch,  ///< STL-P for every batch.
-  kAlwaysLabelSearch,   ///< STL-L for every batch.
-  /// Per-batch choice: Label Search amortizes its per-ancestor searches
-  /// over large batches (Table 3); Pareto Search wins on small ones.
-  kAuto,
-};
-
-/// StrategyMode::kAuto: batches with at least this many effective
-/// updates use Label Search, smaller ones Pareto Search.
+/// Batches with at least this many effective updates use Label Search
+/// (STL-L), which amortizes its per-ancestor searches over large
+/// batches (Table 3); smaller ones use Pareto Search (STL-P).
 inline constexpr size_t kAutoLabelSearchThreshold = 16;
 
-/// The per-batch STL maintenance choice for `mode` on a batch of
-/// `batch_size` effective updates. Shared by both serving engines.
-inline MaintenanceStrategy ChooseStrategy(StrategyMode mode,
-                                          size_t batch_size) {
-  switch (mode) {
-    case StrategyMode::kAlwaysParetoSearch:
-      return MaintenanceStrategy::kParetoSearch;
-    case StrategyMode::kAlwaysLabelSearch:
-      return MaintenanceStrategy::kLabelSearch;
-    case StrategyMode::kAuto:
-      break;
-  }
+/// The per-batch STL maintenance choice on a batch of `batch_size`
+/// effective updates (other backends use their own single maintenance
+/// scheme and ignore it). Shared by both serving engines.
+inline MaintenanceStrategy ChooseStrategy(size_t batch_size) {
   return batch_size >= kAutoLabelSearchThreshold
              ? MaintenanceStrategy::kLabelSearch
              : MaintenanceStrategy::kParetoSearch;
@@ -372,16 +355,14 @@ class CompletionQueue final : public CompletionSink {
   std::deque<Completion> done_;
 };
 
-/// The serving-side counter block shared by every engine: relaxed
-/// atomics for monitoring, the latency histogram, and the wall clock.
-/// Policies bump the maintenance/publish counters from the writer
-/// thread; ServingCore bumps the query-side ones from the reader pool.
-struct ServingCounters {
-  std::atomic<uint64_t> queries_served{0};   ///< Queries answered.
+/// The writer-side counter block: what applying and publishing update
+/// batches cost. Relaxed atomics for monitoring, bumped by the one
+/// thread that applies batches. ServingCounters extends it for the flat
+/// engine; the sharded writer (engine/sharded_engine.h) owns its own.
+struct WriterCounters {
   std::atomic<uint64_t> updates_applied{0};  ///< Effective updates.
-  std::atomic<uint64_t> updates_coalesced{0};  ///< Dropped no-ops/dups.
   /// Snapshots published after epoch 0. Doubles as the epoch-id
-  /// allocator, so it survives ResetStats().
+  /// allocator, so it survives Reset().
   std::atomic<uint64_t> epochs_published{0};
   BatchExecutionCounters batch_counters;     ///< How batches executed.
   std::atomic<uint64_t> label_pages_cloned{0};   ///< CoW label pages.
@@ -390,6 +371,22 @@ struct ServingCounters {
   /// Bytes copied by deep-copy publishes (CH/H2H epochs).
   std::atomic<uint64_t> publish_bytes_deep_copied{0};
   std::atomic<uint64_t> publish_nanos{0};  ///< Time inside publication.
+
+  /// Copies the block into the matching EngineStats fields.
+  void FillStats(EngineStats* s) const;
+
+  /// Zeroes everything except epochs_published (the epoch-id allocator:
+  /// snapshot epochs must stay unique for the writer's lifetime).
+  void Reset();
+};
+
+/// The serving-side counter block shared by every engine: the writer
+/// block plus relaxed atomics for the query side, the latency
+/// histogram, and the wall clock. ServingCore bumps the query-side
+/// counters from the reader pool.
+struct ServingCounters : WriterCounters {
+  std::atomic<uint64_t> queries_served{0};   ///< Queries answered.
+  std::atomic<uint64_t> updates_coalesced{0};  ///< Dropped no-ops/dups.
   /// Batch tickets issued (SubmitBatch / SubmitBatchTagged).
   std::atomic<uint64_t> query_batches_submitted{0};
   /// Queries that arrived inside a batch.
@@ -419,9 +416,8 @@ struct ServingCounters {
   /// derives the rates (qps, latency quantiles).
   void FillStats(EngineStats* s) const;
 
-  /// Zeroes everything except epochs_published (the epoch-id allocator:
-  /// snapshot epochs must stay unique for the engine's lifetime) and
-  /// restarts the wall clock.
+  /// Zeroes everything except epochs_published (see WriterCounters)
+  /// and restarts the wall clock.
   void Reset();
 };
 

@@ -18,7 +18,8 @@ namespace stl {
 namespace {
 
 // Fans BoundaryOverlay::RebuildClique's per-source searches out across
-// the core's reader pool. The writer participates as one worker, so
+// an owner's reader pool; a null pool lends no helpers (Width() 1, so
+// the recompute runs inline). The writer participates as one worker, so
 // progress never depends on the pool: rejected enqueues (shutdown) or
 // a busy pool just mean fewer helpers. Run returns only after every
 // launched helper finished (mutex/cv join — the join also orders the
@@ -28,7 +29,9 @@ class PoolExecutor final : public OverlayExecutor {
   explicit PoolExecutor(ThreadPool* pool) : pool_(pool) {}
 
   uint32_t Width() const override {
-    return static_cast<uint32_t>(std::max(1, pool_->num_threads()));
+    return pool_ == nullptr
+               ? 1
+               : static_cast<uint32_t>(std::max(1, pool_->num_threads()));
   }
 
   void Run(const std::function<void()>& worker) override {
@@ -38,7 +41,8 @@ class PoolExecutor final : public OverlayExecutor {
     // block on them for nothing. Fan out only when the pool is idle
     // (the common case for update-dominated phases); otherwise the
     // writer runs the whole recompute inline.
-    const uint32_t helpers = pool_->queue_depth() == 0 ? width - 1 : 0;
+    const uint32_t helpers =
+        pool_ != nullptr && pool_->queue_depth() == 0 ? width - 1 : 0;
     // Heap-held latch: a helper's final unlock may race Run's return,
     // so the state must outlive Run (each helper keeps a reference).
     struct Latch {
@@ -182,17 +186,18 @@ const Weight* InnerVectorMemo::Get(const ShardedSnapshot& snap, uint32_t cs,
   return inner_.data();
 }
 
-// ------------------------------------------------------- ShardedEngine
+// ------------------------------------------------------- ShardedWriter
 
-ShardedEngine::ShardedEngine(Graph graph,
+ShardedWriter::ShardedWriter(Graph graph,
                              const HierarchyOptions& hierarchy_options,
                              const ShardedEngineOptions& options)
-    : options_(options), core_(&policy_, CoreOptionsOf(options)) {
-  graph_ = std::make_unique<Graph>(std::move(graph));
-  STL_CHECK_GE(options_.target_shards, 1u);
+    : backend_(options.backend),
+      faults_(options.serving.fault_injector),
+      graph_(std::make_unique<Graph>(std::move(graph))) {
+  STL_CHECK_GE(options.target_shards, 1u);
 
   const CellPartition cells =
-      PartitionCells(*graph_, options_.target_shards, hierarchy_options);
+      PartitionCells(*graph_, options.target_shards, hierarchy_options);
   ShardPlan plan = BuildShardPlan(*graph_, cells);
   layout_ = std::make_shared<const ShardLayout>(std::move(plan.layout));
 
@@ -209,7 +214,7 @@ ShardedEngine::ShardedEngine(Graph graph,
   // construction never runs more than num_threads build threads at once.
   {
     const uint32_t shard_workers =
-        options_.backend == BackendKind::kStl
+        backend_ == BackendKind::kStl
             ? std::min(k, 1u)
             : std::min(k, static_cast<uint32_t>(
                               std::max(1, hierarchy_options.num_threads)));
@@ -218,7 +223,7 @@ ShardedEngine::ShardedEngine(Graph graph,
       for (uint32_t c = cursor.fetch_add(1, std::memory_order_relaxed);
            c < k; c = cursor.fetch_add(1, std::memory_order_relaxed)) {
         states_[c].index = MakeDistanceIndex(
-            options_.backend, states_[c].graph.get(), hierarchy_options);
+            backend_, states_[c].graph.get(), hierarchy_options);
       }
     };
     std::vector<std::thread> threads;
@@ -229,13 +234,6 @@ ShardedEngine::ShardedEngine(Graph graph,
   }
   if (k > 0) capabilities_ = states_[0].index->capabilities();
   overlay_ = std::make_unique<BoundaryOverlay>(layout_.get(), *graph_);
-  uint32_t max_width = 0;
-  for (uint32_t c = 0; c < k; ++c) {
-    max_width = std::max(
-        max_width,
-        static_cast<uint32_t>(layout_->shards[c].boundary_local.size()));
-  }
-  row_cache_.Init(options_.boundary_row_cache_entries, max_width);
   shard_updates_.reset(new std::atomic<uint64_t>[std::max(k, 1u)]);
   for (uint32_t c = 0; c < k; ++c) shard_updates_[c].store(0);
   serving_.resize(k);
@@ -243,29 +241,32 @@ ShardedEngine::ShardedEngine(Graph graph,
   // Epoch 0 baseline: clones from construction are not publish cost.
   harvested_graph_chunks_ = graph_->cow_stats().chunks_cloned;
   harvested_graph_bytes_ = graph_->cow_stats().bytes_cloned;
-  core_.Start();  // publishes epoch 0, starts the writer
 }
 
-ShardedEngine::~ShardedEngine() = default;  // core_ drains first
-
-void ShardedEngine::PublishInitialSnapshot() {
-  PoolExecutor executor(core_.pool());
+std::shared_ptr<const ShardedSnapshot> ShardedWriter::PublishInitial(
+    ThreadPool* helpers) {
+  PoolExecutor executor(helpers);
   for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
     // Epoch 0: construction cost, so neither the CoW nor the clique
     // time is counted as publish cost.
     PublishInfo info;
     PublishShard(c, 0, &executor, &info);
   }
-  auto snap = std::make_shared<ShardedSnapshot>();
-  snap->epoch = 0;
-  snap->graph = *graph_;
-  snap->layout = layout_;
-  snap->shards = serving_;
-  snap->overlay = overlay_->Publish();
-  core_.Publish(std::move(snap));
+  return Snapshot(0, overlay_->Publish());
 }
 
-uint64_t ShardedEngine::PublishShard(uint32_t c, uint64_t shard_epoch,
+std::shared_ptr<const ShardedSnapshot> ShardedWriter::Snapshot(
+    uint64_t epoch, std::shared_ptr<const OverlayTable> overlay) const {
+  auto snap = std::make_shared<ShardedSnapshot>();
+  snap->epoch = epoch;
+  snap->graph = *graph_;  // structural chunk share
+  snap->layout = layout_;
+  snap->shards = serving_;
+  snap->overlay = std::move(overlay);
+  return snap;
+}
+
+uint64_t ShardedWriter::PublishShard(uint32_t c, uint64_t shard_epoch,
                                      OverlayExecutor* executor,
                                      PublishInfo* info) {
   auto serving = std::make_shared<ShardServing>();
@@ -276,7 +277,7 @@ uint64_t ShardedEngine::PublishShard(uint32_t c, uint64_t shard_epoch,
   // The clique recompute, fanned across `executor`. Label backends
   // answer the |S_c|^2 / 2 pairs by point queries against the view just
   // published; CH re-derives the clique with |S_c| Dijkstras over the
-  // shard's master subgraph (ApplyBatch wrote the new weights into it),
+  // shard's master subgraph (Apply wrote the new weights into it),
   // which beats that many bidirectional searches.
   if (states_[c].index->capabilities().fast_point_queries) {
     overlay_->RebuildClique(c, *serving->view, executor);
@@ -288,22 +289,201 @@ uint64_t ShardedEngine::PublishShard(uint32_t c, uint64_t shard_epoch,
   return clique_nanos;
 }
 
+std::shared_ptr<const ShardedSnapshot> ShardedWriter::Apply(
+    const UpdateBatch& batch, ThreadPool* helpers) {
+  const uint32_t k = layout_->num_shards();
+  // Partition the batch by owning cell; S–S edges go to the overlay.
+  std::vector<UpdateBatch> per_shard(k);
+  for (const WeightUpdate& u : batch) {
+    graph_->SetEdgeWeight(u.edge, u.new_weight);
+    const uint32_t owner = layout_->shard_of_edge[u.edge];
+    const uint32_t slot = layout_->local_of_edge[u.edge];
+    if (owner == ShardLayout::kOverlayShard) {
+      overlay_->SetDirectWeight(slot, u.new_weight);
+    } else {
+      per_shard[owner].push_back(
+          WeightUpdate{slot, states_[owner].graph->EdgeWeight(slot),
+                       u.new_weight});
+    }
+  }
+
+  // Maintenance: repair (or rebuild) only the dirtied shards. The
+  // STL-P/STL-L choice is made per SHARD batch — each shard amortizes
+  // over its own share of the updates.
+  for (uint32_t c = 0; c < k; ++c) {
+    if (per_shard[c].empty()) continue;
+    counters_.batch_counters.Count(states_[c].index->ApplyBatch(
+        per_shard[c], ChooseStrategy(per_shard[c].size())));
+    shard_updates_[c].fetch_add(per_shard[c].size(),
+                                std::memory_order_relaxed);
+  }
+  counters_.updates_applied.fetch_add(batch.size(),
+                                      std::memory_order_relaxed);
+
+  // Publication: new views + cliques for dirty shards only, then one
+  // overlay publish (incremental row repair when feasible), then the
+  // snapshot. Clean shards' ShardServing pointers carry over unchanged,
+  // and clean overlay rows are pointer-shared.
+  Timer publish_timer;
+  PoolExecutor executor(helpers);
+  for (uint32_t c = 0; c < k; ++c) {
+    if (per_shard[c].empty()) continue;
+    PublishInfo info;
+    overlay_nanos_.fetch_add(
+        PublishShard(c, ++states_[c].shard_epoch, &executor, &info),
+        std::memory_order_relaxed);
+    counters_.label_pages_cloned.fetch_add(info.label_pages_cloned,
+                                           std::memory_order_relaxed);
+    counters_.cow_bytes_cloned.fetch_add(info.label_bytes_cloned,
+                                         std::memory_order_relaxed);
+    counters_.publish_bytes_deep_copied.fetch_add(
+        info.deep_bytes_copied, std::memory_order_relaxed);
+  }
+  // An injected kOverlayRepair fault makes repair "infeasible": the
+  // publish takes the from-scratch rebuild instead.
+  const bool allow_repair =
+      faults_ == nullptr || !faults_->Fire(FaultSite::kOverlayRepair);
+  Timer overlay_timer;
+  OverlayPublishStats overlay_stats;
+  auto table = overlay_->Publish(allow_repair, &overlay_stats);
+  const uint64_t overlay_publish_nanos = overlay_timer.ElapsedNanos();
+  overlay_nanos_.fetch_add(overlay_publish_nanos,
+                           std::memory_order_relaxed);
+  overlay_repair_nanos_.fetch_add(overlay_publish_nanos,
+                                  std::memory_order_relaxed);
+  overlay_republishes_.fetch_add(1, std::memory_order_relaxed);
+  overlay_rows_repaired_.fetch_add(overlay_stats.rows_repaired,
+                                   std::memory_order_relaxed);
+  overlay_rows_total_.fetch_add(overlay_stats.rows_total,
+                                std::memory_order_relaxed);
+  overlay_full_rebuilds_.fetch_add(overlay_stats.full_rebuild ? 1 : 0,
+                                   std::memory_order_relaxed);
+  clique_entries_recomputed_.fetch_add(
+      overlay_stats.clique_entries_recomputed, std::memory_order_relaxed);
+  overlay_bytes_shared_.fetch_add(overlay_stats.bytes_shared,
+                                  std::memory_order_relaxed);
+
+  // Graph-side CoW accounting (chunks detached by this batch's writes).
+  const CowChunkStats gc = graph_->cow_stats();
+  counters_.graph_chunks_cloned.fetch_add(
+      gc.chunks_cloned - harvested_graph_chunks_,
+      std::memory_order_relaxed);
+  counters_.cow_bytes_cloned.fetch_add(
+      gc.bytes_cloned - harvested_graph_bytes_, std::memory_order_relaxed);
+  harvested_graph_chunks_ = gc.chunks_cloned;
+  harvested_graph_bytes_ = gc.bytes_cloned;
+
+  auto snap = Snapshot(
+      counters_.epochs_published.fetch_add(1, std::memory_order_relaxed) + 1,
+      std::move(table));
+  counters_.publish_nanos.fetch_add(publish_timer.ElapsedNanos(),
+                                    std::memory_order_relaxed);
+  return snap;
+}
+
+void ShardedWriter::FillStats(const ShardedSnapshot& current,
+                              EngineStats* s) const {
+  counters_.FillStats(s);
+  s->backend = backend_;
+  s->num_shards = layout_->num_shards();
+  s->boundary_vertices = layout_->num_boundary();
+  s->overlay_republishes =
+      overlay_republishes_.load(std::memory_order_relaxed);
+  s->overlay_rebuild_micros =
+      static_cast<double>(overlay_nanos_.load(std::memory_order_relaxed)) /
+      1e3;
+  s->overlay_repair_micros =
+      static_cast<double>(
+          overlay_repair_nanos_.load(std::memory_order_relaxed)) /
+      1e3;
+  s->overlay_rows_repaired =
+      overlay_rows_repaired_.load(std::memory_order_relaxed);
+  s->overlay_rows_total = overlay_rows_total_.load(std::memory_order_relaxed);
+  s->overlay_full_rebuilds =
+      overlay_full_rebuilds_.load(std::memory_order_relaxed);
+  s->clique_entries_recomputed =
+      clique_entries_recomputed_.load(std::memory_order_relaxed);
+  s->overlay_bytes_shared =
+      overlay_bytes_shared_.load(std::memory_order_relaxed);
+  // Honest resident memory of the serving state, wait-free: walk the
+  // (immutable) snapshot, counting each physically shared block once —
+  // the per-shard rows report each shard's unique bytes.
+  std::unordered_set<const void*> seen;
+  uint64_t bytes = 0;
+  s->shards.reserve(layout_->num_shards());
+  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
+    ShardStats row;
+    row.shard = c;
+    row.cell_vertices = layout_->shards[c].num_cell_vertices;
+    row.boundary_vertices =
+        static_cast<uint32_t>(layout_->shards[c].boundary_local.size());
+    row.subgraph_edges =
+        static_cast<uint32_t>(layout_->shards[c].edge_to_global.size());
+    row.shard_epoch = current.shards[c]->shard_epoch;
+    row.updates_applied = shard_updates_[c].load(std::memory_order_relaxed);
+    row.resident_bytes = current.shards[c]->view->AddResidentBytes(&seen);
+    bytes += row.resident_bytes;
+    s->shards.push_back(row);
+  }
+  if (current.overlay != nullptr) {
+    // Chunk-level dedup: rows shared with other epochs' tables (or
+    // already counted through this walk) are counted once.
+    bytes += current.overlay->AddResidentBytes(&seen);
+  }
+  bytes += current.graph.AddResidentBytes(&seen);
+  if (seen.insert(layout_.get()).second) bytes += layout_->MemoryBytes();
+  s->resident_index_bytes = bytes;
+}
+
+void ShardedWriter::ResetStats() {
+  counters_.Reset();
+  overlay_nanos_.store(0, std::memory_order_relaxed);
+  overlay_repair_nanos_.store(0, std::memory_order_relaxed);
+  overlay_republishes_.store(0, std::memory_order_relaxed);
+  overlay_rows_repaired_.store(0, std::memory_order_relaxed);
+  overlay_rows_total_.store(0, std::memory_order_relaxed);
+  overlay_full_rebuilds_.store(0, std::memory_order_relaxed);
+  clique_entries_recomputed_.store(0, std::memory_order_relaxed);
+  overlay_bytes_shared_.store(0, std::memory_order_relaxed);
+  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
+    shard_updates_[c].store(0, std::memory_order_relaxed);
+  }
+}
+
+// ------------------------------------------------------- ShardedEngine
+
+ShardedEngine::ShardedEngine(Graph graph,
+                             const HierarchyOptions& hierarchy_options,
+                             const ShardedEngineOptions& options)
+    : writer_(std::move(graph), hierarchy_options, options),
+      core_(&policy_, CoreOptionsOf(options)) {
+  uint32_t max_width = 0;
+  for (const ShardLayout::Shard& shard : writer_.layout().shards) {
+    max_width = std::max(max_width,
+                         static_cast<uint32_t>(shard.boundary_local.size()));
+  }
+  row_cache_.Init(options.boundary_row_cache_entries, max_width);
+  core_.Start();  // publishes epoch 0, starts the writer
+}
+
+ShardedEngine::~ShardedEngine() = default;  // core_ drains first
+
 // ---------------------------------------------------- the sharded policy
 
 void ShardedEngine::Policy::PublishInitial() {
-  engine->PublishInitialSnapshot();
+  engine->core_.Publish(engine->writer_.PublishInitial(engine->core_.pool()));
 }
 
 Weight ShardedEngine::Policy::ResolveOldWeight(EdgeId e) const {
-  return engine->graph_->EdgeWeight(e);
+  return engine->writer_.EdgeWeight(e);
 }
 
 void ShardedEngine::Policy::ApplyBatch(const UpdateBatch& batch) {
-  engine->ApplyAndPublish(batch);
+  engine->core_.Publish(engine->writer_.Apply(batch, engine->core_.pool()));
 }
 
 uint32_t ShardedEngine::Policy::NumEdges() const {
-  return engine->graph_->NumEdges();
+  return engine->writer_.NumEdges();
 }
 
 void ShardedEngine::Policy::RouteSpan(
@@ -320,29 +500,7 @@ void ShardedEngine::Policy::RouteSpan(
 
 void ShardedEngine::Policy::AugmentStats(EngineStats* s) const {
   const ShardedEngine& e = *engine;
-  s->backend = e.options_.backend;
-  s->num_shards = e.layout_->num_shards();
-  s->boundary_vertices = e.layout_->num_boundary();
-  s->overlay_republishes =
-      e.overlay_republishes_.load(std::memory_order_relaxed);
-  s->overlay_rebuild_micros =
-      static_cast<double>(
-          e.overlay_nanos_.load(std::memory_order_relaxed)) /
-      1e3;
-  s->overlay_repair_micros =
-      static_cast<double>(
-          e.overlay_repair_nanos_.load(std::memory_order_relaxed)) /
-      1e3;
-  s->overlay_rows_repaired =
-      e.overlay_rows_repaired_.load(std::memory_order_relaxed);
-  s->overlay_rows_total =
-      e.overlay_rows_total_.load(std::memory_order_relaxed);
-  s->overlay_full_rebuilds =
-      e.overlay_full_rebuilds_.load(std::memory_order_relaxed);
-  s->clique_entries_recomputed =
-      e.clique_entries_recomputed_.load(std::memory_order_relaxed);
-  s->overlay_bytes_shared =
-      e.overlay_bytes_shared_.load(std::memory_order_relaxed);
+  e.writer_.FillStats(*e.CurrentSnapshot(), s);
   s->boundary_row_cache_lookups = e.row_cache_.lookups();
   s->boundary_row_cache_hits = e.row_cache_.hits();
   s->boundary_row_cache_hit_rate =
@@ -350,38 +508,6 @@ void ShardedEngine::Policy::AugmentStats(EngineStats* s) const {
           ? static_cast<double>(s->boundary_row_cache_hits) /
                 static_cast<double>(s->boundary_row_cache_lookups)
           : 0.0;
-  // Honest resident memory of the serving state, wait-free: walk the
-  // current (immutable) snapshot, counting each physically shared
-  // block once — the per-shard rows report each shard's unique bytes.
-  std::shared_ptr<const ShardedSnapshot> snap = e.CurrentSnapshot();
-  std::unordered_set<const void*> seen;
-  uint64_t bytes = 0;
-  s->shards.reserve(e.layout_->num_shards());
-  for (uint32_t c = 0; c < e.layout_->num_shards(); ++c) {
-    ShardStats row;
-    row.shard = c;
-    row.cell_vertices = e.layout_->shards[c].num_cell_vertices;
-    row.boundary_vertices =
-        static_cast<uint32_t>(e.layout_->shards[c].boundary_local.size());
-    row.subgraph_edges =
-        static_cast<uint32_t>(e.layout_->shards[c].edge_to_global.size());
-    row.shard_epoch = snap->shards[c]->shard_epoch;
-    row.updates_applied =
-        e.shard_updates_[c].load(std::memory_order_relaxed);
-    row.resident_bytes = snap->shards[c]->view->AddResidentBytes(&seen);
-    bytes += row.resident_bytes;
-    s->shards.push_back(row);
-  }
-  if (snap->overlay != nullptr) {
-    // Chunk-level dedup: rows shared with other epochs' tables (or
-    // already counted through this walk) are counted once.
-    bytes += snap->overlay->AddResidentBytes(&seen);
-  }
-  bytes += snap->graph.AddResidentBytes(&seen);
-  if (seen.insert(e.layout_.get()).second) {
-    bytes += e.layout_->MemoryBytes();
-  }
-  s->resident_index_bytes = bytes;
 }
 
 // ------------------------------------------------- submission forwards
@@ -431,125 +557,14 @@ int ShardedEngine::num_query_threads() const {
   return core_.num_query_threads();
 }
 
-// --------------------------------------------------- writer apply step
-
-void ShardedEngine::ApplyAndPublish(const UpdateBatch& batch) {
-  ServingCounters& counters = core_.counters();
-  const uint32_t k = layout_->num_shards();
-  // Partition the batch by owning cell; S–S edges go to the overlay.
-  std::vector<UpdateBatch> per_shard(k);
-  for (const WeightUpdate& u : batch) {
-    graph_->SetEdgeWeight(u.edge, u.new_weight);
-    const uint32_t owner = layout_->shard_of_edge[u.edge];
-    const uint32_t slot = layout_->local_of_edge[u.edge];
-    if (owner == ShardLayout::kOverlayShard) {
-      overlay_->SetDirectWeight(slot, u.new_weight);
-    } else {
-      per_shard[owner].push_back(
-          WeightUpdate{slot, states_[owner].graph->EdgeWeight(slot),
-                       u.new_weight});
-    }
-  }
-
-  // Maintenance: repair (or rebuild) only the dirtied shards. The
-  // STL-P/STL-L choice is made per SHARD batch — each shard amortizes
-  // over its own share of the updates.
-  for (uint32_t c = 0; c < k; ++c) {
-    if (per_shard[c].empty()) continue;
-    const MaintenanceStrategy strategy =
-        ChooseStrategy(options_.strategy, per_shard[c].size());
-    counters.batch_counters.Count(
-        states_[c].index->ApplyBatch(per_shard[c], strategy));
-    shard_updates_[c].fetch_add(per_shard[c].size(),
-                                std::memory_order_relaxed);
-  }
-  counters.updates_applied.fetch_add(batch.size(),
-                                     std::memory_order_relaxed);
-
-  // Publication: new views + cliques for dirty shards only, then one
-  // overlay publish (incremental row repair when feasible), then the
-  // snapshot swap. Clean shards' ShardServing pointers carry over
-  // unchanged, and clean overlay rows are pointer-shared.
-  Timer publish_timer;
-  PoolExecutor executor(core_.pool());
-  for (uint32_t c = 0; c < k; ++c) {
-    if (per_shard[c].empty()) continue;
-    PublishInfo info;
-    overlay_nanos_.fetch_add(
-        PublishShard(c, ++states_[c].shard_epoch, &executor, &info),
-        std::memory_order_relaxed);
-    counters.label_pages_cloned.fetch_add(info.label_pages_cloned,
-                                          std::memory_order_relaxed);
-    counters.cow_bytes_cloned.fetch_add(info.label_bytes_cloned,
-                                        std::memory_order_relaxed);
-    counters.publish_bytes_deep_copied.fetch_add(
-        info.deep_bytes_copied, std::memory_order_relaxed);
-  }
-  // An injected kOverlayRepair fault makes repair "infeasible": the
-  // publish takes the from-scratch rebuild instead.
-  FaultInjector* faults = options_.serving.fault_injector;
-  const bool allow_repair =
-      faults == nullptr || !faults->Fire(FaultSite::kOverlayRepair);
-  Timer overlay_timer;
-  OverlayPublishStats overlay_stats;
-  auto table = overlay_->Publish(allow_repair, &overlay_stats);
-  const uint64_t overlay_publish_nanos = overlay_timer.ElapsedNanos();
-  overlay_nanos_.fetch_add(overlay_publish_nanos,
-                           std::memory_order_relaxed);
-  overlay_repair_nanos_.fetch_add(overlay_publish_nanos,
-                                  std::memory_order_relaxed);
-  overlay_republishes_.fetch_add(1, std::memory_order_relaxed);
-  overlay_rows_repaired_.fetch_add(overlay_stats.rows_repaired,
-                                   std::memory_order_relaxed);
-  overlay_rows_total_.fetch_add(overlay_stats.rows_total,
-                                std::memory_order_relaxed);
-  overlay_full_rebuilds_.fetch_add(overlay_stats.full_rebuild ? 1 : 0,
-                                   std::memory_order_relaxed);
-  clique_entries_recomputed_.fetch_add(
-      overlay_stats.clique_entries_recomputed, std::memory_order_relaxed);
-  overlay_bytes_shared_.fetch_add(overlay_stats.bytes_shared,
-                                  std::memory_order_relaxed);
-
-  // Graph-side CoW accounting (chunks detached by this batch's writes).
-  const CowChunkStats gc = graph_->cow_stats();
-  counters.graph_chunks_cloned.fetch_add(
-      gc.chunks_cloned - harvested_graph_chunks_,
-      std::memory_order_relaxed);
-  counters.cow_bytes_cloned.fetch_add(
-      gc.bytes_cloned - harvested_graph_bytes_, std::memory_order_relaxed);
-  harvested_graph_chunks_ = gc.chunks_cloned;
-  harvested_graph_bytes_ = gc.bytes_cloned;
-
-  auto snap = std::make_shared<ShardedSnapshot>();
-  snap->epoch =
-      counters.epochs_published.fetch_add(1, std::memory_order_relaxed) + 1;
-  snap->graph = *graph_;  // structural chunk share
-  snap->layout = layout_;
-  snap->shards = serving_;
-  snap->overlay = std::move(table);
-  counters.publish_nanos.fetch_add(publish_timer.ElapsedNanos(),
-                                   std::memory_order_relaxed);
-  core_.Publish(std::move(snap));
-}
-
 EngineStats ShardedEngine::Stats() const { return core_.Stats(); }
 
 void ShardedEngine::ResetStats() {
   core_.ResetStats();
-  // The per-shard ShardState epochs keep snapshot lineage; they do not
-  // reset (mirroring the global epoch allocator).
-  overlay_nanos_.store(0, std::memory_order_relaxed);
-  overlay_repair_nanos_.store(0, std::memory_order_relaxed);
-  overlay_republishes_.store(0, std::memory_order_relaxed);
-  overlay_rows_repaired_.store(0, std::memory_order_relaxed);
-  overlay_rows_total_.store(0, std::memory_order_relaxed);
-  overlay_full_rebuilds_.store(0, std::memory_order_relaxed);
-  clique_entries_recomputed_.store(0, std::memory_order_relaxed);
-  overlay_bytes_shared_.store(0, std::memory_order_relaxed);
+  // The shard epochs keep snapshot lineage; they do not reset
+  // (mirroring the global epoch allocator).
+  writer_.ResetStats();
   row_cache_.ResetCounters();
-  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
-    shard_updates_[c].store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace stl

@@ -5,18 +5,20 @@
 //   readers (ThreadPool)               single writer thread
 //   ─────────────────────              ────────────────────────────────
 //   load the current                ┌─ accumulate EnqueueUpdate()s,
-//   ShardedSnapshot (one atomic     │  coalesce, then PARTITION the
-//   pointer: k shard views +        │  batch by owning cell: repair and
-//   one overlay table), route       │  republish only the dirtied
-//   the query (below)               │  shards (other shards' serving
+//   ShardedSnapshot (one atomic     │  coalesce, then ShardedWriter::
+//   pointer: k shard views +        │  Apply PARTITIONS the batch by
+//   one overlay table), route       │  owning cell: repair and
+//   the query (below)               │  republish only the dirtied
+//                                   │  shards (other shards' serving
 //                                   │  pointers are re-shared), rebuild
 //                                   └─ the overlay, swap the snapshot
 //
-// The serving plumbing (pool, update queue, snapshot slot, batch and
-// completion submission, result cache, stats) is the shared ServingCore
-// of engine/serving_core.h; this file contributes the sharded policy:
-// apply-batch = per-cell repair + overlay rebuild, route = the shard
-// decomposition below.
+// The writer half is ShardedWriter: this engine, the shard router
+// (dist/shard_router.h) and every replica (dist/replica_node.h) each
+// own one. The serving plumbing (pool, update queue, snapshot slot,
+// submission paths, result cache, stats) is the shared ServingCore of
+// engine/serving_core.h; this engine adds the boundary-row cache and
+// the shard decomposition below as its route policy.
 //
 // Construction: PartitionCells (partition/cells.h) cuts the graph into
 // k connected cells isolated by the separator set S; BuildShardPlan
@@ -128,7 +130,8 @@ struct ShardedQueryResult {
   Status status() const { return ServingStatus(code); }
 };
 
-/// Construction options for the sharded engine.
+/// Construction options for the sharded engine. ShardedWriter reads
+/// backend, target_shards and serving.fault_injector (kOverlayRepair).
 struct ShardedEngineOptions {
   /// Index family built per shard (index/distance_index.h).
   BackendKind backend = BackendKind::kStl;
@@ -140,8 +143,6 @@ struct ShardedEngineOptions {
   int num_query_threads = 4;
   /// Updates taken from the pending queue per global epoch.
   size_t max_batch_size = 128;
-  /// Per-shard-batch STL maintenance choice (non-STL backends ignore).
-  StrategyMode strategy = StrategyMode::kAuto;
   /// Capacity of the epoch-keyed (s, t) result memo consulted by every
   /// submission path; 0 disables it.
   size_t result_cache_entries = 0;
@@ -302,24 +303,119 @@ void RouteShardedSpan(const ShardedSnapshot& snap, const QueryPair* queries,
   }
 }
 
-/// Concurrent sharded serving engine: the partitioned Apply + Route
-/// policy over the shared ServingCore. Thread-safe: Submit/SubmitBatch/
-/// SubmitTagged/EnqueueUpdate/Flush/Stats may be called from any
-/// thread. Mirrors QueryEngine's API; the difference is inside the
-/// writer (per-shard repair + overlay rebuild) and the read path (shard
-/// routing).
+/// The one place an update batch becomes a ShardedSnapshot. Owns the
+/// partition, the shard graphs and indexes with their shard epochs, the
+/// BoundaryOverlay, the epoch-id allocator and the work counters.
+/// Identical (graph, options, batch sequence) give bit-identical
+/// snapshots with identical epochs: the contract of the router's
+/// install stream (dist/replica_node.h). One thread at a time calls
+/// PublishInitial, Apply and EdgeWeight; the rest is thread-safe.
+class ShardedWriter {
+ public:
+  /// Takes ownership of the graph, partitions it and builds one backend
+  /// index per cell plus the boundary overlay (at most
+  /// hierarchy_options.num_threads build threads, all joined before
+  /// returning: STL cells one at a time, each on that many label
+  /// workers; other backends' cells on that many shard workers).
+  ShardedWriter(Graph graph, const HierarchyOptions& hierarchy_options,
+                const ShardedEngineOptions& options);
+
+  ShardedWriter(const ShardedWriter&) = delete;  ///< Not copyable.
+  /// Not copyable.
+  ShardedWriter& operator=(const ShardedWriter&) = delete;
+
+  /// Builds the epoch-0 snapshot (construction cost: no counter moves).
+  /// Call once, before Apply. `helpers` as in Apply.
+  std::shared_ptr<const ShardedSnapshot> PublishInitial(ThreadPool* helpers);
+
+  /// Applies one coalesced batch (CoalesceUpdates, engine/
+  /// update_queue.h), republishing only the dirtied shards, and returns
+  /// the next epoch's snapshot. The dirty cliques' recompute fans out
+  /// across `helpers` while its queue is empty; null runs it inline.
+  std::shared_ptr<const ShardedSnapshot> Apply(const UpdateBatch& batch,
+                                               ThreadPool* helpers);
+
+  /// Current master weight of global edge `e`.
+  Weight EdgeWeight(EdgeId e) const { return graph_->EdgeWeight(e); }
+  /// Edge count of the full graph (the update validation bound).
+  uint32_t NumEdges() const { return graph_->NumEdges(); }
+  /// The immutable shard layout.
+  const ShardLayout& layout() const { return *layout_; }
+  /// The backend family each shard runs.
+  BackendKind backend() const { return backend_; }
+  /// Capabilities of the shard backends (identical across shards).
+  const BackendCapabilities& capabilities() const { return capabilities_; }
+
+  /// Fills the writer's EngineStats fields (work counters, overlay,
+  /// per-shard rows); resident bytes are those of `current`.
+  void FillStats(const ShardedSnapshot& current, EngineStats* s) const;
+
+  /// Zeroes the counters except the epoch allocator and shard epochs.
+  void ResetStats();
+
+ private:
+  /// Writer-owned mutable state of one shard.
+  struct ShardState {
+    std::unique_ptr<Graph> graph;          // shard master subgraph
+    std::unique_ptr<DistanceIndex> index;  // shard master index
+    uint64_t shard_epoch = 0;
+  };
+
+  /// Publishes shard c's view as shard epoch `shard_epoch`, recomputes
+  /// its boundary clique through `executor` and stores the new
+  /// ShardServing in serving_[c]. Fills `info` with the view's CoW
+  /// accounting and returns the nanoseconds the clique took.
+  uint64_t PublishShard(uint32_t c, uint64_t shard_epoch,
+                        OverlayExecutor* executor, PublishInfo* info);
+
+  /// The snapshot of the current master state at `epoch`.
+  std::shared_ptr<const ShardedSnapshot> Snapshot(
+      uint64_t epoch, std::shared_ptr<const OverlayTable> overlay) const;
+
+  const BackendKind backend_;
+  FaultInjector* const faults_;  // kOverlayRepair only; null = none
+
+  std::unique_ptr<Graph> graph_;  // full network (weights kept current)
+  std::shared_ptr<const ShardLayout> layout_;
+  std::vector<ShardState> states_;
+  std::unique_ptr<BoundaryOverlay> overlay_;
+  // The serving vector of the last snapshot (the next one is this
+  // vector with dirty entries replaced).
+  std::vector<std::shared_ptr<const ShardServing>> serving_;
+  BackendCapabilities capabilities_;
+
+  // Last-harvested cumulative CoW counters of the master FULL graph
+  // only (shard subgraphs are never snapshotted, so their writes don't
+  // clone; shard-side label copy cost arrives via PublishInfo).
+  uint64_t harvested_graph_chunks_ = 0;
+  uint64_t harvested_graph_bytes_ = 0;
+
+  WriterCounters counters_;  // epochs_published is the epoch allocator
+  std::atomic<uint64_t> overlay_nanos_{0};
+  std::atomic<uint64_t> overlay_repair_nanos_{0};
+  std::atomic<uint64_t> overlay_republishes_{0};
+  std::atomic<uint64_t> overlay_rows_repaired_{0};
+  std::atomic<uint64_t> overlay_rows_total_{0};
+  std::atomic<uint64_t> overlay_full_rebuilds_{0};
+  std::atomic<uint64_t> clique_entries_recomputed_{0};
+  std::atomic<uint64_t> overlay_bytes_shared_{0};
+  std::unique_ptr<std::atomic<uint64_t>[]> shard_updates_;
+};
+
+/// Concurrent sharded serving engine: a ShardedWriter, the
+/// boundary-row cache and the shard routing policy over the shared
+/// ServingCore. Thread-safe: Submit/SubmitBatch/SubmitTagged/
+/// EnqueueUpdate/Flush/Stats may be called from any thread. Mirrors
+/// QueryEngine's API; the difference is inside the writer (per-shard
+/// repair + overlay rebuild) and the read path (shard routing).
 class ShardedEngine {
  public:
   /// Batch handle type returned by SubmitBatch (one pinned snapshot per
   /// batch; see engine/serving_core.h).
   using Ticket = BatchTicket<ShardedSnapshot>;
 
-  /// Takes ownership of the graph, partitions it, builds one backend
-  /// index per cell plus the boundary overlay (at most
-  /// hierarchy_options.num_threads build threads: STL cells one at a
-  /// time, each on that many label workers; other backends' cells on
-  /// that many shard workers),
-  /// starts the workers, and publishes epoch 0.
+  /// Builds the ShardedWriter from the graph, starts the workers, and
+  /// publishes epoch 0.
   ShardedEngine(Graph graph, const HierarchyOptions& hierarchy_options,
                 const ShardedEngineOptions& options = {});
 
@@ -381,14 +477,16 @@ class ShardedEngine {
   uint64_t CurrentEpoch() const { return CurrentSnapshot()->epoch; }
 
   /// The backend family each shard runs.
-  BackendKind backend() const { return options_.backend; }
+  BackendKind backend() const { return writer_.backend(); }
   /// Capabilities of the shard backends (identical across shards).
-  const BackendCapabilities& capabilities() const { return capabilities_; }
+  const BackendCapabilities& capabilities() const {
+    return writer_.capabilities();
+  }
   /// Number of cells actually produced by the partition.
-  uint32_t num_shards() const { return layout_->num_shards(); }
+  uint32_t num_shards() const { return writer_.layout().num_shards(); }
   /// The immutable shard layout (cell assignment, edge ownership,
   /// boundary bookkeeping).
-  const ShardLayout& layout() const { return *layout_; }
+  const ShardLayout& layout() const { return writer_.layout(); }
 
   /// Point-in-time counters; `shards` carries the per-shard rows.
   EngineStats Stats() const;
@@ -421,60 +519,12 @@ class ShardedEngine {
     void AugmentStats(EngineStats* s) const;
   };
 
-  /// Writer-owned mutable state of one shard.
-  struct ShardState {
-    std::unique_ptr<Graph> graph;          // shard master subgraph
-    std::unique_ptr<DistanceIndex> index;  // shard master index
-    uint64_t shard_epoch = 0;
-  };
-
-  /// Applies one coalesced batch (already partitioned by the caller into
-  /// per-shard / overlay updates), republishes dirty shards + overlay,
-  /// and swaps in the next snapshot. Writer thread only.
-  void ApplyAndPublish(const UpdateBatch& batch);
-  /// Builds and publishes the epoch-0 snapshot (constructor only).
-  void PublishInitialSnapshot();
-  /// Publishes shard c's view as shard epoch `shard_epoch`, recomputes
-  /// its boundary clique through `executor` and stores the new
-  /// ShardServing in serving_[c]. Fills `info` with the view's CoW
-  /// accounting and returns the nanoseconds the clique took.
-  uint64_t PublishShard(uint32_t c, uint64_t shard_epoch,
-                        OverlayExecutor* executor, PublishInfo* info);
-
-  const ShardedEngineOptions options_;
-
-  // Master state, owned by the writer after construction.
-  std::unique_ptr<Graph> graph_;  // full network (weights kept current)
-  std::shared_ptr<const ShardLayout> layout_;
-  std::vector<ShardState> states_;
-  std::unique_ptr<BoundaryOverlay> overlay_;
-  // Writer-side copy of the serving vector (next snapshot = this vector
-  // with dirty entries replaced).
-  std::vector<std::shared_ptr<const ShardServing>> serving_;
-  BackendCapabilities capabilities_;
-
-  // Last-harvested cumulative CoW counters of the master FULL graph
-  // only (shard subgraphs are never snapshotted, so their writes don't
-  // clone; shard-side label copy cost arrives via PublishInfo). Only
-  // the publishing thread touches these.
-  uint64_t harvested_graph_chunks_ = 0;
-  uint64_t harvested_graph_bytes_ = 0;
+  ShardedWriter writer_;
 
   // The boundary-row cache: shard-to-boundary rows keyed by (vertex,
   // shard) and tagged with the shard's epoch, so rows of clean shards
   // stay hot across global epochs. Readers insert concurrently.
   SlotCache row_cache_;
-
-  // Sharded-only stats (the common block lives in the core's counters).
-  std::atomic<uint64_t> overlay_nanos_{0};
-  std::atomic<uint64_t> overlay_repair_nanos_{0};
-  std::atomic<uint64_t> overlay_republishes_{0};
-  std::atomic<uint64_t> overlay_rows_repaired_{0};
-  std::atomic<uint64_t> overlay_rows_total_{0};
-  std::atomic<uint64_t> overlay_full_rebuilds_{0};
-  std::atomic<uint64_t> clique_entries_recomputed_{0};
-  std::atomic<uint64_t> overlay_bytes_shared_{0};
-  std::unique_ptr<std::atomic<uint64_t>[]> shard_updates_;
 
   Policy policy_{{}, this};
   ServingCore<Policy> core_;  // last member: its workers die first

@@ -7,10 +7,34 @@
 
 namespace stl {
 
+UpdateBatch CoalesceUpdates(std::span<const WeightUpdate> updates,
+                            const std::function<Weight(EdgeId)>& resolve_old,
+                            uint64_t* dropped) {
+  // Later updates win, matching apply-one-at-a-time order.
+  UpdateBatch batch;
+  batch.reserve(updates.size());
+  std::unordered_map<EdgeId, size_t> slot_of_edge;
+  for (const WeightUpdate& u : updates) {
+    auto [it, inserted] = slot_of_edge.try_emplace(u.edge, batch.size());
+    if (!inserted) {
+      batch[it->second].new_weight = u.new_weight;
+      ++*dropped;
+      continue;
+    }
+    batch.push_back(WeightUpdate{u.edge, resolve_old(u.edge), u.new_weight});
+  }
+  std::erase_if(batch, [dropped](const WeightUpdate& u) {
+    const bool noop = u.old_weight == u.new_weight;
+    *dropped += noop;
+    return noop;
+  });
+  return batch;
+}
+
 void UpdateQueue::Enqueue(EdgeId edge, Weight new_weight) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_.push_back(PendingUpdate{edge, new_weight});
+    pending_.push_back(WeightUpdate{edge, 0, new_weight});
     ++enqueue_seq_;
   }
   work_cv_.notify_one();
@@ -21,7 +45,7 @@ void UpdateQueue::EnqueueMany(const std::vector<WeightUpdate>& updates) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const WeightUpdate& u : updates) {
-      pending_.push_back(PendingUpdate{u.edge, u.new_weight});
+      pending_.push_back(u);
     }
     enqueue_seq_ += updates.size();
   }
@@ -66,8 +90,8 @@ void UpdateQueue::RunWriter(
     work_cv_.wait(lock, [this] { return !pending_.empty() || stop_; });
     if (pending_.empty()) return;  // stop requested and fully drained
     const size_t take = std::min(max_batch, pending_.size());
-    std::vector<PendingUpdate> taken(pending_.begin(),
-                                     pending_.begin() + take);
+    std::vector<WeightUpdate> taken(pending_.begin(),
+                                    pending_.begin() + take);
     pending_.erase(pending_.begin(), pending_.begin() + take);
     lock.unlock();
 
@@ -79,30 +103,8 @@ void UpdateQueue::RunWriter(
           faults->DelayMicros(FaultSite::kWriterStall)));
     }
 
-    // Coalesce to one update per edge (ApplyBatch requires distinct
-    // edges): later enqueues win, matching apply-one-at-a-time order.
-    // The old weight comes from resolve_old — the caller's master
-    // state, the only authority on current weights.
-    UpdateBatch batch;
-    batch.reserve(taken.size());
-    std::unordered_map<EdgeId, size_t> slot_of_edge;
     uint64_t coalesced = 0;
-    for (const PendingUpdate& p : taken) {
-      auto [it, inserted] = slot_of_edge.try_emplace(p.edge, batch.size());
-      if (!inserted) {
-        batch[it->second].new_weight = p.new_weight;
-        ++coalesced;
-        continue;
-      }
-      batch.push_back(
-          WeightUpdate{p.edge, resolve_old(p.edge), p.new_weight});
-    }
-    std::erase_if(batch, [&coalesced](const WeightUpdate& u) {
-      const bool noop = u.old_weight == u.new_weight;
-      coalesced += noop;
-      return noop;
-    });
-
+    const UpdateBatch batch = CoalesceUpdates(taken, resolve_old, &coalesced);
     if (!batch.empty()) apply(batch);
     coalesced_total->fetch_add(coalesced, std::memory_order_relaxed);
 

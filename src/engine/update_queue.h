@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "engine/fault_injector.h"
@@ -23,6 +24,19 @@
 #include "index/distance_index.h"
 
 namespace stl {
+
+/// Coalesces `updates`, in arrival order, to one update per edge: a
+/// later update of an edge wins, the old weight comes from
+/// `resolve_old` (the caller's master state, the only authority on
+/// current weights; the inputs' old_weight fields are ignored), and an
+/// update that leaves its edge's weight unchanged is dropped. Returns
+/// the distinct, effective batch every ApplyBatch requires and adds the
+/// number of dropped duplicates and no-ops to *dropped. The one
+/// coalescer of the writer loop below and of replica installs
+/// (dist/replica_node.h), so both cut an update stream identically.
+UpdateBatch CoalesceUpdates(std::span<const WeightUpdate> updates,
+                            const std::function<Weight(EdgeId)>& resolve_old,
+                            uint64_t* dropped);
 
 /// Thread-safe pending-update queue plus the writer-side drain loop.
 /// Any thread may Enqueue/EnqueueMany/Flush/Stop; exactly one thread
@@ -58,10 +72,8 @@ class UpdateQueue {
   void Stop();
 
   /// The writer-thread body. Repeatedly: waits for work, takes a slice
-  /// of up to `max_batch` pending updates, coalesces it to one update
-  /// per edge (later enqueues win; old weights resolved through
-  /// `resolve_old`, the caller's master source of truth; updates whose
-  /// old and new weight agree are dropped), counts the dropped
+  /// of up to `max_batch` pending updates, coalesces it through
+  /// CoalesceUpdates with `resolve_old`, counts the dropped
   /// duplicates/no-ops into `coalesced`, and hands every non-empty
   /// batch to `apply`. Returns when Stop() was called and the queue is
   /// fully drained — so every Flush() issued before Stop() completes.
@@ -75,15 +87,10 @@ class UpdateQueue {
                  FaultInjector* faults = nullptr);
 
  private:
-  struct PendingUpdate {
-    EdgeId edge;
-    Weight new_weight;
-  };
-
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // writer wakeup
   std::condition_variable flush_cv_;  // Flush() wakeup
-  std::deque<PendingUpdate> pending_;
+  std::deque<WeightUpdate> pending_;  // old_weight unused (resolved late)
   uint64_t enqueue_seq_ = 0;  // updates ever enqueued
   uint64_t applied_seq_ = 0;  // updates taken and fully applied
   bool stop_ = false;

@@ -322,30 +322,32 @@ TEST(QueryEngineTest, NoOpUpdatesDoNotPublishAnEpoch) {
   EXPECT_EQ(stats.epochs_published, 0u);
 }
 
-TEST(QueryEngineTest, StrategyModesDriveBatchCounters) {
-  {
+// The per-batch maintenance choice at its boundary: an atomic group of
+// kAutoLabelSearchThreshold - 1 distinct, effective updates is one
+// STL-P batch; one more edge makes it one STL-L batch.
+TEST(QueryEngineTest, LabelSearchThresholdDrivesBatchCounters) {
+  for (const size_t group : {kAutoLabelSearchThreshold - 1,
+                             kAutoLabelSearchThreshold}) {
     Graph g = testing_util::SmallRoadNetwork(6, 25);
+    ASSERT_GE(g.NumEdges(), group);
+    std::vector<WeightUpdate> updates;
+    for (EdgeId e = 0; e < group; ++e) {
+      updates.push_back(WeightUpdate{e, 0, g.EdgeWeight(e) + 5});
+    }
     EngineOptions opt = SmallEngineOptions();
-    opt.strategy = StrategyMode::kAlwaysLabelSearch;
-    Weight w0 = g.EdgeWeight(0);
+    opt.max_batch_size = 64;  // the whole group lands in one batch
     QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
-    engine.EnqueueUpdate(0, w0 + 5);
+    engine.EnqueueUpdates(updates);
     engine.Flush();
     EngineStats stats = engine.Stats();
-    EXPECT_GE(stats.batches_label, 1u);
-    EXPECT_EQ(stats.batches_pareto, 0u);
-  }
-  {
-    Graph g = testing_util::SmallRoadNetwork(6, 26);
-    EngineOptions opt = SmallEngineOptions();
-    opt.strategy = StrategyMode::kAlwaysParetoSearch;
-    Weight w0 = g.EdgeWeight(0);
-    QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
-    engine.EnqueueUpdate(0, w0 + 5);
-    engine.Flush();
-    EngineStats stats = engine.Stats();
-    EXPECT_GE(stats.batches_pareto, 1u);
-    EXPECT_EQ(stats.batches_label, 0u);
+    EXPECT_EQ(stats.epochs_published, 1u) << group;
+    if (group < kAutoLabelSearchThreshold) {
+      EXPECT_GE(stats.batches_pareto, 1u);
+      EXPECT_EQ(stats.batches_label, 0u);
+    } else {
+      EXPECT_GE(stats.batches_label, 1u);
+      EXPECT_EQ(stats.batches_pareto, 0u);
+    }
   }
 }
 
@@ -358,7 +360,6 @@ TEST(QueryEngineTest, ConcurrentReadersWithWriterMatchDijkstraPerEpoch) {
   EngineOptions opt;
   opt.num_query_threads = 4;
   opt.max_batch_size = 64;
-  opt.strategy = StrategyMode::kAuto;
   QueryEngine engine(std::move(g), HierarchyOptions{}, opt);
 
   // Writer-side driver: rounds of lone updates (batches below

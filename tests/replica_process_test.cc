@@ -140,8 +140,7 @@ TEST(ReplicaProcessTest, LockstepConformanceAgainstSpawnedServers) {
   // same backend/sharding options as EngineOpts below.
   const std::vector<std::string> args = {
       "--port=0",        "--grid-side=7",     "--graph-seed=211",
-      "--backend=stl",   "--target-shards=4", "--max-batch=8",
-      "--epoch-ring=8"};
+      "--backend=stl",   "--target-shards=4", "--epoch-ring=8"};
   ReplicaProcess proc_a(bin, args);
   ReplicaProcess proc_b(bin, args);
   ASSERT_TRUE(proc_a.ok());
@@ -256,8 +255,7 @@ TEST(ReplicaProcessTest, KilledServerDegradesToSiblingThenTyped) {
   }
   const std::vector<std::string> args = {
       "--port=0",        "--grid-side=6",     "--graph-seed=353",
-      "--backend=stl",   "--target-shards=4", "--max-batch=8",
-      "--epoch-ring=8"};
+      "--backend=stl",   "--target-shards=4", "--epoch-ring=8"};
   ReplicaProcess proc_a(bin, args);
   ReplicaProcess proc_b(bin, args);
   ASSERT_TRUE(proc_a.ok());

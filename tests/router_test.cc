@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -828,6 +829,171 @@ TEST(RouterAsyncTest, DestroyWithSocketRpcsInFlightDrainsThem) {
               r.snapshot->Query(queries[i].first, queries[i].second))
         << "query " << i;
   }
+}
+
+// ------------------------------------------------------ one writer
+
+// Install batches are cut once, by the router: a replica applies each
+// install whole, as one epoch, whatever the batch size its own options
+// name. Replicas built with max_batch_size 8 behind a router at the
+// default 128 stay in lockstep through a 20-edge batch.
+TEST(RouterReplicationTest, ReplicaBatchSizeCannotSplitAnInstall) {
+  Graph g = SmallRoadNetwork(7, 211);
+  const uint32_t n = g.NumVertices();
+  const uint32_t m = g.NumEdges();
+  ShardRouterOptions replica_opt;
+  replica_opt.engine.max_batch_size = 8;
+  LoopbackCluster cluster =
+      MakeLoopbackCluster(g, HierarchyOptions{}, replica_opt, 2);
+  std::vector<WeightUpdate> updates;
+  for (EdgeId e = 0; e < m && updates.size() < 20; e += m / 20) {
+    updates.push_back(WeightUpdate{e, 0, g.EdgeWeight(e) + 1});
+  }
+  ASSERT_EQ(updates.size(), 20u);
+  ShardRouter router(std::move(g), HierarchyOptions{}, ShardRouterOptions{},
+                     cluster.transport.get(), {});
+  router.EnqueueUpdates(updates);
+  router.Flush();
+  ASSERT_EQ(router.CurrentEpoch(), 1u);
+
+  Rng rng(211);
+  std::vector<QueryPair> batch;
+  for (int i = 0; i < 200; ++i) {
+    batch.push_back({static_cast<Vertex>(rng.NextBounded(n)),
+                     static_cast<Vertex>(rng.NextBounded(n))});
+  }
+  ShardRouter::Ticket ticket = router.SubmitBatch(batch);
+  ticket.Wait();
+  Dijkstra audit(ticket.snapshot()->graph);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ(ticket.code(i), StatusCode::kOk) << "i=" << i;
+    ASSERT_EQ(ticket.distance(i),
+              audit.Distance(batch[i].first, batch[i].second))
+        << "i=" << i;
+  }
+  const RouterStats stats = router.Stats();
+  EXPECT_EQ(stats.install_failures, 0u);
+  EXPECT_EQ(stats.serving.queries_unavailable, 0u);
+  for (const auto& node : cluster.replicas) {
+    EXPECT_EQ(node->install_nacks(), 0u);
+    EXPECT_EQ(node->installs_applied(), stats.wire_installs);
+  }
+}
+
+// A well-framed install carrying an edge id out of range or a zero
+// weight is malformed: the replica nacks it like an undecodable one
+// (counted, not sticky, nothing applied), then acks the honest seq-0
+// install and serves exactly.
+TEST(RouterReplicationTest, MalformedInstallNacksWithoutApplying) {
+  Graph g = SmallRoadNetwork(6, 331);
+  const uint32_t n = g.NumVertices();
+  const uint32_t m = g.NumEdges();
+  const ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
+  const uint32_t shards =
+      ShardedWriter(g, HierarchyOptions{}, opt.engine).layout().num_shards();
+  LoopbackCluster cluster =
+      MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1);
+  ReplicaNode* node = cluster.replicas[0].get();
+
+  for (const WeightUpdate& bad :
+       {WeightUpdate{m, 0, 5}, WeightUpdate{0, 0, 0}}) {
+    InstallRequest req;
+    req.seq = 0;
+    req.expected_engine_epoch = 0;
+    req.expected_shard_epochs.assign(shards, 0);
+    req.updates = {bad};
+    const std::vector<uint8_t> bytes = req.Encode();
+    const std::vector<uint8_t> reply = node->Handle(bytes.data(), bytes.size());
+    InstallAck ack;
+    ASSERT_TRUE(InstallAck::Decode(reply.data(), reply.size(), &ack).ok());
+    EXPECT_FALSE(ack.ok) << "edge=" << bad.edge << " w=" << bad.new_weight;
+    EXPECT_EQ(ack.next_seq, 0u);
+    EXPECT_EQ(ack.engine_epoch, 0u);
+  }
+  EXPECT_EQ(node->install_nacks(), 2u);
+  EXPECT_EQ(node->installs_applied(), 0u);
+
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt,
+                     cluster.transport.get(), {});
+  EXPECT_EQ(router.Stats().install_failures, 0u);
+  EXPECT_EQ(node->installs_applied(), 1u);
+  EXPECT_EQ(node->install_nacks(), 2u);
+  const std::shared_ptr<const ShardedSnapshot> snap = router.CurrentSnapshot();
+  Dijkstra audit(snap->graph);
+  Rng rng(331);
+  for (int i = 0; i < 48; ++i) {
+    const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
+    const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
+    ShardedQueryResult r = router.Submit({s, t}).get();
+    ASSERT_EQ(r.code, StatusCode::kOk);
+    ASSERT_EQ(r.distance, audit.Distance(s, t));
+  }
+}
+
+// The router's stats carry its writer's work: one overlay publish per
+// effective epoch, with its publish time and clique recompute.
+TEST(RouterReplicationTest, StatsReportTheWritersWork) {
+  Graph g = SmallRoadNetwork(6, 223);
+  const uint32_t m = g.NumEdges();
+  const ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
+  LoopbackCluster cluster = MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1);
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt,
+                     cluster.transport.get(), {});
+  constexpr int kEpochs = 5;
+  for (int i = 0; i < kEpochs; ++i) {
+    const EdgeId e = static_cast<EdgeId>((i * 7919u) % m);
+    router.EnqueueUpdate(e, router.CurrentSnapshot()->graph.EdgeWeight(e) + 1);
+    router.Flush();
+  }
+  const EngineStats s = router.Stats().serving;
+  EXPECT_EQ(s.epochs_published, static_cast<uint64_t>(kEpochs));
+  EXPECT_EQ(s.overlay_republishes, s.epochs_published);
+  EXPECT_EQ(s.updates_applied, static_cast<uint64_t>(kEpochs));
+  // Lone updates: STL-P on the owning shard (none for an S-S edge).
+  EXPECT_GE(s.batches_pareto, 1u);
+  EXPECT_LE(s.batches_pareto, static_cast<uint64_t>(kEpochs));
+  EXPECT_EQ(s.batches_label, 0u);
+  EXPECT_GT(s.publish_total_micros, 0.0);
+  EXPECT_GT(s.overlay_rebuild_micros, 0.0);
+  EXPECT_GT(s.overlay_rows_total, 0u);
+  EXPECT_GT(s.cow_bytes_cloned, 0u);
+  EXPECT_EQ(s.shards.size(), router.num_shards());
+
+  router.ResetStats();
+  const EngineStats reset = router.Stats().serving;
+  EXPECT_EQ(reset.overlay_republishes, 0u);
+  EXPECT_EQ(reset.publish_total_micros, 0.0);
+  EXPECT_EQ(reset.epochs_published, static_cast<uint64_t>(kEpochs));
+}
+
+// Threads of this process, from /proc/self/task.
+size_t CountThreads() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++count;
+  }
+  return count;
+}
+
+// A replica is a writer plus a snapshot ring: it starts no threads,
+// whatever reader count its options name (the build's workers are
+// joined before the constructor returns).
+TEST(RouterReplicationTest, ReplicaNodeStartsNoThreads) {
+  ShardedEngineOptions opt = EngineOpts(BackendKind::kStl);
+  opt.num_query_threads = 4;
+  Graph g = SmallRoadNetwork(6, 337);
+  const size_t before = CountThreads();
+  ReplicaNode node(std::move(g), HierarchyOptions{}, opt);
+  // A joined worker's task entry can outlive its join by a moment; a
+  // thread that stays running never leaves.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (CountThreads() > before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(CountThreads(), before);
 }
 
 }  // namespace
