@@ -1,8 +1,8 @@
 #include "baselines/hc2l.h"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "partition/separator.h"
 #include "util/min_heap.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -151,36 +151,7 @@ class Hc2lBuilder {
       }
     }
     if (cut.empty()) return false;
-    std::unordered_map<Vertex, uint32_t> deg;
-    for (const auto& [a, b] : cut) {
-      ++deg[a];
-      ++deg[b];
-    }
-    std::vector<uint8_t> covered(cut.size(), 0);
-    separator->clear();
-    size_t remaining = cut.size();
-    while (remaining > 0) {
-      Vertex best = UINT32_MAX;
-      uint32_t best_deg = 0;
-      for (const auto& [v, d] : deg) {
-        if (d > best_deg || (d == best_deg && v < best)) {
-          best = v;
-          best_deg = d;
-        }
-      }
-      separator->push_back(best);
-      for (size_t i = 0; i < cut.size(); ++i) {
-        if (covered[i]) continue;
-        if (cut[i].first == best || cut[i].second == best) {
-          covered[i] = 1;
-          --remaining;
-          --deg[cut[i].first];
-          --deg[cut[i].second];
-        }
-      }
-      deg.erase(best);
-    }
-    std::sort(separator->begin(), separator->end());
+    *separator = GreedyCutCover(cut);
     auto in_sep = [separator](Vertex v) {
       return std::binary_search(separator->begin(), separator->end(), v);
     };

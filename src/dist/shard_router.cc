@@ -44,9 +44,9 @@ constexpr size_t kInstallLogEntries = 256;
 //
 // Kept alive by the shared_ptr each in-flight callback captures; the
 // issuing reader thread returns as soon as the scatter loop finishes.
-struct ShardRouter::SpanFanout
-    : public std::enable_shared_from_this<ShardRouter::SpanFanout> {
-  ShardRouter* router = nullptr;
+struct RouterPolicy::SpanFanout
+    : public std::enable_shared_from_this<RouterPolicy::SpanFanout> {
+  RouterPolicy* router = nullptr;
   std::shared_ptr<const ShardedSnapshot> snap;
   const QueryPair* queries = nullptr;
   const uint32_t* idx = nullptr;
@@ -147,9 +147,9 @@ struct ShardRouter::SpanFanout
 // chains to attempt k + 1 from whatever thread delivered the verdict.
 // The encoded request is shared (encode once) across all attempts.
 // Depth is bounded by n even with an inline-delivering transport.
-struct ShardRouter::PendingCall
-    : public std::enable_shared_from_this<ShardRouter::PendingCall> {
-  ShardRouter* router = nullptr;
+struct RouterPolicy::PendingCall
+    : public std::enable_shared_from_this<RouterPolicy::PendingCall> {
+  RouterPolicy* router = nullptr;
   std::shared_ptr<const std::vector<uint8_t>> encoded;
   uint32_t shard = 0;
   uint64_t shard_epoch = 0;
@@ -203,15 +203,16 @@ struct ShardRouter::PendingCall
 
 // -------------------------------------------------------------- Mailbox
 
-uint64_t ShardRouter::Mailbox::Register(Callback callback) {
+uint64_t RouterPolicy::Mailbox::Register(Callback callback) {
   const uint64_t tag = next_tag_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(mu_);
   calls_.emplace(tag, std::move(callback));
   return tag;
 }
 
-void ShardRouter::Mailbox::OnResponse(uint64_t tag, Status transport_status,
-                                      std::vector<uint8_t> payload) {
+void RouterPolicy::Mailbox::OnResponse(uint64_t tag,
+                                       Status transport_status,
+                                       std::vector<uint8_t> payload) {
   Callback callback;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -231,88 +232,84 @@ void ShardRouter::Mailbox::OnResponse(uint64_t tag, Status transport_status,
   callback(std::move(transport_status), std::move(payload));
 }
 
-// ---------------------------------------------------------- ShardRouter
+// --------------------------------------------------------- RouterPolicy
 
-ShardRouter::ShardRouter(Graph graph,
-                         const HierarchyOptions& hierarchy_options,
-                         const ShardRouterOptions& options,
-                         Transport* transport,
-                         std::vector<ShardReplica*> replicas)
-    : options_(options),
-      transport_(transport),
-      writer_(std::move(graph), hierarchy_options, options.engine),
-      core_(&policy_, CoreOptionsOf(options)) {
+RouterPolicy::RouterPolicy(Graph graph,
+                           const HierarchyOptions& hierarchy_options,
+                           const ShardedEngineOptions& engine_options,
+                           Transport* transport)
+    : writer_(std::move(graph), hierarchy_options, engine_options),
+      transport_(transport) {
   STL_CHECK(transport_ != nullptr);
-  STL_CHECK(replicas.empty());  // see the constructor doc
-  core_.Start();  // installs + publishes epoch 0
 }
 
-ShardRouter::~ShardRouter() = default;  // core_ drains first
-
-std::future<ShardedQueryResult> ShardRouter::Submit(QueryPair query,
-                                                    Deadline deadline) {
-  return core_.Submit(query, deadline);
+void RouterPolicy::FillStats(RouterStats* s) const {
+  s->replicas = transport_->NumEndpoints();
+  s->rpcs_sent = rpcs_sent_.load(std::memory_order_relaxed);
+  s->rpc_retries = rpc_retries_.load(std::memory_order_relaxed);
+  s->rpc_stale_responses = rpc_stale_.load(std::memory_order_relaxed);
+  s->rpc_failovers = rpc_failovers_.load(std::memory_order_relaxed);
+  s->rpc_duplicates_dropped = mailbox_.duplicates_dropped();
+  s->wire_installs = wire_installs_.load(std::memory_order_relaxed);
+  s->install_failures = install_failures_.load(std::memory_order_relaxed);
 }
 
-ShardRouter::Ticket ShardRouter::SubmitBatch(
-    const std::vector<QueryPair>& queries, Deadline deadline) {
-  return core_.SubmitBatch(queries, deadline);
+std::shared_ptr<const ShardedSnapshot> RouterPolicy::PublishInitial(
+    ThreadPool* helpers) {
+  // Seq 0 carries no updates: it only verifies the replicas built the
+  // identical epoch-0 state from the identical graph.
+  auto snap = writer_.PublishInitial(helpers);
+  Install(*snap, UpdateBatch{});
+  return snap;
 }
 
-void ShardRouter::SubmitTagged(QueryPair query, uint64_t tag,
-                               CompletionSink* sink, Deadline deadline) {
-  core_.SubmitTagged(query, tag, sink, deadline);
+Weight RouterPolicy::ResolveOldWeight(EdgeId e) const {
+  return writer_.EdgeWeight(e);
 }
 
-ShardRouter::Ticket ShardRouter::SubmitBatchTagged(
-    const std::vector<QueryPair>& queries,
-    const std::vector<uint64_t>& tags, CompletionSink* sink,
-    Deadline deadline) {
-  return core_.SubmitBatchTagged(queries, tags, sink, deadline);
+std::shared_ptr<const ShardedSnapshot> RouterPolicy::ApplyBatch(
+    const UpdateBatch& batch, ThreadPool* helpers) {
+  auto snap = writer_.Apply(batch, helpers);
+  Install(*snap, batch);
+  return snap;
 }
 
-void ShardRouter::EnqueueUpdate(EdgeId edge, Weight new_weight) {
-  core_.EnqueueUpdate(edge, new_weight);
+uint32_t RouterPolicy::NumEdges() const { return writer_.NumEdges(); }
+
+void RouterPolicy::RouteSpan(
+    const std::shared_ptr<const ShardedSnapshot>& snap,
+    const QueryPair* queries, const uint32_t* idx, size_t count,
+    Weight* out, StatusCode* codes, std::function<void()> done) {
+  auto fan = std::make_shared<SpanFanout>();
+  fan->router = this;
+  fan->snap = snap;
+  fan->queries = queries;
+  fan->idx = idx;
+  fan->count = count;
+  fan->out = out;
+  fan->codes = codes;
+  fan->done = std::move(done);  // the core's continuation (no cycle)
+  fan->Start();
 }
 
-void ShardRouter::EnqueueUpdates(const std::vector<WeightUpdate>& updates) {
-  core_.EnqueueUpdates(updates);
+void RouterPolicy::AugmentStats(const ShardedSnapshot& current,
+                                EngineStats* s) const {
+  writer_.FillStats(current, s);
 }
 
-void ShardRouter::Flush() { core_.Flush(); }
-
-std::shared_ptr<const ShardedSnapshot> ShardRouter::CurrentSnapshot()
-    const {
-  return core_.CurrentSnapshot();
-}
-
-RouterStats ShardRouter::Stats() const {
-  RouterStats s;
-  s.serving = core_.Stats();
-  s.replicas = transport_->NumEndpoints();
-  s.rpcs_sent = rpcs_sent_.load(std::memory_order_relaxed);
-  s.rpc_retries = rpc_retries_.load(std::memory_order_relaxed);
-  s.rpc_stale_responses = rpc_stale_.load(std::memory_order_relaxed);
-  s.rpc_failovers = rpc_failovers_.load(std::memory_order_relaxed);
-  s.rpc_duplicates_dropped = mailbox_.duplicates_dropped();
-  s.wire_installs = wire_installs_.load(std::memory_order_relaxed);
-  s.install_failures = install_failures_.load(std::memory_order_relaxed);
-  return s;
-}
-
-void ShardRouter::ResetStats() {
-  core_.ResetStats();
+void RouterPolicy::ResetStats() {
   writer_.ResetStats();
   rpcs_sent_.store(0, std::memory_order_relaxed);
   rpc_retries_.store(0, std::memory_order_relaxed);
   rpc_stale_.store(0, std::memory_order_relaxed);
   rpc_failovers_.store(0, std::memory_order_relaxed);
+  wire_installs_.store(0, std::memory_order_relaxed);
+  install_failures_.store(0, std::memory_order_relaxed);
   mailbox_.ResetCounters();
 }
 
-void ShardRouter::InstallAndPublish(
-    std::shared_ptr<const ShardedSnapshot> snap,
-    const UpdateBatch& updates) {
+void RouterPolicy::Install(const ShardedSnapshot& snap,
+                           const UpdateBatch& updates) {
   // Install BEFORE publish: once a reader can pin this epoch, every
   // replica already holds it, so a fresh query never fails on a
   // version that merely hasn't propagated yet.
@@ -322,9 +319,9 @@ void ShardRouter::InstallAndPublish(
     // arrive at these exact epochs before acking.
     InstallRequest req;
     req.seq = next_install_seq_++;
-    req.expected_engine_epoch = snap->epoch;
-    req.expected_shard_epochs.reserve(snap->shards.size());
-    for (const auto& sh : snap->shards) {
+    req.expected_engine_epoch = snap.epoch;
+    req.expected_shard_epochs.reserve(snap.shards.size());
+    for (const auto& sh : snap.shards) {
       req.expected_shard_epochs.push_back(sh->shard_epoch);
     }
     req.updates = updates;
@@ -347,10 +344,9 @@ void ShardRouter::InstallAndPublish(
       install_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  core_.Publish(std::move(snap));
 }
 
-bool ShardRouter::WireInstallEndpoint(uint32_t endpoint) {
+bool RouterPolicy::WireInstallEndpoint(uint32_t endpoint) {
   if (install_log_.empty()) return true;
   const uint64_t target = next_install_seq_;
   int attempts = kInstallAttempts;
@@ -388,7 +384,7 @@ bool ShardRouter::WireInstallEndpoint(uint32_t endpoint) {
   return false;
 }
 
-bool ShardRouter::BlockingRpc(
+bool RouterPolicy::BlockingRpc(
     uint32_t endpoint, std::shared_ptr<const std::vector<uint8_t>> bytes,
     std::vector<uint8_t>* payload) {
   struct Cell {
@@ -425,7 +421,7 @@ bool ShardRouter::BlockingRpc(
   return true;
 }
 
-void ShardRouter::CallReplicaAsync(
+void RouterPolicy::CallReplicaAsync(
     const ShardRequest& req, std::function<void(bool, ShardResponse)> done) {
   const uint32_t n = transport_->NumEndpoints();
   if (n == 0) {
@@ -449,48 +445,6 @@ void ShardRouter::CallReplicaAsync(
   call->n = n;
   call->done = std::move(done);
   call->TryNext(0);
-}
-
-// ----------------------------------------------------- the router policy
-
-void ShardRouter::Policy::PublishInitial() {
-  // Seq 0 carries no updates: it only verifies the replicas built the
-  // identical epoch-0 state from the identical graph.
-  router->InstallAndPublish(
-      router->writer_.PublishInitial(router->core_.pool()), UpdateBatch{});
-}
-
-Weight ShardRouter::Policy::ResolveOldWeight(EdgeId e) const {
-  return router->writer_.EdgeWeight(e);
-}
-
-void ShardRouter::Policy::ApplyBatch(const UpdateBatch& batch) {
-  router->InstallAndPublish(router->writer_.Apply(batch, router->core_.pool()),
-                            batch);
-}
-
-uint32_t ShardRouter::Policy::NumEdges() const {
-  return router->writer_.NumEdges();
-}
-
-void ShardRouter::Policy::RouteSpan(
-    const std::shared_ptr<const ShardedSnapshot>& snap,
-    const QueryPair* queries, const uint32_t* idx, size_t count,
-    Weight* out, StatusCode* codes, std::function<void()> done) const {
-  auto fan = std::make_shared<SpanFanout>();
-  fan->router = router;
-  fan->snap = snap;
-  fan->queries = queries;
-  fan->idx = idx;
-  fan->count = count;
-  fan->out = out;
-  fan->codes = codes;
-  fan->done = std::move(done);  // the core's continuation (no cycle)
-  fan->Start();
-}
-
-void ShardRouter::Policy::AugmentStats(EngineStats* s) const {
-  router->writer_.FillStats(*router->CurrentSnapshot(), s);
 }
 
 // ------------------------------------------------------ LoopbackCluster

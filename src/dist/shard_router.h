@@ -4,7 +4,7 @@
 // over a pluggable Transport, with the overlay min-plus reduction run
 // router-side on the fetched rows.
 //
-//   callers          ShardRouter (ServingCore<RouterPolicy>)
+//   callers          ShardRouter = ServingCore<RouterPolicy>
 //   ─────────────    ────────────────────────────────────────────────
 //   Submit*          pin ONE ShardedSnapshot; enumerate every unique
 //                    ds/dt row and same-cell point the span needs,
@@ -19,12 +19,17 @@
 //                    -> the batch is shipped to every replica as a
 //                    kInstall wire message, applied whole by each
 //                    ReplicaNode's own ShardedWriter and epoch-checked
-//                    -> THEN the new snapshot is published to the
+//                    -> THEN RouterPolicy::ApplyBatch returns the new
+//                    snapshot and the core publishes it to the
 //                    router's readers
 //
 // Every replica, behind loopback, TCP or a separate process, is a
-// ReplicaNode fed by that one sequenced install stream. The router owns
-// one ShardedWriter and one ServingCore, and nothing else that serves.
+// ReplicaNode fed by that one sequenced install stream. ShardRouter is
+// a ServingCore whose RouterPolicy owns the one ShardedWriter, the
+// transport handle, the response mailbox, the install log and the RPC
+// counters; nothing else serves. The core owns the policy and drains
+// every reader, the writer and every in-flight fan-out before the
+// policy dies.
 //
 // Epoch-consistent fan-out is the hard invariant: a batch pins one
 // snapshot, every row request carries that snapshot's per-shard
@@ -66,6 +71,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dist/loopback_transport.h"
@@ -130,145 +136,71 @@ struct RouterStats {
   uint64_t install_failures = 0;
 };
 
-/// The replicated router over a pluggable transport. Mirrors
-/// ShardedEngine's public serving API (same submission paths, same
-/// exactly-once completion contract); updates are applied by the
-/// router's ShardedWriter and installed on every replica before the
-/// router's readers see the new epoch. Thread-safe like the engines.
-class ShardRouter {
+/// The routed serving policy (see the ServingCore policy contract in
+/// engine/serving_core.h): applies each batch through its
+/// ShardedWriter, installs it on every replica, then returns the
+/// snapshot for the core to publish; routes each span by fanning its
+/// boundary-row and point fetches out over the transport. Batched
+/// misses sort by the same grouping as ShardedEngine, so fetched rows
+/// and inner vectors are deduplicated across each group.
+class RouterPolicy : public ShardedBatchGrouping {
  public:
-  /// Batch handle type returned by SubmitBatch (one pinned snapshot
-  /// per batch; see engine/serving_core.h).
-  using Ticket = BatchTicket<ShardedSnapshot>;
+  /// The published epoch type.
+  using Snapshot = ShardedSnapshot;
+  /// The per-query result type.
+  using Result = ShardedQueryResult;
 
-  /// Builds the writer from `graph`, installs the initial epoch on the
-  /// replicas and starts the router core. `transport` (not owned) must
-  /// route endpoint i to replica i: a ReplicaNode built from the same
-  /// graph, hierarchy options and `options.engine`, kept in sync by
-  /// kInstall replication. `replicas` must be empty; it
-  /// stays only because existing callers still pass an empty list.
-  ShardRouter(Graph graph, const HierarchyOptions& hierarchy_options,
-              const ShardRouterOptions& options, Transport* transport,
-              std::vector<ShardReplica*> replicas);
+  /// Builds the writer from `graph` (`engine_options` as in
+  /// ShardRouterOptions::engine) over `transport` (not owned, never
+  /// null).
+  RouterPolicy(Graph graph, const HierarchyOptions& hierarchy_options,
+               const ShardedEngineOptions& engine_options,
+               Transport* transport);
 
-  /// Drains the router core: answers or fails every submitted query,
-  /// including every in-flight async fan-out.
-  ~ShardRouter();
+  /// The writer (layout, backend, capabilities).
+  const ShardedWriter& writer() const { return writer_; }
 
-  ShardRouter(const ShardRouter&) = delete;  ///< Not copyable.
-  ShardRouter& operator=(const ShardRouter&) = delete;  ///< Not copyable.
-
-  /// Schedules one distance query through the routed tier; the future
-  /// resolves with code kOk (answered), kOverloaded/kDeadlineExceeded
-  /// (overload machinery, same as the engines) or kUnavailable (every
-  /// replica failed the pinned epoch).
-  std::future<ShardedQueryResult> Submit(QueryPair query,
-                                         Deadline deadline = kNoDeadline);
-
-  /// Schedules a batch pinned to ONE snapshot — and therefore one
-  /// shard_epoch per shard on the wire. Answers are bit-identical to
-  /// ShardedEngine on the same epoch; per-query failure codes ride the
-  /// ticket (BatchTicket::code).
-  Ticket SubmitBatch(const std::vector<QueryPair>& queries,
-                     Deadline deadline = kNoDeadline);
-
-  /// Completion-queue mode: delivers the caller's tag to `sink`
-  /// exactly once — answered, shed, expired or unavailable.
-  void SubmitTagged(QueryPair query, uint64_t tag, CompletionSink* sink,
-                    Deadline deadline = kNoDeadline);
-
-  /// Batched completion-queue mode; pins one snapshot like SubmitBatch.
-  Ticket SubmitBatchTagged(const std::vector<QueryPair>& queries,
-                           const std::vector<uint64_t>& tags,
-                           CompletionSink* sink,
-                           Deadline deadline = kNoDeadline);
-
-  /// Records a desired new weight for a global edge; applied by the
-  /// router's writer and installed on every replica before the
-  /// router's next epoch serves.
-  void EnqueueUpdate(EdgeId edge, Weight new_weight);
-
-  /// Enqueues many updates atomically (up to max_batch_size of them
-  /// land in one epoch).
-  void EnqueueUpdates(const std::vector<WeightUpdate>& updates);
-
-  /// Blocks until every update enqueued before the call has been
-  /// applied by the router's writer, installed on every replica, and
-  /// published to the router's readers.
-  void Flush();
-
-  /// The latest router-published snapshot (never null). Every replica
-  /// already holds it (unless its install failed; see RouterStats).
-  std::shared_ptr<const ShardedSnapshot> CurrentSnapshot() const;
-
-  /// Global epoch of the latest router-published snapshot.
-  uint64_t CurrentEpoch() const { return CurrentSnapshot()->epoch; }
-
-  /// Number of cells of the writer's partition.
-  uint32_t num_shards() const { return writer_.layout().num_shards(); }
-
-  /// Point-in-time router-tier counters.
-  RouterStats Stats() const;
-
-  /// Zeroes the router core's, the writer's and the RPC counters
-  /// (bench warmup). Call only while no queries are in flight.
-  void ResetStats();
-
-  /// Router reader thread count.
-  int num_query_threads() const { return core_.num_query_threads(); }
+  /// Fills every RouterStats field except `serving`.
+  void FillStats(RouterStats* s) const;
 
  private:
+  friend class ServingCore<RouterPolicy>;
   struct SpanFanout;
   struct PendingCall;
 
-  // The routed Route policy over the shared ServingCore (see the
-  // policy contract in engine/serving_core.h). Batched misses sort by
-  // the same grouping as ShardedEngine, so fetched rows and inner
-  // vectors are deduplicated across each group.
-  struct Policy : ShardedBatchGrouping {
-    using Snapshot = ShardedSnapshot;
-    using Result = ShardedQueryResult;
+  std::shared_ptr<const ShardedSnapshot> PublishInitial(ThreadPool* helpers);
+  Weight ResolveOldWeight(EdgeId e) const;
+  std::shared_ptr<const ShardedSnapshot> ApplyBatch(const UpdateBatch& batch,
+                                                    ThreadPool* helpers);
+  uint32_t NumEdges() const;
+  // Issues the span's fetches and returns; `done` runs when the last
+  // answer lands (the continuation-passing half of the contract).
+  void RouteSpan(const std::shared_ptr<const ShardedSnapshot>& snap,
+                 const QueryPair* queries, const uint32_t* idx, size_t count,
+                 Weight* out, StatusCode* codes, std::function<void()> done);
+  void AugmentStats(const ShardedSnapshot& current, EngineStats* s) const;
+  void ResetStats();
 
-    ShardRouter* router;
-
-    void PublishInitial();
-    Weight ResolveOldWeight(EdgeId e) const;
-    void ApplyBatch(const UpdateBatch& batch);
-    uint32_t NumEdges() const;
-    // Issues the span's fetches and returns; `done` runs when the last
-    // answer lands (the continuation-passing half of the contract).
-    void RouteSpan(const std::shared_ptr<const ShardedSnapshot>& snap,
-                   const QueryPair* queries, const uint32_t* idx,
-                   size_t count, Weight* out, StatusCode* codes,
-                   std::function<void()> done) const;
-    void AugmentStats(EngineStats* s) const;
-  };
-
-  /// The router side of the transport: a tag-keyed registry of
-  /// response callbacks. OnResponse settles the tag's callback exactly
-  /// once (invoked outside the lock, on the transport's delivery
-  /// thread); a delivery for an unknown — already-settled — tag is a
-  /// transport duplicate and is counted and dropped: the one-shot
-  /// claim at RPC granularity.
+  // The router side of the transport: a tag-keyed registry of response
+  // callbacks. OnResponse settles the tag's callback exactly once
+  // (invoked outside the lock, on the transport's delivery thread); a
+  // delivery for an unknown — already-settled — tag is a transport
+  // duplicate and is counted and dropped: the one-shot claim at RPC
+  // granularity.
   class Mailbox final : public TransportSink {
    public:
-    /// One in-flight RPC's continuation.
     using Callback = std::function<void(Status, std::vector<uint8_t>)>;
 
-    /// Registers a fresh tag -> callback binding and returns the tag.
+    // Registers a fresh tag -> callback binding and returns the tag.
     uint64_t Register(Callback callback);
 
     void OnResponse(uint64_t tag, Status transport_status,
                     std::vector<uint8_t> payload) override;
 
-    /// Transport duplicates absorbed so far (relaxed).
     uint64_t duplicates_dropped() const {
       return duplicates_.load(std::memory_order_relaxed);
     }
-    /// Zeroes the duplicate counter (ResetStats).
-    void ResetCounters() {
-      duplicates_.store(0, std::memory_order_relaxed);
-    }
+    void ResetCounters() { duplicates_.store(0, std::memory_order_relaxed); }
 
    private:
     std::mutex mu_;
@@ -277,48 +209,47 @@ class ShardRouter {
     std::atomic<uint64_t> duplicates_{0};
   };
 
-  /// One pinned-epoch RPC with asynchronous sibling failover: encodes
-  /// the request ONCE (the buffer is shared across every sibling
-  /// attempt) and tries replica endpoints round-robin until one serves
-  /// it at the pinned shard_epoch — with a boundary row of exactly
-  /// |S_shard| weights for a row fetch. `done` runs exactly once — from the
-  /// transport's delivery thread (or inline for a synchronous
-  /// transport) — with ok=false after every endpoint failed.
+  // One pinned-epoch RPC with asynchronous sibling failover: encodes the
+  // request ONCE (the buffer is shared across every sibling attempt)
+  // and tries replica endpoints round-robin until one serves it at the
+  // pinned shard_epoch — with a boundary row of exactly |S_shard|
+  // weights for a row fetch. `done` runs exactly once — from the
+  // transport's delivery thread (or inline for a synchronous transport)
+  // — with ok=false after every endpoint failed.
   void CallReplicaAsync(const ShardRequest& req,
                         std::function<void(bool, ShardResponse)> done);
 
-  /// Installs `snap` on every replica as the next kInstall sequence,
-  /// carrying `updates`, then publishes it to the router core. Healthy
-  /// path: install strictly before publish, so a reader-pinned epoch
-  /// is always held by the replicas. A failed install is counted and
-  /// published anyway: the lagging replica answers the new epochs with
-  /// typed kUnavailable (never wrong bytes) until replay catches it up.
-  void InstallAndPublish(std::shared_ptr<const ShardedSnapshot> snap,
-                         const UpdateBatch& updates);
+  // Installs `snap` on every replica as the next kInstall sequence,
+  // carrying `updates`. The core publishes `snap` only after this
+  // returns, so a reader-pinned epoch is always held by the replicas on
+  // the healthy path. A failed install is counted and the snapshot is
+  // published anyway: the lagging replica answers the new epochs with
+  // typed kUnavailable (never wrong bytes) until replay catches it up.
+  void Install(const ShardedSnapshot& snap, const UpdateBatch& updates);
 
-  /// Drives `endpoint` to the newest install log entry (replaying
-  /// earlier entries on a sequence-gap nack). Writer thread only.
-  /// False when the endpoint cannot be caught up within the attempt
-  /// budget, nacked a seq it should have accepted (divergence), or
-  /// acked ok without moving past the seq it was sent (a protocol
-  /// violation that would otherwise replay forever).
+  // Drives `endpoint` to the newest install log entry (replaying
+  // earlier entries on a sequence-gap nack). Writer thread only. False
+  // when the endpoint cannot be caught up within the attempt budget,
+  // nacked a seq it should have accepted (divergence), or acked ok
+  // without moving past the seq it was sent (a protocol violation that
+  // would otherwise replay forever).
   bool WireInstallEndpoint(uint32_t endpoint);
 
-  /// One blocking RPC (writer thread only — the install path is the
-  /// single place the router blocks on the wire). False on transport
-  /// failure or when the ack misses its deadline.
+  // One blocking RPC (writer thread only — the install path is the
+  // single place the router blocks on the wire). False on transport
+  // failure or when the ack misses its deadline.
   bool BlockingRpc(uint32_t endpoint,
                    std::shared_ptr<const std::vector<uint8_t>> bytes,
                    std::vector<uint8_t>* payload);
 
-  const ShardRouterOptions options_;
+  ShardedWriter writer_;        // applied by the core's writer thread only
   Transport* const transport_;  // not owned
 
   Mailbox mailbox_;
   std::atomic<uint32_t> next_replica_{0};  // round-robin fan-out start
 
-  /// One wire-install log entry: the sequence number and the
-  /// encoded-once InstallRequest shared by every (re)send.
+  // One wire-install log entry: the sequence number and the
+  // encoded-once InstallRequest shared by every (re)send.
   struct InstallLogEntry {
     uint64_t seq = 0;
     std::shared_ptr<const std::vector<uint8_t>> encoded;
@@ -328,18 +259,56 @@ class ShardRouter {
   uint64_t install_log_base_ = 0;  // seq of install_log_.front()
   uint64_t next_install_seq_ = 0;
 
-  // RPC accounting (relaxed; surfaced through Stats()).
+  // RPC accounting (relaxed; surfaced through FillStats).
   std::atomic<uint64_t> rpcs_sent_{0};
   std::atomic<uint64_t> rpc_retries_{0};
   std::atomic<uint64_t> rpc_stale_{0};
   std::atomic<uint64_t> rpc_failovers_{0};
   std::atomic<uint64_t> wire_installs_{0};
   std::atomic<uint64_t> install_failures_{0};
-
-  ShardedWriter writer_;  // applied by the core's writer thread only
-  Policy policy_{{}, this};
-  ServingCore<Policy> core_;  // last member: its readers die first
 };
+
+/// The replicated router over a pluggable transport: ServingCore over
+/// RouterPolicy, so it serves ShardedEngine's submission surface with
+/// the same exactly-once completion contract; updates are applied by
+/// the router's ShardedWriter and installed on every replica before the
+/// router's readers see the new epoch. Flush() returns once every
+/// earlier update is applied, installed and published. Thread-safe like
+/// the engines.
+class ShardRouter : public ServingCore<RouterPolicy> {
+ public:
+  /// Builds the writer from `graph`, installs the initial epoch on the
+  /// replicas and starts the router core. `transport` (not owned) must
+  /// outlive the router and route endpoint i to replica i: a
+  /// ReplicaNode built from the same graph, hierarchy options and
+  /// `options.engine`, kept in sync by kInstall replication. `replicas`
+  /// must be empty; it stays only because existing callers still pass
+  /// an empty list.
+  ShardRouter(Graph graph, const HierarchyOptions& hierarchy_options,
+              const ShardRouterOptions& options, Transport* transport,
+              std::vector<ShardReplica*> replicas)
+      : ServingCore(CoreOptionsOf(options), std::move(graph),
+                    hierarchy_options, options.engine, transport) {
+    STL_CHECK(replicas.empty());  // see the constructor doc
+  }
+
+  /// Number of cells of the writer's partition.
+  uint32_t num_shards() const {
+    return policy().writer().layout().num_shards();
+  }
+
+  /// Point-in-time router-tier counters (hides ServingCore::Stats,
+  /// which RouterStats::serving carries).
+  RouterStats Stats() const {
+    RouterStats s;
+    s.serving = ServingCore::Stats();
+    policy().FillStats(&s);
+    return s;
+  }
+};
+
+static_assert(sizeof(ShardRouter) == sizeof(ServingCore<RouterPolicy>),
+              "a serving tier declares no data members");
 
 /// An in-process cluster: N ReplicaNodes behind one LoopbackTransport,
 /// endpoint i serving from replicas[i] — everything a test needs to

@@ -15,9 +15,12 @@
 //
 // All the serving plumbing — thread pool, update queue, snapshot slot,
 // batch submission, completion delivery, result cache, stats — lives in
-// engine/serving_core.h and is shared with the sharded engine; this
-// file contributes only the flat policy: one master DistanceIndex,
-// apply-batch = repair-and-publish, route = one IndexView query.
+// ServingCore (engine/serving_core.h), shared with the sharded engine
+// and the shard router. This file contributes only FlatPolicy, which
+// owns the master state (one graph, one DistanceIndex, the writer
+// counters): apply-batch = repair and return the next snapshot,
+// route = one IndexView query. QueryEngine is ServingCore<FlatPolicy>
+// plus two getters.
 //
 // Epoch-versioned snapshots: every published EngineSnapshot is
 // immutable. The per-epoch graph is always shared structurally (weights
@@ -51,6 +54,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "engine/serving_core.h"
@@ -134,156 +138,87 @@ struct EngineOptions {
   ServingOptions serving;
 };
 
-/// Concurrent query-serving engine: the flat (one master DistanceIndex)
-/// policy over the shared ServingCore. Thread-safe: Submit/SubmitBatch/
-/// SubmitTagged/EnqueueUpdate/Flush/Stats may be called from any
-/// thread.
-class QueryEngine {
+/// The flat serving policy (see the ServingCore policy contract in
+/// engine/serving_core.h): the master graph and DistanceIndex, owned
+/// by the core's writer thread after construction (queries and Stats()
+/// work off published snapshots), plus the writer's counters.
+class FlatPolicy {
  public:
-  /// Batch handle type returned by SubmitBatch (one pinned snapshot per
-  /// batch; see engine/serving_core.h).
-  using Ticket = BatchTicket<EngineSnapshot>;
+  /// The published epoch type.
+  using Snapshot = EngineSnapshot;
+  /// The per-query result type.
+  using Result = QueryResult;
+  /// One IndexView answers any (s, t); there is no per-group state to
+  /// reuse, so batch misses are routed unsorted.
+  static constexpr bool kGroupsBatches = false;
 
-  /// Takes ownership of the graph, builds the backend selected by
-  /// `options.backend`, starts the workers, and publishes epoch 0.
-  QueryEngine(Graph graph, const HierarchyOptions& hierarchy_options,
-              const EngineOptions& options = {});
+  /// Takes ownership of the graph and builds the `backend` index on it.
+  FlatPolicy(Graph graph, const HierarchyOptions& hierarchy_options,
+             BackendKind backend);
 
-  /// Drains: answers every submitted query and applies every enqueued
-  /// update before returning.
-  ~QueryEngine();
-
-  QueryEngine(const QueryEngine&) = delete;             ///< Not copyable.
-  QueryEngine& operator=(const QueryEngine&) = delete;  ///< Not copyable.
-
-  /// Schedules one distance query; the future resolves when a reader
-  /// thread has answered it — or, under overload, with a kOverloaded /
-  /// kDeadlineExceeded result code. Compatibility adapter: allocates
-  /// one promise per query (prefer SubmitBatch / SubmitTagged at high
-  /// qps).
-  std::future<QueryResult> Submit(QueryPair query,
-                                  Deadline deadline = kNoDeadline) {
-    return core_.Submit(query, deadline);
-  }
-
-  /// Schedules a batch of queries pinned to ONE snapshot; answers are
-  /// bit-identical to per-query Submit calls on that same snapshot.
-  /// Under overload queries may complete with failure codes on the
-  /// ticket (BatchTicket::code).
-  Ticket SubmitBatch(const std::vector<QueryPair>& queries,
-                     Deadline deadline = kNoDeadline) {
-    return core_.SubmitBatch(queries, deadline);
-  }
-
-  /// Completion-queue mode: the completion is delivered to `sink`
-  /// exactly once with the caller's tag — answered, shed or expired —
-  /// and no promise or future is allocated.
-  void SubmitTagged(QueryPair query, uint64_t tag, CompletionSink* sink,
-                    Deadline deadline = kNoDeadline) {
-    core_.SubmitTagged(query, tag, sink, deadline);
-  }
-
-  /// Batched completion-queue mode: pins one snapshot and delivers
-  /// `tags[i]` with query i's completion to `sink` exactly once.
-  Ticket SubmitBatchTagged(const std::vector<QueryPair>& queries,
-                           const std::vector<uint64_t>& tags,
-                           CompletionSink* sink,
-                           Deadline deadline = kNoDeadline) {
-    return core_.SubmitBatchTagged(queries, tags, sink, deadline);
-  }
-
-  /// Records a desired new weight for an edge. The writer re-resolves
-  /// the old weight from the master graph at apply time, so callers need
-  /// not know the current weight (update.old_weight is ignored).
-  void EnqueueUpdate(const WeightUpdate& update) {
-    core_.EnqueueUpdate(update.edge, update.new_weight);
-  }
-  /// Convenience overload of EnqueueUpdate(const WeightUpdate&).
-  void EnqueueUpdate(EdgeId edge, Weight new_weight) {
-    core_.EnqueueUpdate(edge, new_weight);
-  }
-
-  /// Enqueues many updates atomically (one lock, one writer wakeup): the
-  /// writer cannot pop a partial prefix, so up to max_batch_size of them
-  /// land in the same maintenance batch / epoch.
-  void EnqueueUpdates(const std::vector<WeightUpdate>& updates) {
-    core_.EnqueueUpdates(updates);
-  }
-
-  /// Blocks until every update enqueued before the call has been applied
-  /// and, if it changed any weight, published in a snapshot.
-  void Flush() { core_.Flush(); }
-
-  /// The latest published snapshot (never null after construction).
-  std::shared_ptr<const EngineSnapshot> CurrentSnapshot() const {
-    return core_.CurrentSnapshot();
-  }
-
-  /// Epoch of the latest published snapshot.
-  uint64_t CurrentEpoch() const { return CurrentSnapshot()->epoch; }
-
-  /// The index family serving this engine.
-  BackendKind backend() const { return options_.backend; }
-  /// What the selected backend supports (path queries, CoW, ...).
+  /// The index family serving this policy.
+  BackendKind backend() const { return backend_; }
+  /// What the backend supports (path queries, CoW, ...).
   const BackendCapabilities& capabilities() const { return capabilities_; }
 
-  /// Point-in-time counters and latency summary.
-  EngineStats Stats() const { return core_.Stats(); }
-
-  /// Zeroes counters (except the epoch allocator) and the latency
-  /// histogram and restarts the wall clock (for bench warmup). Call only
-  /// while no queries are in flight.
-  void ResetStats() { core_.ResetStats(); }
-
-  /// Reader thread count.
-  int num_query_threads() const { return core_.num_query_threads(); }
-
  private:
-  // The flat Apply + Route policy the shared ServingCore drives (see
-  // the policy contract in engine/serving_core.h).
-  struct Policy {
-    using Snapshot = EngineSnapshot;
-    using Result = QueryResult;
-    // One IndexView answers any (s, t); there is no per-group state to
-    // reuse, so batch misses are routed unsorted.
-    static constexpr bool kGroupsBatches = false;
+  friend class ServingCore<FlatPolicy>;
 
-    QueryEngine* engine;
+  std::shared_ptr<const EngineSnapshot> PublishInitial(ThreadPool* helpers);
+  Weight ResolveOldWeight(EdgeId e) const;
+  std::shared_ptr<const EngineSnapshot> ApplyBatch(const UpdateBatch& batch,
+                                                   ThreadPool* helpers);
+  uint32_t NumEdges() const;
+  void RouteSpan(const std::shared_ptr<const EngineSnapshot>& snap,
+                 const QueryPair* queries, const uint32_t* idx, size_t count,
+                 Weight* out, StatusCode* codes,
+                 std::function<void()> done) const;
+  void AugmentStats(const EngineSnapshot& current, EngineStats* s) const;
+  void ResetStats();
 
-    void PublishInitial();
-    Weight ResolveOldWeight(EdgeId e) const;
-    void ApplyBatch(const UpdateBatch& batch);
-    uint32_t NumEdges() const;
-    void RouteSpan(const std::shared_ptr<const EngineSnapshot>& snap,
-                   const QueryPair* queries, const uint32_t* idx,
-                   size_t count, Weight* out, StatusCode* codes,
-                   std::function<void()> done) const;
-    void AugmentStats(EngineStats* s) const;
-  };
+  // The master index state as a snapshot of epoch `epoch`.
+  std::shared_ptr<const EngineSnapshot> Publish(uint64_t epoch);
 
-  /// Publishes the master index state as epoch `epoch`. Called only by
-  /// the writer thread (or the constructor, before concurrency starts).
-  void PublishSnapshot(uint64_t epoch);
-
-  const EngineOptions options_;
-
-  // Master state, owned by the writer after construction (no other
-  // thread reads it: queries and Stats() work off published snapshots).
-  // graph_ is heap-allocated so its address stays stable for the
-  // backend's non-owning pointer.
+  const BackendKind backend_;
+  // Heap-allocated so its address stays stable for the backend's
+  // non-owning pointer.
   std::unique_ptr<Graph> graph_;
   std::unique_ptr<DistanceIndex> index_;
   BackendCapabilities capabilities_;
 
   // Last-harvested cumulative CoW counters of the master graph; only the
-  // publishing thread touches these, so per-epoch deltas need no
-  // synchronization. (The label-side harvest lives in the STL backend.)
+  // writer touches these, so per-epoch deltas need no synchronization.
+  // (The label-side harvest lives in the STL backend.)
   uint64_t harvested_graph_chunks_ = 0;
   uint64_t harvested_graph_bytes_ = 0;
 
-  Policy policy_{this};
-  ServingCore<Policy> core_;  // last member: its workers die first
+  uint64_t epoch_ = 0;  // the last published epoch id; never reset
+  WriterCounters counters_;
 };
+
+/// Concurrent query-serving engine: ServingCore over the flat (one
+/// master DistanceIndex) policy. Thread-safe: Submit/SubmitBatch/
+/// SubmitTagged/EnqueueUpdate/Flush/Stats may be called from any
+/// thread.
+class QueryEngine : public ServingCore<FlatPolicy> {
+ public:
+  /// Takes ownership of the graph, builds the backend selected by
+  /// `options.backend`, starts the workers, and publishes epoch 0.
+  QueryEngine(Graph graph, const HierarchyOptions& hierarchy_options,
+              const EngineOptions& options = {})
+      : ServingCore(CoreOptionsOf(options), std::move(graph),
+                    hierarchy_options, options.backend) {}
+
+  /// The index family serving this engine.
+  BackendKind backend() const { return policy().backend(); }
+  /// What the selected backend supports (path queries, CoW, ...).
+  const BackendCapabilities& capabilities() const {
+    return policy().capabilities();
+  }
+};
+
+static_assert(sizeof(QueryEngine) == sizeof(ServingCore<FlatPolicy>),
+              "a serving tier declares no data members");
 
 }  // namespace stl
 

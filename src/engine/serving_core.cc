@@ -54,7 +54,7 @@ size_t CompletionQueue::size() const {
   return done_.size();
 }
 
-// ----------------------------------------------------- ServingCounters
+// ------------------------------------------- WriterCounters, ServingCounters
 
 void WriterCounters::FillStats(EngineStats* s) const {
   s->updates_applied = updates_applied.load(std::memory_order_relaxed);
@@ -80,9 +80,7 @@ void WriterCounters::FillStats(EngineStats* s) const {
 
 void WriterCounters::Reset() {
   updates_applied.store(0, std::memory_order_relaxed);
-  // epochs_published is deliberately not reset: it doubles as the epoch
-  // id allocator, and snapshot epochs must stay unique for the lifetime
-  // of the writer.
+  epochs_published.store(0, std::memory_order_relaxed);
   batch_counters.Reset();
   label_pages_cloned.store(0, std::memory_order_relaxed);
   graph_chunks_cloned.store(0, std::memory_order_relaxed);
@@ -92,7 +90,6 @@ void WriterCounters::Reset() {
 }
 
 void ServingCounters::FillStats(EngineStats* s) const {
-  WriterCounters::FillStats(s);
   s->queries_served = queries_served.load(std::memory_order_relaxed);
   s->updates_coalesced =
       updates_coalesced.load(std::memory_order_relaxed);
@@ -121,7 +118,6 @@ void ServingCounters::FillStats(EngineStats* s) const {
 }
 
 void ServingCounters::Reset() {
-  WriterCounters::Reset();
   queries_served.store(0, std::memory_order_relaxed);
   updates_coalesced.store(0, std::memory_order_relaxed);
   query_batches_submitted.store(0, std::memory_order_relaxed);

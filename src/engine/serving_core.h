@@ -1,9 +1,21 @@
-// The unified serving surface: one ServingCore owns the reader thread
+// The one serving surface. ServingCore<Policy> owns the reader thread
 // pool, the single-writer update-queue protocol, the snapshot
-// publication slot, the result cache and every serving-side counter —
-// QueryEngine (flat) and ShardedEngine (partitioned) are thin Apply +
-// Route policies on top of it, so the Submit/Stats/lifecycle plumbing
-// exists exactly once.
+// publication slot, the result cache and every serving-side counter,
+// and it owns its Policy by value: the master state (graph, indexes,
+// writer, transport) plus what differs between tiers — how a coalesced
+// batch becomes the next snapshot and how a span of queries is routed
+// on one. Each serving tier is a public subclass of ServingCore<its
+// policy> that declares no data members and adds only getters, so the
+// Submit/Stats/lifecycle surface exists exactly once:
+//
+//   tier                            policy
+//   ─────────────────────────────   ──────────────────────────────────
+//   QueryEngine (query_engine.h)    FlatPolicy: one master
+//                                   DistanceIndex
+//   ShardedEngine (sharded_...h)    ShardedPolicy: a ShardedWriter and
+//                                   the boundary-row cache
+//   ShardRouter (dist/shard_...h)   RouterPolicy: a ShardedWriter, the
+//                                   transport, the install log
 //
 //   callers                       ServingCore<Policy>
 //   ───────────────────────────   ──────────────────────────────────────
@@ -17,13 +29,21 @@
 //   SubmitBatchTagged()           future — the answer is pushed to a
 //                                 CompletionSink with the caller's tag
 //
-// Consistency contract (inherited by both engines): every query is
+// Lifetime: the policy is the core's first member and the reader pool
+// its last, so the master state outlives every reader, the writer and
+// every in-flight route continuation by construction. The constructor
+// builds the policy, publishes its epoch-0 snapshot and starts the
+// writer; the policy returns each snapshot and the core alone
+// publishes it.
+//
+// Consistency contract (inherited by every tier): every query is
 // answered exactly for the weights of the single epoch snapshot it was
 // served from; a batch is answered entirely from the one snapshot
 // pinned at submission, so its answers are bit-identical to per-query
 // serving on that same epoch. Completions are delivered exactly once
-// per submitted tag, including across engine destruction (the pool
-// drains before the writer joins).
+// per submitted tag, including across engine destruction (the
+// destructor drains the writer, then the pool, then every route
+// continuation).
 //
 // Overload hardening (ServingOptions): submission is bounded. When the
 // admission queue is full, new work is rejected — or the oldest queued
@@ -357,12 +377,13 @@ class CompletionQueue final : public CompletionSink {
 
 /// The writer-side counter block: what applying and publishing update
 /// batches cost. Relaxed atomics for monitoring, bumped by the one
-/// thread that applies batches. ServingCounters extends it for the flat
-/// engine; the sharded writer (engine/sharded_engine.h) owns its own.
+/// thread that applies batches. Every writer owns one (the flat policy,
+/// engine/query_engine.h; ShardedWriter, engine/sharded_engine.h) and
+/// fills it into EngineStats from its policy's AugmentStats.
 struct WriterCounters {
   std::atomic<uint64_t> updates_applied{0};  ///< Effective updates.
-  /// Snapshots published after epoch 0. Doubles as the epoch-id
-  /// allocator, so it survives Reset().
+  /// Snapshots published after epoch 0 since the last Reset(). Epoch
+  /// ids come from each writer's own allocator, not from this count.
   std::atomic<uint64_t> epochs_published{0};
   BatchExecutionCounters batch_counters;     ///< How batches executed.
   std::atomic<uint64_t> label_pages_cloned{0};   ///< CoW label pages.
@@ -375,16 +396,14 @@ struct WriterCounters {
   /// Copies the block into the matching EngineStats fields.
   void FillStats(EngineStats* s) const;
 
-  /// Zeroes everything except epochs_published (the epoch-id allocator:
-  /// snapshot epochs must stay unique for the writer's lifetime).
+  /// Zeroes every counter.
   void Reset();
 };
 
-/// The serving-side counter block shared by every engine: the writer
-/// block plus relaxed atomics for the query side, the latency
-/// histogram, and the wall clock. ServingCore bumps the query-side
-/// counters from the reader pool.
-struct ServingCounters : WriterCounters {
+/// The serving-side counter block of every tier: relaxed atomics for
+/// the query side, the latency histogram and the wall clock. ServingCore
+/// bumps them from the reader pool and its writer thread.
+struct ServingCounters {
   std::atomic<uint64_t> queries_served{0};   ///< Queries answered.
   std::atomic<uint64_t> updates_coalesced{0};  ///< Dropped no-ops/dups.
   /// Batch tickets issued (SubmitBatch / SubmitBatchTagged).
@@ -416,8 +435,7 @@ struct ServingCounters : WriterCounters {
   /// derives the rates (qps, latency quantiles).
   void FillStats(EngineStats* s) const;
 
-  /// Zeroes everything except epochs_published (see WriterCounters)
-  /// and restarts the wall clock.
+  /// Zeroes every counter and restarts the wall clock.
   void Reset();
 };
 
@@ -565,22 +583,33 @@ ServingCoreOptions CoreOptionsOf(const EngineOptionsT& options) {
   return core;
 }
 
-/// The one serving core every engine is built on. Owns the reader
-/// pool, the single-writer update queue, the snapshot slot, the result
-/// cache and the counters; the Policy supplies what differs between
-/// engines — how a coalesced batch is applied and published (Apply
-/// side) and how a span of queries is routed on a snapshot (Route side).
+/// The one serving core every tier is built on (see the file comment).
+/// Owns the reader pool, the single-writer update queue, the snapshot
+/// slot, the result cache, the serving counters and the Policy, which
+/// supplies what differs between tiers — how a coalesced batch is
+/// applied (Apply side) and how a span of queries is routed on a
+/// snapshot (Route side).
 ///
-/// Policy requirements:
+/// Policy requirements (the core is a friend, so they may be private):
 ///   using Snapshot / Result   — the published epoch type (must expose
 ///       a uint64_t `epoch`) and the per-query result type (must expose
 ///       distance / epoch / latency_micros / snapshot / code fields).
-///   void PublishInitial()     — build + Publish() the epoch-0 snapshot.
+///   A constructor from the core's trailing constructor arguments.
+///   std::shared_ptr<const Snapshot> PublishInitial(ThreadPool* helpers)
+///       — builds the epoch-0 snapshot (never null). Runs once, inside
+///       the core's constructor, before the writer starts.
 ///   Weight ResolveOldWeight(EdgeId) — master weight authority for
 ///       coalescing.
-///   void ApplyBatch(const UpdateBatch&) — apply one coalesced batch to
-///       the master state and Publish() the next snapshot (writer
-///       thread only).
+///   std::shared_ptr<const Snapshot> ApplyBatch(const UpdateBatch&,
+///       ThreadPool* helpers) — applies one coalesced batch to the
+///       master state and returns the next epoch's snapshot, which the
+///       core then publishes (writer thread only). Whatever must hold
+///       before readers can pin the epoch (the router's replica
+///       installs) happens before it returns.
+///   `helpers` is the core's reader pool, lent for writer-side fan-out
+///       (the sharded boundary-clique recompute); ThreadPool::Enqueue
+///       may return false during shutdown, so users keep an inline
+///       fallback.
 ///   uint32_t NumEdges()       — update validation bound.
 ///   static constexpr bool kGroupsBatches — whether batch misses are
 ///       sorted by BatchSortKey before chunking.
@@ -601,8 +630,11 @@ ServingCoreOptions CoreOptionsOf(const EngineOptionsT& options) {
 ///       a fan-out of N RPCs parks no reader thread. The snapshot and
 ///       the arrays stay valid until `done` runs (which may free them).
 ///       A single query is a one-element span.
-///   void AugmentStats(EngineStats*) — engine-specific stats fields
-///       (backend, resident bytes, shard rows).
+///   void AugmentStats(const Snapshot& current, EngineStats*) const —
+///       the writer's counter block and the tier's own fields (backend,
+///       resident bytes of `current`, shard rows, caches).
+///   void ResetStats()         — zeroes the policy's counters (never
+///       its epoch ids).
 ///
 /// The core counts every issued span; its destructor waits for all of
 /// their continuations after the pool drains, so `done` may always
@@ -621,11 +653,13 @@ class ServingCore {
   /// The batch handle type returned by SubmitBatch.
   using Ticket = BatchTicket<Snapshot>;
 
-  /// Binds to `policy` (not owned; must outlive the core) and starts
-  /// the reader pool. The core is inert until Start(): the owning
-  /// engine builds its master state first, then calls Start().
-  ServingCore(Policy* policy, const ServingCoreOptions& options)
-      : policy_(policy),
+  /// Builds the policy from `policy_args`, starts the reader pool,
+  /// publishes the policy's epoch-0 snapshot, then starts the writer
+  /// thread (and the stall watchdog when writer_stall_ms is set).
+  template <typename... Args>
+  explicit ServingCore(const ServingCoreOptions& options,
+                       Args&&... policy_args)
+      : policy_(std::forward<Args>(policy_args)...),
         options_(options),
         serving_(options.serving),
         faults_(options.serving.fault_injector),
@@ -636,6 +670,16 @@ class ServingCore {
         pool_(options.num_query_threads) {
     STL_CHECK_GE(options_.max_batch_size, size_t{1});
     cache_.Init(options.result_cache_entries, 1);
+    current_.store(policy_.PublishInitial(&pool_));
+    STL_CHECK(current_.load() != nullptr)
+        << "PublishInitial() must return the epoch-0 snapshot";
+    writer_ = std::thread([this] { WriterLoop(); });
+    if (serving_.writer_stall_ms > 0) {
+      watchdog_ = std::thread([this] { WatchdogLoop(); });
+    }
+    // Start the throughput clock after the (potentially long) index
+    // build, so Stats() reports serving throughput, not build dilution.
+    counters_.wall.Restart();
   }
 
   /// Drains: answers every submitted query and applies every enqueued
@@ -643,7 +687,7 @@ class ServingCore {
   /// ServingOptions::shutdown_drain_ms set, the query drain is bounded:
   /// work still queued when the drain deadline passes is claimed and
   /// failed kOverloaded (delivered exactly once like any other
-  /// completion) instead of being answered.
+  /// completion) instead of being answered. The policy dies last.
   ~ServingCore() {
     if (serving_.shutdown_drain_ms > 0) DrainWithDeadline();
     if (watchdog_.joinable()) {
@@ -665,8 +709,7 @@ class ServingCore {
     // A policy that routes over the network may still owe continuations
     // for spans the drained pool tasks issued; every one touches ticket
     // or result state this core hands out, so wait them all out before
-    // any member dies. The policy's transport must outlive this core
-    // (it does: the owning engine declares the core last).
+    // any member dies (the policy, and so its transport, dies last).
     // Drop the core's own reference (see EndRoute); whoever takes the
     // count to zero sets routes_idle_ under the mutex.
     if (routes_inflight_.fetch_sub(1) != 1) {
@@ -677,23 +720,6 @@ class ServingCore {
 
   ServingCore(const ServingCore&) = delete;             ///< Not copyable.
   ServingCore& operator=(const ServingCore&) = delete;  ///< Not copyable.
-
-  /// Publishes epoch 0 through the policy, starts the writer thread
-  /// (and the stall watchdog when writer_stall_ms is set) and restarts
-  /// the serving wall clock. Call exactly once, at the end of the
-  /// owning engine's constructor.
-  void Start() {
-    policy_->PublishInitial();
-    STL_CHECK(current_.load() != nullptr)
-        << "PublishInitial() must publish the epoch-0 snapshot";
-    writer_ = std::thread([this] { WriterLoop(); });
-    if (serving_.writer_stall_ms > 0) {
-      watchdog_ = std::thread([this] { WatchdogLoop(); });
-    }
-    // Start the throughput clock after the (potentially long) index
-    // build, so Stats() reports serving throughput, not build dilution.
-    counters_.wall.Restart();
-  }
 
   /// Schedules one distance query; the future resolves when a reader
   /// thread has answered it — or, under overload, when admission
@@ -775,9 +801,15 @@ class ServingCore {
   /// the old weight from the master state at apply time, so callers
   /// need not know the current weight.
   void EnqueueUpdate(EdgeId edge, Weight new_weight) {
-    STL_CHECK(edge < policy_->NumEdges());
+    STL_CHECK(edge < policy_.NumEdges());
     STL_CHECK(new_weight >= 1 && new_weight <= kMaxEdgeWeight);
     updates_.Enqueue(edge, new_weight);
+  }
+
+  /// EnqueueUpdate(update.edge, update.new_weight); update.old_weight is
+  /// ignored.
+  void EnqueueUpdate(const WeightUpdate& update) {
+    EnqueueUpdate(update.edge, update.new_weight);
   }
 
   /// Enqueues many updates atomically (one lock, one writer wakeup):
@@ -785,7 +817,7 @@ class ServingCore {
   /// them land in the same maintenance batch / epoch.
   void EnqueueUpdates(const std::vector<WeightUpdate>& updates) {
     for (const WeightUpdate& u : updates) {
-      STL_CHECK(u.edge < policy_->NumEdges());
+      STL_CHECK(u.edge < policy_.NumEdges());
       STL_CHECK(u.new_weight >= 1 && u.new_weight <= kMaxEdgeWeight);
     }
     updates_.EnqueueMany(updates);
@@ -795,26 +827,17 @@ class ServingCore {
   /// applied and, if it changed any weight, published in a snapshot.
   void Flush() { updates_.Flush(); }
 
-  /// Swaps `snap` in as the serving snapshot (writer thread or
-  /// constructor only; readers pick it up on their next atomic load).
-  void Publish(std::shared_ptr<const Snapshot> snap) {
-    current_.store(std::move(snap));
-  }
-
-  /// The latest published snapshot (never null after Start()).
+  /// The latest published snapshot (never null).
   std::shared_ptr<const Snapshot> CurrentSnapshot() const {
     return current_.load();
   }
 
-  /// The shared counter block (policies bump the maintenance/publish
-  /// counters through this).
-  ServingCounters& counters() { return counters_; }
+  /// Epoch of the latest published snapshot.
+  uint64_t CurrentEpoch() const { return current_.load()->epoch; }
 
-  /// Read-only view of the counter block.
-  const ServingCounters& counters() const { return counters_; }
-
-  /// Point-in-time counters and latency summary; the policy appends its
-  /// engine-specific fields (backend, resident bytes, shard rows).
+  /// Point-in-time counters and latency summary; the policy adds its
+  /// writer's counters and its tier's fields (backend, resident bytes,
+  /// shard rows, caches).
   EngineStats Stats() const {
     EngineStats s;
     counters_.FillStats(&s);
@@ -830,26 +853,25 @@ class ServingCore {
             ? static_cast<double>(s.result_cache_hits) /
                   static_cast<double>(s.result_cache_lookups)
             : 0;
-    policy_->AugmentStats(&s);
+    policy_.AugmentStats(*current_.load(), &s);
     return s;
   }
 
-  /// Zeroes counters (except the epoch allocator) and the latency
-  /// histogram and restarts the wall clock (for bench warmup). Call
-  /// only while no queries are in flight.
+  /// Zeroes every counter (the policy's too) and the latency histogram
+  /// and restarts the wall clock, for bench warmup; epoch ids keep
+  /// rising. Call only while no queries are in flight.
   void ResetStats() {
     counters_.Reset();
     cache_.ResetCounters();
+    policy_.ResetStats();
   }
 
   /// Reader thread count.
   int num_query_threads() const { return pool_.num_threads(); }
 
-  /// The reader pool. Policies may fan writer-side maintenance (e.g.
-  /// the sharded engine's boundary-clique recompute) out across idle
-  /// readers; Enqueue may return false during shutdown, so callers
-  /// must keep an inline fallback.
-  ThreadPool* pool() { return &pool_; }
+ protected:
+  /// The tier's policy (read-only), for the tier's own getters.
+  const Policy& policy() const { return policy_; }
 
  private:
   /// Nanoseconds elapsed since `start`.
@@ -938,7 +960,7 @@ class ServingCore {
     auto* one = new OneQuery{query, 0, kInfDistance, StatusCode::kOk,
                              key, submitted, std::move(snap), finish};
     BeginRoute();
-    policy_->RouteSpan(
+    policy_.RouteSpan(
         one->snap, &one->query, &one->idx, 1, &one->distance, &one->code,
         [this, one] {
           std::unique_ptr<OneQuery> owned(one);
@@ -1131,7 +1153,7 @@ class ServingCore {
         // continuation finishes the chunk whenever the answers land.
         // Chunks touch disjoint answer slots, so they need no lock.
         BeginRoute();
-        policy_->RouteSpan(
+        policy_.RouteSpan(
             state->snapshot, state->queries.data(),
             state->order.data() + begin, end - begin,
             state->distances.data(), state->codes.data(),
@@ -1155,7 +1177,7 @@ class ServingCore {
     keys->resize(state->order.size());
     for (size_t j = 0; j < state->order.size(); ++j) {
       (*keys)[j] =
-          policy_->BatchSortKey(snap, state->queries[state->order[j]]);
+          policy_.BatchSortKey(snap, state->queries[state->order[j]]);
     }
     std::vector<uint32_t> by_key(state->order.size());
     for (uint32_t j = 0; j < by_key.size(); ++j) by_key[j] = j;
@@ -1491,13 +1513,14 @@ class ServingCore {
 
   void WriterLoop() {
     // The drain/coalesce/Flush protocol lives in UpdateQueue; the
-    // policy's apply step repairs the master state and publishes one
-    // epoch per effective batch. An injected apply failure drops the
-    // coalesced batch before the policy sees it — the master state is
-    // untouched, so serving stays exact on the last good epoch.
+    // policy's apply step repairs the master state and returns one
+    // epoch per effective batch, published here. An injected apply
+    // failure drops the coalesced batch before the policy sees it — the
+    // master state is untouched, so serving stays exact on the last
+    // good epoch.
     updates_.RunWriter(
         options_.max_batch_size,
-        [this](EdgeId e) { return policy_->ResolveOldWeight(e); },
+        [this](EdgeId e) { return policy_.ResolveOldWeight(e); },
         [this](const UpdateBatch& batch) {
           if (faults_ != nullptr &&
               faults_->Fire(FaultSite::kApplyFailure)) {
@@ -1505,12 +1528,12 @@ class ServingCore {
                                                std::memory_order_relaxed);
             return;
           }
-          policy_->ApplyBatch(batch);
+          current_.store(policy_.ApplyBatch(batch, &pool_));
         },
         &counters_.updates_coalesced, faults_);
   }
 
-  Policy* const policy_;
+  Policy policy_;  // first member: the master state dies last
   const ServingCoreOptions options_;
   const ServingOptions serving_;  // overload-hardening knobs (copy)
   FaultInjector* const faults_;   // null = no fault hooks

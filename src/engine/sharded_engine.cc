@@ -373,9 +373,8 @@ std::shared_ptr<const ShardedSnapshot> ShardedWriter::Apply(
   harvested_graph_chunks_ = gc.chunks_cloned;
   harvested_graph_bytes_ = gc.bytes_cloned;
 
-  auto snap = Snapshot(
-      counters_.epochs_published.fetch_add(1, std::memory_order_relaxed) + 1,
-      std::move(table));
+  counters_.epochs_published.fetch_add(1, std::memory_order_relaxed);
+  auto snap = Snapshot(++epoch_, std::move(table));
   counters_.publish_nanos.fetch_add(publish_timer.ElapsedNanos(),
                                     std::memory_order_relaxed);
   return snap;
@@ -450,59 +449,53 @@ void ShardedWriter::ResetStats() {
   }
 }
 
-// ------------------------------------------------------- ShardedEngine
+// ------------------------------------------------------- ShardedPolicy
 
-ShardedEngine::ShardedEngine(Graph graph,
+ShardedPolicy::ShardedPolicy(Graph graph,
                              const HierarchyOptions& hierarchy_options,
                              const ShardedEngineOptions& options)
-    : writer_(std::move(graph), hierarchy_options, options),
-      core_(&policy_, CoreOptionsOf(options)) {
+    : writer_(std::move(graph), hierarchy_options, options) {
   uint32_t max_width = 0;
   for (const ShardLayout::Shard& shard : writer_.layout().shards) {
     max_width = std::max(max_width,
                          static_cast<uint32_t>(shard.boundary_local.size()));
   }
   row_cache_.Init(options.boundary_row_cache_entries, max_width);
-  core_.Start();  // publishes epoch 0, starts the writer
 }
 
-ShardedEngine::~ShardedEngine() = default;  // core_ drains first
-
-// ---------------------------------------------------- the sharded policy
-
-void ShardedEngine::Policy::PublishInitial() {
-  engine->core_.Publish(engine->writer_.PublishInitial(engine->core_.pool()));
+std::shared_ptr<const ShardedSnapshot> ShardedPolicy::PublishInitial(
+    ThreadPool* helpers) {
+  return writer_.PublishInitial(helpers);
 }
 
-Weight ShardedEngine::Policy::ResolveOldWeight(EdgeId e) const {
-  return engine->writer_.EdgeWeight(e);
+Weight ShardedPolicy::ResolveOldWeight(EdgeId e) const {
+  return writer_.EdgeWeight(e);
 }
 
-void ShardedEngine::Policy::ApplyBatch(const UpdateBatch& batch) {
-  engine->core_.Publish(engine->writer_.Apply(batch, engine->core_.pool()));
+std::shared_ptr<const ShardedSnapshot> ShardedPolicy::ApplyBatch(
+    const UpdateBatch& batch, ThreadPool* helpers) {
+  return writer_.Apply(batch, helpers);
 }
 
-uint32_t ShardedEngine::Policy::NumEdges() const {
-  return engine->writer_.NumEdges();
-}
+uint32_t ShardedPolicy::NumEdges() const { return writer_.NumEdges(); }
 
-void ShardedEngine::Policy::RouteSpan(
+void ShardedPolicy::RouteSpan(
     const std::shared_ptr<const ShardedSnapshot>& snap,
     const QueryPair* queries, const uint32_t* idx, size_t count,
-    Weight* out, StatusCode* codes, std::function<void()> done) const {
+    Weight* out, StatusCode* codes, std::function<void()> done) {
   // Per reader thread; a span never nests inside another on one thread.
   thread_local LocalScratch scratch;
-  LocalPieces pieces(*snap, &engine->row_cache_, &scratch);
+  LocalPieces pieces(*snap, &row_cache_, &scratch);
   RouteShardedSpan(*snap, queries, idx, count, out, codes, &pieces,
                    &scratch.memo);
   done();
 }
 
-void ShardedEngine::Policy::AugmentStats(EngineStats* s) const {
-  const ShardedEngine& e = *engine;
-  e.writer_.FillStats(*e.CurrentSnapshot(), s);
-  s->boundary_row_cache_lookups = e.row_cache_.lookups();
-  s->boundary_row_cache_hits = e.row_cache_.hits();
+void ShardedPolicy::AugmentStats(const ShardedSnapshot& current,
+                                 EngineStats* s) const {
+  writer_.FillStats(current, s);
+  s->boundary_row_cache_lookups = row_cache_.lookups();
+  s->boundary_row_cache_hits = row_cache_.hits();
   s->boundary_row_cache_hit_rate =
       s->boundary_row_cache_lookups > 0
           ? static_cast<double>(s->boundary_row_cache_hits) /
@@ -510,59 +503,7 @@ void ShardedEngine::Policy::AugmentStats(EngineStats* s) const {
           : 0.0;
 }
 
-// ------------------------------------------------- submission forwards
-
-std::future<ShardedQueryResult> ShardedEngine::Submit(QueryPair query,
-                                                      Deadline deadline) {
-  return core_.Submit(query, deadline);
-}
-
-ShardedEngine::Ticket ShardedEngine::SubmitBatch(
-    const std::vector<QueryPair>& queries, Deadline deadline) {
-  return core_.SubmitBatch(queries, deadline);
-}
-
-void ShardedEngine::SubmitTagged(QueryPair query, uint64_t tag,
-                                 CompletionSink* sink, Deadline deadline) {
-  core_.SubmitTagged(query, tag, sink, deadline);
-}
-
-ShardedEngine::Ticket ShardedEngine::SubmitBatchTagged(
-    const std::vector<QueryPair>& queries,
-    const std::vector<uint64_t>& tags, CompletionSink* sink,
-    Deadline deadline) {
-  return core_.SubmitBatchTagged(queries, tags, sink, deadline);
-}
-
-void ShardedEngine::EnqueueUpdate(const WeightUpdate& update) {
-  core_.EnqueueUpdate(update.edge, update.new_weight);
-}
-
-void ShardedEngine::EnqueueUpdate(EdgeId edge, Weight new_weight) {
-  core_.EnqueueUpdate(edge, new_weight);
-}
-
-void ShardedEngine::EnqueueUpdates(const std::vector<WeightUpdate>& updates) {
-  core_.EnqueueUpdates(updates);
-}
-
-void ShardedEngine::Flush() { core_.Flush(); }
-
-std::shared_ptr<const ShardedSnapshot> ShardedEngine::CurrentSnapshot()
-    const {
-  return core_.CurrentSnapshot();
-}
-
-int ShardedEngine::num_query_threads() const {
-  return core_.num_query_threads();
-}
-
-EngineStats ShardedEngine::Stats() const { return core_.Stats(); }
-
-void ShardedEngine::ResetStats() {
-  core_.ResetStats();
-  // The shard epochs keep snapshot lineage; they do not reset
-  // (mirroring the global epoch allocator).
+void ShardedPolicy::ResetStats() {
   writer_.ResetStats();
   row_cache_.ResetCounters();
 }

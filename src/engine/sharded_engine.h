@@ -16,9 +16,10 @@
 // The writer half is ShardedWriter: this engine, the shard router
 // (dist/shard_router.h) and every replica (dist/replica_node.h) each
 // own one. The serving plumbing (pool, update queue, snapshot slot,
-// submission paths, result cache, stats) is the shared ServingCore of
-// engine/serving_core.h; this engine adds the boundary-row cache and
-// the shard decomposition below as its route policy.
+// submission paths, result cache, stats) is ServingCore
+// (engine/serving_core.h); ShardedEngine is ServingCore<ShardedPolicy>
+// plus four getters, and ShardedPolicy owns the writer, the
+// boundary-row cache and the shard decomposition below as its route.
 //
 // Construction: PartitionCells (partition/cells.h) cuts the graph into
 // k connected cells isolated by the separator set S; BuildShardPlan
@@ -62,6 +63,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "engine/serving_core.h"
@@ -305,7 +307,7 @@ void RouteShardedSpan(const ShardedSnapshot& snap, const QueryPair* queries,
 
 /// The one place an update batch becomes a ShardedSnapshot. Owns the
 /// partition, the shard graphs and indexes with their shard epochs, the
-/// BoundaryOverlay, the epoch-id allocator and the work counters.
+/// BoundaryOverlay, its own epoch-id allocator and the work counters.
 /// Identical (graph, options, batch sequence) give bit-identical
 /// snapshots with identical epochs: the contract of the router's
 /// install stream (dist/replica_node.h). One thread at a time calls
@@ -350,7 +352,7 @@ class ShardedWriter {
   /// per-shard rows); resident bytes are those of `current`.
   void FillStats(const ShardedSnapshot& current, EngineStats* s) const;
 
-  /// Zeroes the counters except the epoch allocator and shard epochs.
+  /// Zeroes the counters; epoch ids and shard epochs keep rising.
   void ResetStats();
 
  private:
@@ -390,7 +392,8 @@ class ShardedWriter {
   uint64_t harvested_graph_chunks_ = 0;
   uint64_t harvested_graph_bytes_ = 0;
 
-  WriterCounters counters_;  // epochs_published is the epoch allocator
+  uint64_t epoch_ = 0;  // the last published epoch id; never reset
+  WriterCounters counters_;
   std::atomic<uint64_t> overlay_nanos_{0};
   std::atomic<uint64_t> overlay_repair_nanos_{0};
   std::atomic<uint64_t> overlay_republishes_{0};
@@ -402,133 +405,78 @@ class ShardedWriter {
   std::unique_ptr<std::atomic<uint64_t>[]> shard_updates_;
 };
 
-/// Concurrent sharded serving engine: a ShardedWriter, the
-/// boundary-row cache and the shard routing policy over the shared
-/// ServingCore. Thread-safe: Submit/SubmitBatch/SubmitTagged/
-/// EnqueueUpdate/Flush/Stats may be called from any thread. Mirrors
-/// QueryEngine's API; the difference is inside the writer (per-shard
-/// repair + overlay rebuild) and the read path (shard routing).
-class ShardedEngine {
+/// The sharded serving policy (see the ServingCore policy contract in
+/// engine/serving_core.h): a ShardedWriter applies each batch, and
+/// spans route through RouteShardedPair on the snapshot's shard views
+/// behind the boundary-row cache.
+class ShardedPolicy : public ShardedBatchGrouping {
  public:
-  /// Batch handle type returned by SubmitBatch (one pinned snapshot per
-  /// batch; see engine/serving_core.h).
-  using Ticket = BatchTicket<ShardedSnapshot>;
+  /// The published epoch type.
+  using Snapshot = ShardedSnapshot;
+  /// The per-query result type.
+  using Result = ShardedQueryResult;
 
-  /// Builds the ShardedWriter from the graph, starts the workers, and
-  /// publishes epoch 0.
-  ShardedEngine(Graph graph, const HierarchyOptions& hierarchy_options,
-                const ShardedEngineOptions& options = {});
+  /// Builds the ShardedWriter from the graph and sizes the boundary-row
+  /// cache (options.boundary_row_cache_entries) to its widest shard.
+  ShardedPolicy(Graph graph, const HierarchyOptions& hierarchy_options,
+                const ShardedEngineOptions& options);
 
-  /// Drains: answers every submitted query and applies every enqueued
-  /// update before returning.
-  ~ShardedEngine();
-
-  ShardedEngine(const ShardedEngine&) = delete;  ///< Not copyable.
-  /// Not copyable.
-  ShardedEngine& operator=(const ShardedEngine&) = delete;
-
-  /// Schedules one distance query; the future resolves when a reader
-  /// thread has answered it — or, under overload, with a kOverloaded /
-  /// kDeadlineExceeded result code. Compatibility adapter: allocates
-  /// one promise per query (prefer SubmitBatch / SubmitTagged at high
-  /// qps).
-  std::future<ShardedQueryResult> Submit(QueryPair query,
-                                         Deadline deadline = kNoDeadline);
-
-  /// Schedules a batch of queries pinned to ONE snapshot, grouped by
-  /// (source cell, target cell, target) so boundary-distance rows are
-  /// reused across the group; answers are bit-identical to per-query
-  /// Submit calls on that same snapshot. Under overload queries may
-  /// complete with failure codes on the ticket (BatchTicket::code).
-  Ticket SubmitBatch(const std::vector<QueryPair>& queries,
-                     Deadline deadline = kNoDeadline);
-
-  /// Completion-queue mode: the completion is delivered to `sink`
-  /// exactly once with the caller's tag — answered, shed or expired —
-  /// and no promise or future is allocated.
-  void SubmitTagged(QueryPair query, uint64_t tag, CompletionSink* sink,
-                    Deadline deadline = kNoDeadline);
-
-  /// Batched completion-queue mode: pins one snapshot and delivers
-  /// `tags[i]` with query i's completion to `sink` exactly once.
-  Ticket SubmitBatchTagged(const std::vector<QueryPair>& queries,
-                           const std::vector<uint64_t>& tags,
-                           CompletionSink* sink,
-                           Deadline deadline = kNoDeadline);
-
-  /// Records a desired new weight for an edge of the FULL graph (global
-  /// edge ids; the writer routes it to the owning shard or the
-  /// overlay). The old weight is re-resolved at apply time.
-  void EnqueueUpdate(const WeightUpdate& update);
-  /// Convenience overload of EnqueueUpdate(const WeightUpdate&).
-  void EnqueueUpdate(EdgeId edge, Weight new_weight);
-
-  /// Enqueues many updates atomically (one lock, one writer wakeup).
-  void EnqueueUpdates(const std::vector<WeightUpdate>& updates);
-
-  /// Blocks until every update enqueued before the call has been
-  /// applied and, if effective, published.
-  void Flush();
-
-  /// The latest published snapshot (never null after construction).
-  std::shared_ptr<const ShardedSnapshot> CurrentSnapshot() const;
-
-  /// Global epoch of the latest snapshot.
-  uint64_t CurrentEpoch() const { return CurrentSnapshot()->epoch; }
-
-  /// The backend family each shard runs.
-  BackendKind backend() const { return writer_.backend(); }
-  /// Capabilities of the shard backends (identical across shards).
-  const BackendCapabilities& capabilities() const {
-    return writer_.capabilities();
-  }
-  /// Number of cells actually produced by the partition.
-  uint32_t num_shards() const { return writer_.layout().num_shards(); }
-  /// The immutable shard layout (cell assignment, edge ownership,
-  /// boundary bookkeeping).
-  const ShardLayout& layout() const { return writer_.layout(); }
-
-  /// Point-in-time counters; `shards` carries the per-shard rows.
-  EngineStats Stats() const;
-
-  /// Zeroes counters (except the epoch allocators) and the latency
-  /// histogram and restarts the wall clock (for bench warmup). Call
-  /// only while no queries are in flight.
-  void ResetStats();
-
-  /// Reader thread count.
-  int num_query_threads() const;
+  /// The writer (layout, backend, capabilities).
+  const ShardedWriter& writer() const { return writer_; }
 
  private:
-  // The sharded Apply + Route policy the shared ServingCore drives (see
-  // the policy contract in engine/serving_core.h).
-  struct Policy : ShardedBatchGrouping {
-    using Snapshot = ShardedSnapshot;
-    using Result = ShardedQueryResult;
+  friend class ServingCore<ShardedPolicy>;
 
-    ShardedEngine* engine;
+  std::shared_ptr<const ShardedSnapshot> PublishInitial(ThreadPool* helpers);
+  Weight ResolveOldWeight(EdgeId e) const;
+  std::shared_ptr<const ShardedSnapshot> ApplyBatch(const UpdateBatch& batch,
+                                                    ThreadPool* helpers);
+  uint32_t NumEdges() const;
+  void RouteSpan(const std::shared_ptr<const ShardedSnapshot>& snap,
+                 const QueryPair* queries, const uint32_t* idx, size_t count,
+                 Weight* out, StatusCode* codes, std::function<void()> done);
+  void AugmentStats(const ShardedSnapshot& current, EngineStats* s) const;
+  void ResetStats();
 
-    void PublishInitial();
-    Weight ResolveOldWeight(EdgeId e) const;
-    void ApplyBatch(const UpdateBatch& batch);
-    uint32_t NumEdges() const;
-    void RouteSpan(const std::shared_ptr<const ShardedSnapshot>& snap,
-                   const QueryPair* queries, const uint32_t* idx,
-                   size_t count, Weight* out, StatusCode* codes,
-                   std::function<void()> done) const;
-    void AugmentStats(EngineStats* s) const;
-  };
-
-  ShardedWriter writer_;
+  ShardedWriter writer_;  // applied by the core's writer thread only
 
   // The boundary-row cache: shard-to-boundary rows keyed by (vertex,
   // shard) and tagged with the shard's epoch, so rows of clean shards
   // stay hot across global epochs. Readers insert concurrently.
   SlotCache row_cache_;
-
-  Policy policy_{{}, this};
-  ServingCore<Policy> core_;  // last member: its workers die first
 };
+
+/// Concurrent sharded serving engine: ServingCore over ShardedPolicy.
+/// Thread-safe: Submit/SubmitBatch/SubmitTagged/EnqueueUpdate/Flush/
+/// Stats may be called from any thread. Same API as QueryEngine; the
+/// difference is inside the writer (per-shard repair + overlay rebuild)
+/// and the read path (shard routing). EnqueueUpdate takes edge ids of
+/// the FULL graph; the writer routes each to its owning shard or the
+/// overlay.
+class ShardedEngine : public ServingCore<ShardedPolicy> {
+ public:
+  /// Builds the ShardedWriter from the graph, starts the workers, and
+  /// publishes epoch 0.
+  ShardedEngine(Graph graph, const HierarchyOptions& hierarchy_options,
+                const ShardedEngineOptions& options = {})
+      : ServingCore(CoreOptionsOf(options), std::move(graph),
+                    hierarchy_options, options) {}
+
+  /// The backend family each shard runs.
+  BackendKind backend() const { return policy().writer().backend(); }
+  /// Capabilities of the shard backends (identical across shards).
+  const BackendCapabilities& capabilities() const {
+    return policy().writer().capabilities();
+  }
+  /// Number of cells actually produced by the partition.
+  uint32_t num_shards() const { return layout().num_shards(); }
+  /// The immutable shard layout (cell assignment, edge ownership,
+  /// boundary bookkeeping).
+  const ShardLayout& layout() const { return policy().writer().layout(); }
+};
+
+static_assert(sizeof(ShardedEngine) == sizeof(ServingCore<ShardedPolicy>),
+              "a serving tier declares no data members");
 
 }  // namespace stl
 

@@ -5,6 +5,42 @@
 
 namespace stl {
 
+std::vector<Vertex> GreedyCutCover(
+    const std::vector<std::pair<Vertex, Vertex>>& cut) {
+  std::unordered_map<Vertex, uint32_t> deg;
+  for (const auto& [a, b] : cut) {
+    ++deg[a];
+    ++deg[b];
+  }
+  std::vector<uint8_t> covered(cut.size(), 0);
+  std::vector<Vertex> cover;
+  size_t remaining = cut.size();
+  while (remaining > 0) {
+    Vertex best = UINT32_MAX;
+    uint32_t best_deg = 0;
+    for (const auto& [v, d] : deg) {
+      if (d > best_deg || (d == best_deg && v < best)) {
+        best = v;
+        best_deg = d;
+      }
+    }
+    STL_CHECK(best != UINT32_MAX && best_deg > 0);
+    cover.push_back(best);
+    for (size_t i = 0; i < cut.size(); ++i) {
+      if (covered[i]) continue;
+      if (cut[i].first == best || cut[i].second == best) {
+        covered[i] = 1;
+        --remaining;
+        --deg[cut[i].first];
+        --deg[cut[i].second];
+      }
+    }
+    deg.erase(best);
+  }
+  std::sort(cover.begin(), cover.end());
+  return cover;
+}
+
 SeparatorFinder::SeparatorFinder(const Graph& g)
     : g_(g),
       region_stamp_(g.NumVertices(), 0),
@@ -64,46 +100,12 @@ uint32_t SeparatorFinder::TrySplit(Vertex start,
   }
   if (cut.empty()) return UINT32_MAX;  // should not happen when connected
 
-  // Greedy vertex cover of the cut edges: repeatedly pick the endpoint
-  // covering the most uncovered edges. Cut sets on road-like regions are
-  // tiny, so the quadratic loop is cheap.
-  std::unordered_map<Vertex, uint32_t> deg;
-  for (const auto& [a, b] : cut) {
-    ++deg[a];
-    ++deg[b];
-  }
-  std::vector<uint8_t> covered(cut.size(), 0);
-  std::vector<Vertex> separator;
-  size_t remaining = cut.size();
-  while (remaining > 0) {
-    Vertex best = UINT32_MAX;
-    uint32_t best_deg = 0;
-    for (const auto& [v, d] : deg) {
-      if (d > best_deg || (d == best_deg && v < best)) {
-        best = v;
-        best_deg = d;
-      }
-    }
-    STL_CHECK(best != UINT32_MAX && best_deg > 0);
-    separator.push_back(best);
-    for (size_t i = 0; i < cut.size(); ++i) {
-      if (covered[i]) continue;
-      if (cut[i].first == best || cut[i].second == best) {
-        covered[i] = 1;
-        --remaining;
-        --deg[cut[i].first];
-        --deg[cut[i].second];
-      }
-    }
-    deg.erase(best);
-  }
-
-  // Build sides minus separator. Separator membership via a sorted list.
-  std::sort(separator.begin(), separator.end());
+  // Build the sides minus the (sorted) separator.
+  out->separator = GreedyCutCover(cut);
+  const std::vector<Vertex>& separator = out->separator;
   auto in_sep = [&separator](Vertex v) {
     return std::binary_search(separator.begin(), separator.end(), v);
   };
-  out->separator = separator;
   out->left.clear();
   out->right.clear();
   for (size_t i = 0; i < order.size(); ++i) {

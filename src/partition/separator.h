@@ -15,6 +15,7 @@
 #define STL_PARTITION_SEPARATOR_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -28,6 +29,14 @@ struct SeparatorResult {
   std::vector<Vertex> left;       // one side, C removed
   std::vector<Vertex> right;      // other side, C removed
 };
+
+/// Greedy vertex cover of a cut's edges: repeatedly takes the endpoint
+/// that covers the most still-uncovered edges, the smaller vertex id on
+/// a tie. Returns the cover sorted ascending. Cut sets on road-like
+/// regions are tiny, so the quadratic loop is cheap. The one cover step
+/// of both STL's separator and HC2L's (baselines/hc2l.cc).
+std::vector<Vertex> GreedyCutCover(
+    const std::vector<std::pair<Vertex, Vertex>>& cut);
 
 /// Reusable separator finder; buffers are sized to the host graph once.
 /// Not thread-safe: concurrent searches need one finder each.

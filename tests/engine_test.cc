@@ -503,6 +503,24 @@ TEST(QueryEngineTest, CowSnapshotsSurviveAliasingAndMatchScratchBuilds) {
   EXPECT_GT(stats.resident_index_bytes, 0u);
 }
 
+// ResetStats opens a fresh counting window without touching epoch ids:
+// after N epochs, a reset and M more, the window counts M epochs while
+// the ids keep rising to N + M.
+TEST(QueryEngineTest, ResetStatsCountsOnlyTheNewWindowsEpochs) {
+  EngineOptions opt;
+  opt.num_query_threads = 1;
+  QueryEngine engine(testing_util::SmallRoadNetwork(8, 41), HierarchyOptions{},
+                     opt);
+  constexpr uint64_t kBefore = 3;
+  constexpr uint64_t kAfter = 4;
+  testing_util::PublishEpochs(engine, 0, kBefore);
+  engine.ResetStats();
+  EXPECT_EQ(engine.Stats().epochs_published, 0u);
+  testing_util::PublishEpochs(engine, kBefore, kAfter);
+  EXPECT_EQ(engine.Stats().epochs_published, kAfter);
+  EXPECT_EQ(engine.CurrentEpoch(), kBefore + kAfter);
+}
+
 // The CoW publish guard on a 100x100 grid: for batch sizes 1/4/16/64
 // (40 epochs each, one fresh engine per size), publication deep-copies
 // nothing, the bytes cloned stay within the dirty granularity — label

@@ -934,17 +934,12 @@ TEST(RouterReplicationTest, MalformedInstallNacksWithoutApplying) {
 // effective epoch, with its publish time and clique recompute.
 TEST(RouterReplicationTest, StatsReportTheWritersWork) {
   Graph g = SmallRoadNetwork(6, 223);
-  const uint32_t m = g.NumEdges();
   const ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
   LoopbackCluster cluster = MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1);
   ShardRouter router(std::move(g), HierarchyOptions{}, opt,
                      cluster.transport.get(), {});
   constexpr int kEpochs = 5;
-  for (int i = 0; i < kEpochs; ++i) {
-    const EdgeId e = static_cast<EdgeId>((i * 7919u) % m);
-    router.EnqueueUpdate(e, router.CurrentSnapshot()->graph.EdgeWeight(e) + 1);
-    router.Flush();
-  }
+  testing_util::PublishEpochs(router, 0, kEpochs);
   const EngineStats s = router.Stats().serving;
   EXPECT_EQ(s.epochs_published, static_cast<uint64_t>(kEpochs));
   EXPECT_EQ(s.overlay_republishes, s.epochs_published);
@@ -963,7 +958,19 @@ TEST(RouterReplicationTest, StatsReportTheWritersWork) {
   const EngineStats reset = router.Stats().serving;
   EXPECT_EQ(reset.overlay_republishes, 0u);
   EXPECT_EQ(reset.publish_total_micros, 0.0);
-  EXPECT_EQ(reset.epochs_published, static_cast<uint64_t>(kEpochs));
+  EXPECT_EQ(router.CurrentEpoch(), static_cast<uint64_t>(kEpochs));
+  // The reset opens one fresh window for every RouterStats counter
+  // without touching epoch ids: M more epochs count M epochs and M
+  // installs while the ids keep rising to kEpochs + M.
+  EXPECT_EQ(reset.epochs_published, 0u);
+  EXPECT_EQ(router.Stats().wire_installs, 0u);
+  constexpr uint64_t kAfter = 4;
+  testing_util::PublishEpochs(router, kEpochs, kAfter);
+  const RouterStats after = router.Stats();
+  EXPECT_EQ(after.serving.epochs_published, kAfter);
+  EXPECT_EQ(after.wire_installs, kAfter);
+  EXPECT_EQ(after.install_failures, 0u);
+  EXPECT_EQ(router.CurrentEpoch(), kEpochs + kAfter);
 }
 
 // Threads of this process, from /proc/self/task.

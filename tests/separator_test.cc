@@ -85,6 +85,21 @@ TEST(SeparatorTest, StarGraphCutsCenter) {
   EXPECT_EQ(r.separator[0], 0u);
 }
 
+// A star (centre 10, four leaves) plus a disjoint three-edge matching:
+// the centre covers the star, and each matching edge is covered by its
+// smaller endpoint (the tie rule), whichever side it was listed on.
+TEST(SeparatorTest, GreedyCutCoverOnStarPlusMatching) {
+  const std::vector<std::pair<Vertex, Vertex>> cut = {
+      {10, 1}, {2, 10}, {10, 3}, {4, 10}, {5, 20}, {21, 6}, {7, 22}};
+  const std::vector<Vertex> cover = GreedyCutCover(cut);
+  EXPECT_EQ(cover, (std::vector<Vertex>{5, 6, 7, 10}));
+  for (const auto& [a, b] : cut) {
+    EXPECT_TRUE(std::binary_search(cover.begin(), cover.end(), a) ||
+                std::binary_search(cover.begin(), cover.end(), b))
+        << "cut edge " << a << "-" << b << " is uncovered";
+  }
+}
+
 TEST(SeparatorTest, SubRegionOnly) {
   Graph g = testing_util::SmallRoadNetwork(10, 4);
   SeparatorFinder finder(g);

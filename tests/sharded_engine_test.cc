@@ -557,6 +557,26 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+// ResetStats opens a fresh counting window (overlay publishes too)
+// without touching epoch ids: after N epochs, a reset and M more, the
+// window counts M epochs while the ids keep rising to N + M.
+TEST(ShardedEngineTest, ResetStatsCountsOnlyTheNewWindowsEpochs) {
+  ShardedEngineOptions opt;
+  opt.num_query_threads = 1;
+  ShardedEngine engine(testing_util::SmallRoadNetwork(8, 41),
+                       HierarchyOptions{}, opt);
+  constexpr uint64_t kBefore = 3;
+  constexpr uint64_t kAfter = 4;
+  testing_util::PublishEpochs(engine, 0, kBefore);
+  engine.ResetStats();
+  EXPECT_EQ(engine.Stats().epochs_published, 0u);
+  testing_util::PublishEpochs(engine, kBefore, kAfter);
+  const EngineStats s = engine.Stats();
+  EXPECT_EQ(s.epochs_published, kAfter);
+  EXPECT_EQ(s.overlay_republishes, kAfter);
+  EXPECT_EQ(engine.CurrentEpoch(), kBefore + kAfter);
+}
+
 TEST(ShardedEngineTest, DisconnectedGraphRoutesToInfinity) {
   Graph g = testing_util::TwoComponentGraph();
   Graph ref = g;

@@ -2,6 +2,8 @@
 #ifndef STL_TESTS_TEST_UTIL_H_
 #define STL_TESTS_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <chrono>
 #include <future>
@@ -215,6 +217,23 @@ MixedAudit RunMixedWorkloadAudit(Engine& engine, const Graph& base,
     engine.Flush();
   }
   return audit;
+}
+
+/// Publishes epochs first .. first + count - 1 of an update stream on
+/// `tier` (any serving tier), one single-update epoch each: edge
+/// (i * 7919) % NumEdges gains 1 in step i. Expects every epoch id to
+/// exceed the one before.
+template <typename Tier>
+void PublishEpochs(Tier& tier, uint64_t first, uint64_t count) {
+  for (uint64_t i = first; i < first + count; ++i) {
+    const uint64_t before = tier.CurrentEpoch();
+    const auto snap = tier.CurrentSnapshot();
+    const Graph& g = snap->graph;
+    const EdgeId e = static_cast<EdgeId>((i * 7919u) % g.NumEdges());
+    tier.EnqueueUpdate(e, g.EdgeWeight(e) + 1);
+    tier.Flush();
+    EXPECT_GT(tier.CurrentEpoch(), before) << "step " << i;
+  }
 }
 
 }  // namespace testing_util
