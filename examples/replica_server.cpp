@@ -1,11 +1,12 @@
-// A standalone shard-replica daemon: one ReplicaNode (dist/
-// replica_node.h) served over TCP by a FrameServer (net/server.h).
+// A standalone replica daemon: one ReplicaNode (dist/replica_node.h)
+// served over TCP by a FrameServer (net/server.h).
 //
 // The process builds its ShardedWriter from the SAME generated graph,
 // backend and shard count the router uses — epoch determinism is the
-// replication contract — then serves boundary-row / point-query
-// requests and applies the router's kInstall update stream, one epoch
-// per install, until SIGTERM/SIGINT.
+// replication contract — then answers the router's whole-query
+// requests (a span of pairs pinned to one engine epoch, answered on
+// the held snapshot of that epoch) and applies its kInstall update
+// stream, one epoch per install, until SIGTERM/SIGINT.
 //
 //   replica_server --port=0 --grid-side=7 --graph-seed=211 --backend=stl
 //
@@ -127,7 +128,7 @@ int main(int argc, char** argv) {
   engine_opt.backend = backend;
   engine_opt.target_shards = static_cast<uint32_t>(target_shards);
 
-  stl::ShardReplicaOptions replica_opt;
+  stl::ReplicaNodeOptions replica_opt;
   replica_opt.epoch_ring = static_cast<size_t>(epoch_ring);
 
   stl::ReplicaNode node(std::move(graph), stl::HierarchyOptions{},

@@ -1,5 +1,7 @@
 #include "core/stl_index.h"
 
+#include <utility>
+
 #include "util/timer.h"
 
 namespace stl {
@@ -14,11 +16,12 @@ StlIndex StlIndex::Build(Graph* g, const HierarchyOptions& options) {
   StlIndex index(g);
   Timer total;
   Timer phase;
-  index.hierarchy_ = TreeHierarchy::Build(*g, options);
+  index.hierarchy_ =
+      std::make_shared<const TreeHierarchy>(TreeHierarchy::Build(*g, options));
   index.build_info_.hierarchy_seconds = phase.ElapsedSeconds();
   phase.Restart();
   index.labels_ =
-      BuildLabelling(*g, index.hierarchy_, options.num_threads);
+      BuildLabelling(*g, *index.hierarchy_, options.num_threads);
   index.build_info_.labelling_seconds = phase.ElapsedSeconds();
   index.build_info_.total_seconds = total.ElapsedSeconds();
   index.InitEngines();
@@ -26,8 +29,8 @@ StlIndex StlIndex::Build(Graph* g, const HierarchyOptions& options) {
 }
 
 void StlIndex::InitEngines() {
-  label_search_ = std::make_unique<LabelSearch>(g_, hierarchy_, &labels_);
-  pareto_search_ = std::make_unique<ParetoSearch>(g_, hierarchy_, &labels_);
+  label_search_ = std::make_unique<LabelSearch>(g_, *hierarchy_, &labels_);
+  pareto_search_ = std::make_unique<ParetoSearch>(g_, *hierarchy_, &labels_);
 }
 
 void StlIndex::ApplyUpdate(const WeightUpdate& update,
@@ -87,7 +90,7 @@ Status StlIndex::Save(const std::string& path) const {
   Status s = w.Open(path, kIndexMagic, kIndexVersion);
   if (s.ok()) s = w.WritePod(g_->NumVertices());
   if (s.ok()) s = w.WritePod(g_->NumEdges());
-  if (s.ok()) s = hierarchy_.Serialize(&w);
+  if (s.ok()) s = hierarchy_->Serialize(&w);
   if (s.ok()) s = labels_.Serialize(&w);
   if (s.ok()) s = w.Close();
   return s;
@@ -107,10 +110,13 @@ Result<StlIndex> StlIndex::Load(Graph* g, const std::string& path) {
         "index file was built for a different graph");
   }
   StlIndex index(g);
-  s = index.hierarchy_.Deserialize(&r);
+  TreeHierarchy hierarchy;
+  s = hierarchy.Deserialize(&r);
   if (s.ok()) s = index.labels_.Deserialize(&r);
   if (!s.ok()) return s;
-  if (index.hierarchy_.NumVertices() != n ||
+  index.hierarchy_ =
+      std::make_shared<const TreeHierarchy>(std::move(hierarchy));
+  if (index.hierarchy_->NumVertices() != n ||
       index.labels_.NumVertices() != n) {
     return Status::Corruption("index vertex count mismatch");
   }

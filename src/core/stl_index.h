@@ -79,12 +79,12 @@ class StlIndex {
 
   /// Shortest-path distance between s and t; kInfDistance if unreachable.
   Weight Query(Vertex s, Vertex t) const {
-    return QueryDistance(hierarchy_, labels_, s, t);
+    return QueryDistance(*hierarchy_, labels_, s, t);
   }
 
   /// An actual shortest path s .. t (inclusive); empty if unreachable.
   std::vector<Vertex> QueryShortestPath(Vertex s, Vertex t) const {
-    return QueryPath(*g_, hierarchy_, labels_, s, t);
+    return QueryPath(*g_, *hierarchy_, labels_, s, t);
   }
 
   /// Applies one weight update and repairs the labels.
@@ -123,7 +123,12 @@ class StlIndex {
                        MaintenanceStrategy::kLabelSearch);
 
   const Graph& graph() const { return *g_; }
-  const TreeHierarchy& hierarchy() const { return hierarchy_; }
+  const TreeHierarchy& hierarchy() const { return *hierarchy_; }
+  /// The hierarchy as a shared immutable object: published views hold
+  /// this pointer instead of a copy (the hierarchy never changes).
+  const std::shared_ptr<const TreeHierarchy>& shared_hierarchy() const {
+    return hierarchy_;
+  }
   const Labelling& labels() const { return labels_; }
   const BuildInfo& build_info() const { return build_info_; }
 
@@ -136,7 +141,7 @@ class StlIndex {
   /// across page-sharing epoch snapshots, see the deduplicated
   /// resident_index_bytes in engine/query_engine.h's EngineStats.
   uint64_t MemoryBytes() const {
-    return labels_.MemoryBytes() + hierarchy_.MemoryBytes();
+    return labels_.MemoryBytes() + hierarchy_->MemoryBytes();
   }
 
 
@@ -153,7 +158,7 @@ class StlIndex {
   void InitEngines();
 
   Graph* g_ = nullptr;
-  TreeHierarchy hierarchy_;
+  std::shared_ptr<const TreeHierarchy> hierarchy_;  // never null once built
   Labelling labels_;
   BuildInfo build_info_;
   // Stats accumulated by engines that no longer exist (each move rebinds

@@ -1,7 +1,8 @@
 #include "dist/shard_router.h"
 
 #include <chrono>
-#include <optional>
+#include <condition_variable>
+#include <unordered_set>
 #include <utility>
 
 #include "util/logging.h"
@@ -22,148 +23,30 @@ constexpr size_t kInstallLogEntries = 256;
 
 }  // namespace
 
-// ------------------------------------------------------------ SpanFanout
-
-// The scatter-gather state of one routed span (a batch chunk, or a
-// single query as a one-element span). It is the `pieces` of
-// RouteShardedPair twice over:
-//
-//   scatter — run the decomposition over the span before anything has
-//     arrived: every row/point it asks for reads as unavailable and is
-//     recorded as a pre-created slot (so the maps never rehash under
-//     concurrent arrivals); then issue every UNIQUE fetch through
-//     CallReplicaAsync. Each arrival writes only its own slot; no lock.
-//
-//   gather — the LAST arrival (pending counter, acq_rel so every slot
-//     write happens-before the read side) runs the same decomposition
-//     again on the filled slots: a sequential pass over the span in
-//     submission-sorted order, doing the exact min-plus arithmetic of
-//     the in-process engine. One thread, deterministic order,
-//     bit-identical answers; a slot left empty (every replica failed)
-//     fails its queries kUnavailable.
-//
-// Kept alive by the shared_ptr each in-flight callback captures; the
-// issuing reader thread returns as soon as the scatter loop finishes.
-struct RouterPolicy::SpanFanout
-    : public std::enable_shared_from_this<RouterPolicy::SpanFanout> {
-  RouterPolicy* router = nullptr;
-  std::shared_ptr<const ShardedSnapshot> snap;
-  const QueryPair* queries = nullptr;
-  const uint32_t* idx = nullptr;
-  size_t count = 0;
-  Weight* out = nullptr;
-  StatusCode* codes = nullptr;
-  std::function<void()> done;
-
-  // (vertex, shard) -> fetched row; (s, t) -> same-cell distance.
-  // nullopt = not arrived, or every replica failed.
-  std::unordered_map<uint64_t, std::optional<std::vector<Weight>>> rows;
-  std::unordered_map<uint64_t, std::optional<Weight>> points;
-
-  // Outstanding fetches + 1 (the scatter loop's own guard, dropped
-  // after the last issue so an all-inline transport cannot fire the
-  // gather before enumeration finishes).
-  std::atomic<size_t> pending{1};
-
-  void Start() {
-    for (size_t j = 0; j < count; ++j) {
-      StatusCode unused_code;
-      const QueryPair& q = queries[idx[j]];
-      RouteShardedPair(*snap, q.first, q.second, this, /*memo=*/nullptr,
-                       &unused_code);
-    }
-    // From here on arrivals may run (inline for a synchronous
-    // transport) on any thread; they only write their own pre-created
-    // slot and decrement pending.
-    pending.store(rows.size() + points.size() + 1,
-                  std::memory_order_relaxed);
-    auto self = shared_from_this();
-    for (auto& [key, slot] : rows) {
-      const uint32_t shard = static_cast<uint32_t>(key & 0xffffffffu);
-      ShardRequest req;
-      req.kind = WireKind::kBoundaryRow;
-      req.shard = shard;
-      req.shard_epoch = snap->shards[shard]->shard_epoch;  // pinned
-      req.u = static_cast<Vertex>(key >> 32);
-      auto* slot_ptr = &slot;
-      router->CallReplicaAsync(req,
-                               [self, slot_ptr](bool ok, ShardResponse resp) {
-                                 if (ok) *slot_ptr = std::move(resp.row);
-                                 self->Arrive();
-                               });
-    }
-    for (auto& [key, slot] : points) {
-      const Vertex s = static_cast<Vertex>(key >> 32);
-      ShardRequest req;
-      req.kind = WireKind::kPointQuery;
-      req.shard = snap->layout->shard_of_vertex[s];
-      req.shard_epoch = snap->shards[req.shard]->shard_epoch;  // pinned
-      req.u = s;
-      req.v = static_cast<Vertex>(key & 0xffffffffu);
-      auto* slot_ptr = &slot;
-      router->CallReplicaAsync(req,
-                               [self, slot_ptr](bool ok, ShardResponse resp) {
-                                 if (ok) *slot_ptr = resp.distance;
-                                 self->Arrive();
-                               });
-    }
-    Arrive();  // drop the scatter guard
-  }
-
-  /// One fetch landed (or the scatter loop finished): the last arrival
-  /// runs the gather phase and the caller's continuation.
-  void Arrive() {
-    if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
-    InnerVectorMemo memo;
-    RouteShardedSpan(*snap, queries, idx, count, out, codes, this, &memo);
-    // Run-and-release: the fan-out lets go of the core's continuation
-    // (and the ticket it holds) as soon as it has run.
-    std::function<void()> fn = std::move(done);
-    done = nullptr;
-    fn();
-  }
-
-  /// RouteShardedPair's row source: the (pre-created) slot of (shard,
-  /// v); null until it holds a replica's row.
-  const std::vector<Weight>* Row(uint32_t shard, Vertex v) {
-    auto& slot = rows.try_emplace(PairKey(v, shard)).first->second;
-    return slot ? &*slot : nullptr;
-  }
-
-  /// RouteShardedPair's point source: the (pre-created) slot of (s, t).
-  bool Point(uint32_t shard, Vertex s, Vertex t, Weight* d) {
-    (void)shard;  // a function of s
-    auto& slot = points.try_emplace(PairKey(s, t)).first->second;
-    if (!slot) return false;
-    *d = *slot;
-    return true;
-  }
-};
-
 // ----------------------------------------------------------- PendingCall
 
-// One RPC's failover chain: attempt k targets endpoint (start + k) % n
-// with a fresh tag; a usable answer settles `done`, anything else
-// chains to attempt k + 1 from whatever thread delivered the verdict.
-// The encoded request is shared (encode once) across all attempts.
-// Depth is bounded by n even with an inline-delivering transport.
+// One span's RPC with asynchronous sibling failover: attempt k targets
+// endpoint (start + k) % n with a fresh tag; a usable answer settles
+// `done`, anything else chains to attempt k + 1 from whatever thread
+// delivered the verdict. The request is encoded once and shared by
+// every attempt. Depth is bounded by n even with an inline-delivering
+// transport.
 struct RouterPolicy::PendingCall
     : public std::enable_shared_from_this<RouterPolicy::PendingCall> {
   RouterPolicy* router = nullptr;
   std::shared_ptr<const std::vector<uint8_t>> encoded;
-  uint32_t shard = 0;
-  uint64_t shard_epoch = 0;
-  size_t row_width = 0;  // |S_shard| for a row fetch, 0 for a point
+  uint64_t engine_epoch = 0;
+  size_t count = 0;  // pairs sent, so distances expected
   uint32_t start = 0;
   uint32_t n = 0;
-  std::function<void(bool, ShardResponse)> done;
+  // The answer (null after every endpoint failed).
+  std::function<void(const QueryResponse*)> done;
 
   void TryNext(uint32_t k) {
     if (k == n) {
-      // Replica exhaustion: the caller completes the query with a
-      // typed kUnavailable.
-      std::function<void(bool, ShardResponse)> fn = std::move(done);
-      fn(false, ShardResponse{});
+      // Replica exhaustion: the span completes with a typed
+      // kUnavailable.
+      Settle(nullptr);
       return;
     }
     router->rpcs_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -179,25 +62,31 @@ struct RouterPolicy::PendingCall
 
   void OnReply(uint32_t k, Status st, std::vector<uint8_t> payload) {
     if (st.ok()) {
-      ShardResponse r;
+      QueryResponse r;
       const Status decoded =
-          ShardResponse::Decode(payload.data(), payload.size(), &r);
-      // Only a kOk answer at the EXACT pinned (shard, shard_epoch),
-      // carrying a row of the shard's exact width, is usable — anything
-      // else (stale replica, malformed bytes, a short or long row) fails
-      // over to the next sibling.
-      if (decoded.ok() && r.code == StatusCode::kOk && r.shard == shard &&
-          r.shard_epoch == shard_epoch && r.row.size() == row_width) {
+          QueryResponse::Decode(payload.data(), payload.size(), &r);
+      // Only a kOk answer at the EXACT pinned epoch, with one distance
+      // per pair, is usable — anything else (stale replica, malformed
+      // bytes, a short or long answer) fails over to the next sibling.
+      if (decoded.ok() && r.code == StatusCode::kOk &&
+          r.engine_epoch == engine_epoch && r.distances.size() == count) {
         if (k > 0) {
           router->rpc_failovers_.fetch_add(1, std::memory_order_relaxed);
         }
-        std::function<void(bool, ShardResponse)> fn = std::move(done);
-        fn(true, std::move(r));
+        Settle(&r);
         return;
       }
     }
     router->rpc_stale_.fetch_add(1, std::memory_order_relaxed);
     TryNext(k + 1);
+  }
+
+  // Run-and-release: the call lets go of the continuation (and what it
+  // holds) as soon as it has run.
+  void Settle(const QueryResponse* answer) {
+    std::function<void(const QueryResponse*)> fn = std::move(done);
+    done = nullptr;
+    fn(answer);
   }
 };
 
@@ -238,7 +127,9 @@ RouterPolicy::RouterPolicy(Graph graph,
                            const HierarchyOptions& hierarchy_options,
                            const ShardedEngineOptions& engine_options,
                            Transport* transport)
-    : writer_(std::move(graph), hierarchy_options, engine_options),
+    : backend_(engine_options.backend),
+      ledger_(std::move(graph), hierarchy_options,
+              engine_options.target_shards, /*shard_graphs=*/nullptr),
       transport_(transport) {
   STL_CHECK(transport_ != nullptr);
 }
@@ -254,51 +145,102 @@ void RouterPolicy::FillStats(RouterStats* s) const {
   s->install_failures = install_failures_.load(std::memory_order_relaxed);
 }
 
-std::shared_ptr<const ShardedSnapshot> RouterPolicy::PublishInitial(
-    ThreadPool* helpers) {
+std::shared_ptr<const RouterSnapshot> RouterPolicy::LedgerSnapshot() const {
+  auto snap = std::make_shared<RouterSnapshot>();
+  snap->epoch = ledger_.epoch();
+  snap->shard_epochs = ledger_.shard_epochs();
+  snap->layout = ledger_.layout();
+  snap->graph = ledger_.graph();  // structural chunk share
+  return snap;
+}
+
+std::shared_ptr<const RouterSnapshot> RouterPolicy::PublishInitial(
+    ThreadPool* /*helpers*/) {
   // Seq 0 carries no updates: it only verifies the replicas built the
   // identical epoch-0 state from the identical graph.
-  auto snap = writer_.PublishInitial(helpers);
+  auto snap = LedgerSnapshot();
   Install(*snap, UpdateBatch{});
   return snap;
 }
 
 Weight RouterPolicy::ResolveOldWeight(EdgeId e) const {
-  return writer_.EdgeWeight(e);
+  return ledger_.EdgeWeight(e);
 }
 
-std::shared_ptr<const ShardedSnapshot> RouterPolicy::ApplyBatch(
-    const UpdateBatch& batch, ThreadPool* helpers) {
-  auto snap = writer_.Apply(batch, helpers);
+std::shared_ptr<const RouterSnapshot> RouterPolicy::ApplyBatch(
+    const UpdateBatch& batch, ThreadPool* /*helpers*/) {
+  ledger_.Apply(batch);  // the split is the replicas' business
+  auto snap = LedgerSnapshot();
   Install(*snap, batch);
   return snap;
 }
 
-uint32_t RouterPolicy::NumEdges() const { return writer_.NumEdges(); }
+uint32_t RouterPolicy::NumEdges() const { return ledger_.NumEdges(); }
 
 void RouterPolicy::RouteSpan(
-    const std::shared_ptr<const ShardedSnapshot>& snap,
+    const std::shared_ptr<const RouterSnapshot>& snap,
     const QueryPair* queries, const uint32_t* idx, size_t count,
     Weight* out, StatusCode* codes, std::function<void()> done) {
-  auto fan = std::make_shared<SpanFanout>();
-  fan->router = this;
-  fan->snap = snap;
-  fan->queries = queries;
-  fan->idx = idx;
-  fan->count = count;
-  fan->out = out;
-  fan->codes = codes;
-  fan->done = std::move(done);  // the core's continuation (no cycle)
-  fan->Start();
+  // s == t is 0 on every epoch and needs no replica; the rest of the
+  // span goes out whole, in span order (the replica's group memo
+  // follows it).
+  QueryRequest req;
+  req.engine_epoch = snap->epoch;
+  std::vector<uint32_t> sent;  // answer slots, in request order
+  for (size_t j = 0; j < count; ++j) {
+    const QueryPair& q = queries[idx[j]];
+    if (q.first == q.second) {
+      out[idx[j]] = 0;
+    } else {
+      req.pairs.push_back(q);
+      sent.push_back(idx[j]);
+    }
+  }
+  const uint32_t n = transport_->NumEndpoints();
+  if (sent.empty() || n == 0) {
+    for (uint32_t i : sent) {
+      out[i] = kInfDistance;
+      codes[i] = StatusCode::kUnavailable;
+    }
+    done();
+    return;
+  }
+  auto call = std::make_shared<PendingCall>();
+  call->router = this;
+  call->encoded = std::make_shared<const std::vector<uint8_t>>(req.Encode());
+  call->engine_epoch = req.engine_epoch;
+  call->count = sent.size();
+  // Round-robin start spreads load across siblings; every replica
+  // still gets tried before the span gives up.
+  call->start = next_replica_.fetch_add(1, std::memory_order_relaxed) % n;
+  call->n = n;
+  call->done = [out, codes, sent = std::move(sent),
+                done = std::move(done)](const QueryResponse* answer) {
+    for (size_t k = 0; k < sent.size(); ++k) {
+      if (answer != nullptr) {
+        out[sent[k]] = answer->distances[k];
+      } else {
+        out[sent[k]] = kInfDistance;
+        codes[sent[k]] = StatusCode::kUnavailable;
+      }
+    }
+    done();
+  };
+  call->TryNext(0);
 }
 
-void RouterPolicy::AugmentStats(const ShardedSnapshot& current,
+void RouterPolicy::AugmentStats(const RouterSnapshot& current,
                                 EngineStats* s) const {
-  writer_.FillStats(current, s);
+  ledger_.FillStats(current.shard_epochs, s);
+  s->backend = backend_;
+  // The router's resident state: the weights and the layout.
+  std::unordered_set<const void*> seen;
+  s->resident_index_bytes =
+      current.graph.AddResidentBytes(&seen) + current.layout->MemoryBytes();
 }
 
 void RouterPolicy::ResetStats() {
-  writer_.ResetStats();
+  ledger_.ResetStats();
   rpcs_sent_.store(0, std::memory_order_relaxed);
   rpc_retries_.store(0, std::memory_order_relaxed);
   rpc_stale_.store(0, std::memory_order_relaxed);
@@ -308,7 +250,7 @@ void RouterPolicy::ResetStats() {
   mailbox_.ResetCounters();
 }
 
-void RouterPolicy::Install(const ShardedSnapshot& snap,
+void RouterPolicy::Install(const RouterSnapshot& snap,
                            const UpdateBatch& updates) {
   // Install BEFORE publish: once a reader can pin this epoch, every
   // replica already holds it, so a fresh query never fails on a
@@ -320,10 +262,7 @@ void RouterPolicy::Install(const ShardedSnapshot& snap,
     InstallRequest req;
     req.seq = next_install_seq_++;
     req.expected_engine_epoch = snap.epoch;
-    req.expected_shard_epochs.reserve(snap.shards.size());
-    for (const auto& sh : snap.shards) {
-      req.expected_shard_epochs.push_back(sh->shard_epoch);
-    }
+    req.expected_shard_epochs = snap.shard_epochs;
     req.updates = updates;
     install_log_.push_back(InstallLogEntry{
         req.seq,
@@ -421,38 +360,12 @@ bool RouterPolicy::BlockingRpc(
   return true;
 }
 
-void RouterPolicy::CallReplicaAsync(
-    const ShardRequest& req, std::function<void(bool, ShardResponse)> done) {
-  const uint32_t n = transport_->NumEndpoints();
-  if (n == 0) {
-    done(false, ShardResponse{});
-    return;
-  }
-  auto call = std::make_shared<PendingCall>();
-  call->router = this;
-  // Encode ONCE; the buffer is shared by every sibling attempt instead
-  // of being re-encoded per retry.
-  call->encoded =
-      std::make_shared<const std::vector<uint8_t>>(req.Encode());
-  call->shard = req.shard;
-  call->shard_epoch = req.shard_epoch;
-  if (req.kind == WireKind::kBoundaryRow) {
-    call->row_width = writer_.layout().shards[req.shard].boundary_local.size();
-  }
-  // Round-robin fan-out start spreads load across siblings; every
-  // replica still gets tried before the query gives up.
-  call->start = next_replica_.fetch_add(1, std::memory_order_relaxed) % n;
-  call->n = n;
-  call->done = std::move(done);
-  call->TryNext(0);
-}
-
 // ------------------------------------------------------ LoopbackCluster
 
 LoopbackCluster MakeLoopbackCluster(
     const Graph& graph, const HierarchyOptions& hierarchy_options,
     const ShardRouterOptions& router_options, uint32_t num_replicas,
-    const ShardReplicaOptions& replica_options, FaultInjector* faults) {
+    const ReplicaNodeOptions& replica_options, FaultInjector* faults) {
   LoopbackCluster cluster;
   cluster.transport = std::make_unique<LoopbackTransport>(faults);
   cluster.replicas.reserve(num_replicas);

@@ -1,70 +1,53 @@
 // The replicated shard-router tier: ShardedEngine's Submit/SubmitBatch/
-// SubmitTagged surface served by fanning per-cell boundary-row fetches
-// and intra-cell point queries out to N interchangeable shard replicas
-// over a pluggable Transport, with the overlay min-plus reduction run
-// router-side on the fetched rows.
+// SubmitTagged surface, served by N interchangeable replicas over a
+// pluggable Transport. The router holds no index: each routed span of
+// queries goes whole to one replica as one RPC, and the replica answers
+// it on its own copy of the pinned epoch.
 //
 //   callers          ShardRouter = ServingCore<RouterPolicy>
 //   ─────────────    ────────────────────────────────────────────────
-//   Submit*          pin ONE ShardedSnapshot; enumerate every unique
-//                    ds/dt row and same-cell point the span needs,
-//                    issue ALL of them concurrently (pinning each
-//                    shard's shard_epoch on the wire), and reduce
-//                    through the pinned epoch's OverlayTable min-plus
-//                    kernels when the last fetch lands — the reader
-//                    thread issues and returns; no thread parks per RPC
+//   Submit*          pin ONE RouterSnapshot; send the span's pairs
+//                    (s == t answers 0 locally) as one QueryRequest
+//                    pinned to that snapshot's engine epoch, to one
+//                    replica; the reader thread issues and returns, and
+//                    the answer lands through the transport
 //
-//   updates          router core's writer thread coalesces a batch ->
-//                    the router's ShardedWriter applies it as one epoch
+//   updates          the core's writer thread coalesces a batch
+//                    against the router's ShardLedger (master weights,
+//                    layout, epoch ids) -> the ledger numbers the epoch
 //                    -> the batch is shipped to every replica as a
 //                    kInstall wire message, applied whole by each
-//                    ReplicaNode's own ShardedWriter and epoch-checked
-//                    -> THEN RouterPolicy::ApplyBatch returns the new
-//                    snapshot and the core publishes it to the
-//                    router's readers
+//                    ReplicaNode's ShardedWriter and epoch-checked ->
+//                    THEN RouterPolicy::ApplyBatch returns the new
+//                    RouterSnapshot and the core publishes it
 //
 // Every replica, behind loopback, TCP or a separate process, is a
-// ReplicaNode fed by that one sequenced install stream. ShardRouter is
-// a ServingCore whose RouterPolicy owns the one ShardedWriter, the
-// transport handle, the response mailbox, the install log and the RPC
-// counters; nothing else serves. The core owns the policy and drains
-// every reader, the writer and every in-flight fan-out before the
-// policy dies.
+// ReplicaNode (dist/replica_node.h) fed by that one sequenced install
+// stream. The router keeps admission, deadlines, epoch pinning, the
+// result cache and exactly-once delivery (all ServingCore's), plus the
+// install log and the RPC failover below.
 //
-// Epoch-consistent fan-out is the hard invariant: a batch pins one
-// snapshot, every row request carries that snapshot's per-shard
-// shard_epoch, and a replica that does not hold the pinned version
-// answers kUnavailable instead of a different epoch's bytes. The
-// router then retries the sibling replicas (round-robin start, all N
-// tried); only when every replica fails does the query complete with
-// a typed kUnavailable — delivered exactly once per user tag through
-// the same one-shot-claim completion machinery as every other serving
-// path.
+// Epoch consistency is the hard invariant: a span pins one snapshot,
+// the request carries its engine epoch, and a replica that does not
+// hold that epoch answers kUnavailable instead of another epoch's
+// bytes. The router then tries the sibling replicas (round-robin
+// start, all N tried); only when every replica fails does the span
+// complete with a typed kUnavailable — delivered exactly once per user
+// tag through the same one-shot-claim completion machinery as every
+// other serving path. A reply whose epoch echo or distance count is
+// wrong is failed over like a stale one.
 //
-// The fan-out is asynchronous end to end: the router's RouteSpan (the
-// ServingCore route contract, engine/serving_core.h) enumerates the
-// span's unique fetches, issues them all, and returns the reader thread
-// to the pool; each RPC's answer arrives through the tag-keyed Mailbox
-// (from the transport's delivery thread), sibling failover chains
-// through PendingCall without blocking anyone, and the LAST arrival
-// runs the sequential min-plus compute phase and the core's
-// continuation — so the answer bytes are produced by one thread in
-// deterministic order, bit-identical to the in-process ShardedEngine,
-// while a fan-out of N RPCs blocks zero reader threads.
-//
-// Bit-identity (the conformance contract,
-// RouterConformanceTest.LockstepBitIdenticalToDirectEngine in
-// tests/router_test.cc): the fetch enumeration and the reduction
-// are both RouteShardedPair (engine/sharded_engine.h), the decomposition
-// the in-process engine runs; replica-served rows are computed by the
-// same FillShardBoundaryRow on the same immutable shard views, and the
-// reduction runs on the same pinned overlay — so every routed answer is
-// byte-identical to ShardedEngine on the same epoch.
+// Bit-identity (RouterConformanceTest.LockstepBitIdenticalToDirectEngine
+// in tests/router_test.cc) holds by construction: a replica answers
+// through RouteLocalSpan (engine/sharded_engine.h), the route the
+// in-process ShardedEngine runs, on a snapshot its own ShardedWriter
+// built from the same graph and batches. Installs happen before
+// publish, so on the healthy path every epoch a reader pins is already
+// held by every replica.
 #ifndef STL_DIST_SHARD_ROUTER_H_
 #define STL_DIST_SHARD_ROUTER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -75,7 +58,6 @@
 #include <vector>
 
 #include "dist/loopback_transport.h"
-#include "dist/replica.h"
 #include "dist/replica_node.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
@@ -83,16 +65,18 @@
 
 namespace stl {
 
+/// Declared only for ShardRouter's legacy fifth constructor parameter,
+/// which must be empty; a replica is a ReplicaNode.
+class ShardReplica;
+
 /// Construction options for the router tier.
 struct ShardRouterOptions {
-  /// The router's ShardedWriter reads backend, target_shards and
-  /// serving.fault_injector (FaultSite::kOverlayRepair) of these; the
-  /// other fields are unused (the router's own serving knobs are
-  /// below). Replicas must be built with the same backend and
-  /// target_shards.
+  /// The router's ShardLedger reads target_shards of these; replicas
+  /// must be built with the same backend and target_shards. The other
+  /// fields are unused (the router's own serving knobs are below).
   ShardedEngineOptions engine;
-  /// Router reader threads (the tier that fans queries out; they also
-  /// lend the writer a hand with the boundary-clique recompute).
+  /// Router reader threads (they only encode requests and hand them to
+  /// the transport; answers land on the transport's thread).
   int num_query_threads = 4;
   /// Updates taken per router epoch: each coalesced slice is one epoch
   /// on the router and on every replica.
@@ -105,24 +89,45 @@ struct ShardRouterOptions {
   ServingOptions serving;
 };
 
+/// One published router epoch: what the router pins a span to, and no
+/// index.
+struct RouterSnapshot {
+  /// Global epoch (bumps on every effective update batch); the epoch a
+  /// QueryRequest pins.
+  uint64_t epoch = 0;
+  /// Per-shard epochs (index = shard id), as every replica's snapshot
+  /// of this epoch holds them.
+  std::vector<uint64_t> shard_epochs;
+  /// The shared shard layout (batch grouping).
+  std::shared_ptr<const ShardLayout> layout;
+  /// Full-network weights as of this epoch (copy-on-write chunk share
+  /// with neighbouring epochs): the ground truth Dijkstra audits run
+  /// against.
+  Graph graph;
+};
+
+/// Answer to one query submitted to the router tier.
+using RouterQueryResult = ShardedTierResult<RouterSnapshot>;
+
 /// Router-tier counters: the router core's serving stats plus the RPC
-/// fan-out accounting.
+/// accounting.
 struct RouterStats {
   /// The router core's serving-side stats (queries served/unavailable,
-  /// latency quantiles, cache rates) and its writer's work (updates
-  /// applied, epochs_published, batch, CoW, publish and overlay
-  /// counters, shard rows).
+  /// latency quantiles, cache rates) and its ledger's bookkeeping
+  /// (updates applied, epochs_published, shard rows). The router holds
+  /// no index, so the index and overlay work counters stay 0; that
+  /// work happens on the replicas.
   EngineStats serving;
   /// Replica endpoints the transport reaches.
   uint32_t replicas = 0;
-  /// RPC attempts sent (every Send, including retries).
+  /// RPC attempts sent (every Send, including retries and installs).
   uint64_t rpcs_sent = 0;
-  /// RPC attempts beyond the first for their fetch (sibling retries).
+  /// RPC attempts beyond the first for their span (sibling retries).
   uint64_t rpc_retries = 0;
-  /// Replica answers rejected for not holding the pinned shard_epoch
-  /// (or failing/corrupt), each triggering a sibling retry.
+  /// Replica answers rejected for not holding the pinned epoch (or
+  /// failing/corrupt/mis-sized), each triggering a sibling retry.
   uint64_t rpc_stale_responses = 0;
-  /// Fetches that succeeded on a sibling after at least one failed
+  /// Spans that succeeded on a sibling after at least one failed
   /// attempt (the failover path working as designed).
   uint64_t rpc_failovers = 0;
   /// Responses delivered under an already-settled tag (transport
@@ -137,49 +142,51 @@ struct RouterStats {
 };
 
 /// The routed serving policy (see the ServingCore policy contract in
-/// engine/serving_core.h): applies each batch through its
-/// ShardedWriter, installs it on every replica, then returns the
-/// snapshot for the core to publish; routes each span by fanning its
-/// boundary-row and point fetches out over the transport. Batched
-/// misses sort by the same grouping as ShardedEngine, so fetched rows
-/// and inner vectors are deduplicated across each group.
+/// engine/serving_core.h): numbers each batch's epoch in its
+/// ShardLedger, installs the batch on every replica, then returns the
+/// snapshot for the core to publish; routes each span as one
+/// QueryRequest with sibling failover. Batched misses sort by the same
+/// grouping as ShardedEngine, so a replica's span shares rows and inner
+/// vectors across each group.
 class RouterPolicy : public ShardedBatchGrouping {
  public:
   /// The published epoch type.
-  using Snapshot = ShardedSnapshot;
+  using Snapshot = RouterSnapshot;
   /// The per-query result type.
-  using Result = ShardedQueryResult;
+  using Result = RouterQueryResult;
 
-  /// Builds the writer from `graph` (`engine_options` as in
-  /// ShardRouterOptions::engine) over `transport` (not owned, never
-  /// null).
+  /// Partitions `graph` into the replicas' layout (`engine_options` as
+  /// in ShardRouterOptions::engine) and routes over `transport` (not
+  /// owned, never null).
   RouterPolicy(Graph graph, const HierarchyOptions& hierarchy_options,
                const ShardedEngineOptions& engine_options,
                Transport* transport);
 
-  /// The writer (layout, backend, capabilities).
-  const ShardedWriter& writer() const { return writer_; }
+  /// The bookkeeping (weights, layout, epoch ids).
+  const ShardLedger& ledger() const { return ledger_; }
 
   /// Fills every RouterStats field except `serving`.
   void FillStats(RouterStats* s) const;
 
  private:
   friend class ServingCore<RouterPolicy>;
-  struct SpanFanout;
   struct PendingCall;
 
-  std::shared_ptr<const ShardedSnapshot> PublishInitial(ThreadPool* helpers);
+  std::shared_ptr<const RouterSnapshot> PublishInitial(ThreadPool* helpers);
   Weight ResolveOldWeight(EdgeId e) const;
-  std::shared_ptr<const ShardedSnapshot> ApplyBatch(const UpdateBatch& batch,
-                                                    ThreadPool* helpers);
+  std::shared_ptr<const RouterSnapshot> ApplyBatch(const UpdateBatch& batch,
+                                                   ThreadPool* helpers);
   uint32_t NumEdges() const;
-  // Issues the span's fetches and returns; `done` runs when the last
-  // answer lands (the continuation-passing half of the contract).
-  void RouteSpan(const std::shared_ptr<const ShardedSnapshot>& snap,
+  // Sends the span and returns; `done` runs when its answer lands (the
+  // continuation-passing half of the contract).
+  void RouteSpan(const std::shared_ptr<const RouterSnapshot>& snap,
                  const QueryPair* queries, const uint32_t* idx, size_t count,
                  Weight* out, StatusCode* codes, std::function<void()> done);
-  void AugmentStats(const ShardedSnapshot& current, EngineStats* s) const;
+  void AugmentStats(const RouterSnapshot& current, EngineStats* s) const;
   void ResetStats();
+
+  // The snapshot of the ledger's current epoch.
+  std::shared_ptr<const RouterSnapshot> LedgerSnapshot() const;
 
   // The router side of the transport: a tag-keyed registry of response
   // callbacks. OnResponse settles the tag's callback exactly once
@@ -209,23 +216,13 @@ class RouterPolicy : public ShardedBatchGrouping {
     std::atomic<uint64_t> duplicates_{0};
   };
 
-  // One pinned-epoch RPC with asynchronous sibling failover: encodes the
-  // request ONCE (the buffer is shared across every sibling attempt)
-  // and tries replica endpoints round-robin until one serves it at the
-  // pinned shard_epoch — with a boundary row of exactly |S_shard|
-  // weights for a row fetch. `done` runs exactly once — from the
-  // transport's delivery thread (or inline for a synchronous transport)
-  // — with ok=false after every endpoint failed.
-  void CallReplicaAsync(const ShardRequest& req,
-                        std::function<void(bool, ShardResponse)> done);
-
   // Installs `snap` on every replica as the next kInstall sequence,
   // carrying `updates`. The core publishes `snap` only after this
   // returns, so a reader-pinned epoch is always held by the replicas on
   // the healthy path. A failed install is counted and the snapshot is
   // published anyway: the lagging replica answers the new epochs with
   // typed kUnavailable (never wrong bytes) until replay catches it up.
-  void Install(const ShardedSnapshot& snap, const UpdateBatch& updates);
+  void Install(const RouterSnapshot& snap, const UpdateBatch& updates);
 
   // Drives `endpoint` to the newest install log entry (replaying
   // earlier entries on a sequence-gap nack). Writer thread only. False
@@ -242,11 +239,12 @@ class RouterPolicy : public ShardedBatchGrouping {
                    std::shared_ptr<const std::vector<uint8_t>> bytes,
                    std::vector<uint8_t>* payload);
 
-  ShardedWriter writer_;        // applied by the core's writer thread only
+  const BackendKind backend_;  // what the replicas run (stats only)
+  ShardLedger ledger_;         // applied by the core's writer thread only
   Transport* const transport_;  // not owned
 
   Mailbox mailbox_;
-  std::atomic<uint32_t> next_replica_{0};  // round-robin fan-out start
+  std::atomic<uint32_t> next_replica_{0};  // round-robin start
 
   // One wire-install log entry: the sequence number and the
   // encoded-once InstallRequest shared by every (re)send.
@@ -270,20 +268,18 @@ class RouterPolicy : public ShardedBatchGrouping {
 
 /// The replicated router over a pluggable transport: ServingCore over
 /// RouterPolicy, so it serves ShardedEngine's submission surface with
-/// the same exactly-once completion contract; updates are applied by
-/// the router's ShardedWriter and installed on every replica before the
-/// router's readers see the new epoch. Flush() returns once every
-/// earlier update is applied, installed and published. Thread-safe like
-/// the engines.
+/// the same exactly-once completion contract; each update batch is
+/// installed on every replica before the router's readers see the new
+/// epoch. Flush() returns once every earlier update is installed and
+/// published. Thread-safe like the engines.
 class ShardRouter : public ServingCore<RouterPolicy> {
  public:
-  /// Builds the writer from `graph`, installs the initial epoch on the
-  /// replicas and starts the router core. `transport` (not owned) must
-  /// outlive the router and route endpoint i to replica i: a
-  /// ReplicaNode built from the same graph, hierarchy options and
-  /// `options.engine`, kept in sync by kInstall replication. `replicas`
-  /// must be empty; it stays only because existing callers still pass
-  /// an empty list.
+  /// Partitions `graph`, installs the initial epoch on the replicas and
+  /// starts the router core. `transport` (not owned) must outlive the
+  /// router and route endpoint i to replica i: a ReplicaNode built from
+  /// the same graph, hierarchy options and `options.engine`, kept in
+  /// sync by kInstall replication. `replicas` must be empty; it stays
+  /// only because existing callers still pass an empty list.
   ShardRouter(Graph graph, const HierarchyOptions& hierarchy_options,
               const ShardRouterOptions& options, Transport* transport,
               std::vector<ShardReplica*> replicas)
@@ -292,9 +288,9 @@ class ShardRouter : public ServingCore<RouterPolicy> {
     STL_CHECK(replicas.empty());  // see the constructor doc
   }
 
-  /// Number of cells of the writer's partition.
+  /// Number of cells of the partition.
   uint32_t num_shards() const {
-    return policy().writer().layout().num_shards();
+    return policy().ledger().layout()->num_shards();
   }
 
   /// Point-in-time router-tier counters (hides ServingCore::Stats,
@@ -328,7 +324,7 @@ struct LoopbackCluster {
 LoopbackCluster MakeLoopbackCluster(
     const Graph& graph, const HierarchyOptions& hierarchy_options,
     const ShardRouterOptions& router_options, uint32_t num_replicas,
-    const ShardReplicaOptions& replica_options = {},
+    const ReplicaNodeOptions& replica_options = {},
     FaultInjector* faults = nullptr);
 
 }  // namespace stl

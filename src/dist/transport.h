@@ -34,7 +34,7 @@ class TransportSink {
                           std::vector<uint8_t> payload) = 0;
 };
 
-/// The transport surface the router fans requests out through.
+/// The transport surface the router sends requests through.
 /// Implementations must be thread-safe: reader-pool threads Send
 /// concurrently.
 class Transport {

@@ -2,6 +2,14 @@
 
 namespace stl {
 
+namespace {
+
+// The first version whose kPointQuery is the whole-query QueryRequest;
+// an older peer's kPointQuery is the per-cell ShardRequest.
+constexpr uint32_t kQueryWireVersion = 2;
+
+}  // namespace
+
 Status PeekWireKind(const uint8_t* data, size_t size, WireKind* out) {
   WireReader r(data, size);
   Status s = r.ReadHeader(kWireMagic, kWireVersion);
@@ -14,6 +22,80 @@ Status PeekWireKind(const uint8_t* data, size_t size, WireKind* out) {
     return Status::Corruption("wire: unknown request kind");
   }
   *out = static_cast<WireKind>(kind);
+  return Status::OK();
+}
+
+std::vector<uint8_t> QueryRequest::Encode() const {
+  WireWriter w(kWireMagic, kWireVersion);
+  w.WritePod(static_cast<uint32_t>(WireKind::kPointQuery));
+  w.WritePod(engine_epoch);
+  w.WritePod<uint64_t>(pairs.size());
+  for (const QueryPair& q : pairs) {
+    w.WritePod(q.first);
+    w.WritePod(q.second);
+  }
+  return w.Take();
+}
+
+Status QueryRequest::Decode(const uint8_t* data, size_t size,
+                            QueryRequest* out) {
+  WireReader r(data, size);
+  Status s = r.ReadHeader(kWireMagic, kWireVersion);
+  if (!s.ok()) return s;
+  if (r.version() < kQueryWireVersion) {
+    return Status::Corruption("wire: query request of an older version");
+  }
+  uint32_t kind = 0;
+  if (!(s = r.ReadPod(&kind)).ok()) return s;
+  if (kind != static_cast<uint32_t>(WireKind::kPointQuery)) {
+    return Status::Corruption("wire: not a query request");
+  }
+  if (!(s = r.ReadPod(&out->engine_epoch)).ok()) return s;
+  uint64_t count = 0;
+  if (!(s = r.ReadPod(&count)).ok()) return s;
+  // Refused before the resize, so a forged count cannot allocate.
+  if (count > r.remaining() / (2 * sizeof(Vertex))) {
+    return Status::Corruption("wire: pair count exceeds buffer");
+  }
+  out->pairs.resize(count);
+  for (QueryPair& q : out->pairs) {
+    if (!(s = r.ReadPod(&q.first)).ok()) return s;
+    if (!(s = r.ReadPod(&q.second)).ok()) return s;
+  }
+  if (r.remaining() != 0) {
+    return Status::Corruption("wire: trailing bytes after query request");
+  }
+  return Status::OK();
+}
+
+std::vector<uint8_t> QueryResponse::Encode() const {
+  WireWriter w(kWireMagic, kWireVersion);
+  w.WritePod(static_cast<uint32_t>(code));
+  w.WritePod(engine_epoch);
+  w.WriteVector(distances);
+  return w.Take();
+}
+
+Status QueryResponse::Decode(const uint8_t* data, size_t size,
+                             QueryResponse* out) {
+  WireReader r(data, size);
+  Status s = r.ReadHeader(kWireMagic, kWireVersion);
+  if (!s.ok()) return s;
+  if (r.version() < kQueryWireVersion) {
+    return Status::Corruption("wire: query response of an older version");
+  }
+  uint32_t code = 0;
+  if (!(s = r.ReadPod(&code)).ok()) return s;
+  if (code != static_cast<uint32_t>(StatusCode::kOk) &&
+      code != static_cast<uint32_t>(StatusCode::kUnavailable)) {
+    return Status::Corruption("wire: unexpected response code");
+  }
+  out->code = static_cast<StatusCode>(code);
+  if (!(s = r.ReadPod(&out->engine_epoch)).ok()) return s;
+  if (!(s = r.ReadVector(&out->distances)).ok()) return s;
+  if (r.remaining() != 0) {
+    return Status::Corruption("wire: trailing bytes after query response");
+  }
   return Status::OK();
 }
 

@@ -1,11 +1,11 @@
 // Wire messages for the replicated shard-router tier. A ShardRouter
-// (dist/shard_router.h) fans each per-cell row fetch / point query out
-// to a shard replica over a pluggable Transport (dist/transport.h);
-// these are the two messages that cross that boundary, with explicit
-// encode/decode built on the bounds-checked WireWriter/WireReader
-// (util/serialize.h). Decoding never trusts the peer: truncated
-// buffers, bad magic, version skew and implausible lengths all come
-// back as typed Status failures.
+// (dist/shard_router.h) sends each routed span of queries whole to one
+// replica over a pluggable Transport (dist/transport.h) as a
+// QueryRequest, and replicates its update batches as InstallRequests;
+// these messages cross that boundary, with explicit encode/decode built
+// on the bounds-checked WireWriter/WireReader (util/serialize.h).
+// Decoding never trusts the peer: truncated buffers, bad magic, version
+// skew and implausible lengths all come back as typed Status failures.
 #ifndef STL_DIST_WIRE_H_
 #define STL_DIST_WIRE_H_
 
@@ -16,6 +16,7 @@
 #include "graph/updates.h"
 #include "util/serialize.h"
 #include "util/status.h"
+#include "workload/query_workload.h"
 
 namespace stl {
 
@@ -23,17 +24,19 @@ namespace stl {
 inline constexpr uint32_t kWireMagic = 0x574c5453u;
 
 /// Current shard-RPC encoding version. Decoders accept anything up to
-/// this; bumping it is how the format evolves compatibly.
-inline constexpr uint32_t kWireVersion = 1;
+/// this; bumping it is how the format evolves compatibly. Version 2
+/// made kPointQuery the whole-query QueryRequest.
+inline constexpr uint32_t kWireVersion = 2;
 
-/// What a ShardRequest asks the replica to compute.
+/// What a request asks the replica to do.
 enum class WireKind : uint32_t {
-  /// The packed boundary-distance row of one vertex: dist(u, b) for
-  /// every boundary vertex b adjacent to the vertex's cell, in the
-  /// cell's boundary order (the router's min-plus reduction input).
+  /// The packed boundary-distance row of one vertex (ShardRequest):
+  /// dist(u, b) for every boundary vertex b adjacent to the vertex's
+  /// cell, in the cell's boundary order. No tier sends it and replicas
+  /// refuse it; the codec remains for the benchmark's codec probe.
   kBoundaryRow = 1,
-  /// A single intra-cell distance dist(u, v) on the shard's subgraph
-  /// view (the router's same-cell local term).
+  /// A QueryRequest: exact distances for any pairs, pinned by engine
+  /// epoch.
   kPointQuery = 2,
   /// A snapshot install (state-machine replication): the router ships
   /// the coalesced weight-update batch that produced its next epoch;
@@ -44,16 +47,51 @@ enum class WireKind : uint32_t {
 };
 
 /// Reads just the WireKind of an encoded request (header + kind field)
-/// so a server can dispatch kInstall to the replication path and the
-/// two query kinds to ShardReplica::Handle without double-decoding.
-/// Fails like the full decoders on truncated/bad-magic input.
+/// so a server can dispatch kInstall to the replication path and
+/// queries to the query path without double-decoding. Fails like the
+/// full decoders on truncated/bad-magic input.
 Status PeekWireKind(const uint8_t* data, size_t size, WireKind* out);
 
-/// One request to a shard replica. `shard_epoch` pins the exact shard
-/// version the router's batch was planned against: a replica that no
-/// longer (or does not yet) hold that version answers kUnavailable
-/// instead of silently serving different weights — epoch consistency
-/// is enforced at the wire boundary, not trusted to deployment order.
+/// A routed span of queries (WireKind::kPointQuery). `engine_epoch`
+/// pins the exact snapshot the router's span was planned against: a
+/// replica that no longer (or does not yet) hold that epoch answers
+/// kUnavailable instead of silently serving different weights — epoch
+/// consistency is enforced at the wire boundary, not trusted to
+/// deployment order.
+struct QueryRequest {
+  uint64_t engine_epoch = 0;     ///< Pinned global epoch (must match).
+  std::vector<QueryPair> pairs;  ///< (source, target), global vertex ids.
+
+  /// Encodes into a fresh buffer (magic/version header included).
+  std::vector<uint8_t> Encode() const;
+
+  /// Decodes from `[data, data + size)`; on failure `*out` is
+  /// unspecified and the Status says why. A pair count larger than the
+  /// remaining bytes is refused before anything is allocated.
+  static Status Decode(const uint8_t* data, size_t size, QueryRequest* out);
+};
+
+/// The replica's answer to a QueryRequest. `code` is kOk with one
+/// distance per requested pair, in request order, or kUnavailable with
+/// none: the epoch is not held, or the request was malformed or named a
+/// vertex out of range (the router then fails over to a sibling).
+struct QueryResponse {
+  StatusCode code = StatusCode::kOk;  ///< kOk or kUnavailable.
+  uint64_t engine_epoch = 0;          ///< Echo of the pinned epoch.
+  std::vector<Weight> distances;      ///< kOk: one per pair.
+
+  /// Encodes into a fresh buffer (magic/version header included).
+  std::vector<uint8_t> Encode() const;
+
+  /// Decodes from `[data, data + size)`; on failure `*out` is
+  /// unspecified and the Status says why.
+  static Status Decode(const uint8_t* data, size_t size,
+                       QueryResponse* out);
+};
+
+/// The version-1 per-cell request (a boundary row or an intra-cell
+/// point, pinned by shard epoch). No tier sends it; the codec remains
+/// for the benchmark's codec probe.
 struct ShardRequest {
   WireKind kind = WireKind::kBoundaryRow;  ///< What to compute.
   uint32_t shard = 0;        ///< Cell id the request targets.
@@ -71,9 +109,8 @@ struct ShardRequest {
                        ShardRequest* out);
 };
 
-/// One replica answer. `code` is kOk for a served request and
-/// kUnavailable when the replica does not hold the pinned shard_epoch
-/// (the router then fails over to a sibling replica).
+/// The answer to a ShardRequest (version 1; kept with it for the
+/// benchmark's codec probe).
 struct ShardResponse {
   StatusCode code = StatusCode::kOk;  ///< kOk or kUnavailable.
   uint32_t shard = 0;        ///< Echo of the request's cell id.
@@ -94,17 +131,18 @@ struct ShardResponse {
 };
 
 /// One over-the-wire snapshot install. Installs are state-machine
-/// replication: router and replica run identical ShardedWriters seeded
-/// from the same graph, so shipping the coalesced update batch (not the
-/// snapshot bytes) and applying it on both sides as one epoch produces
-/// bit-identical snapshots with identical epoch ids — which the
-/// expected_* fields then verify explicitly, turning any divergence
-/// into a nack instead of silent wrong answers. `seq` orders installs
+/// replication: every replica runs an identical ShardedWriter seeded
+/// from the same graph, and the router's ShardLedger numbers the same
+/// epochs, so shipping the coalesced update batch (not the snapshot
+/// bytes) and applying it as one epoch produces bit-identical snapshots
+/// with identical epoch ids on every replica — which the expected_*
+/// fields then verify explicitly, turning any divergence into a nack
+/// instead of silent wrong answers. `seq` orders installs
 /// per replica (0, 1, 2, ...): a gap makes the replica nack with the
 /// seq it needs next and the router replays from its bounded log.
 struct InstallRequest {
   uint64_t seq = 0;  ///< Dense per-replica install sequence number.
-  /// Global epoch the router's writer reached after applying `updates`.
+  /// Global epoch the router's ledger reached after applying `updates`.
   uint64_t expected_engine_epoch = 0;
   /// Per-shard epochs of that snapshot (index = shard id).
   std::vector<uint64_t> expected_shard_epochs;

@@ -75,9 +75,47 @@ class PoolExecutor final : public OverlayExecutor {
   ThreadPool* pool_;
 };
 
+/// The inner-vector memo of a span routed in BatchSortKey order: the
+/// current (source cell cs, target cell ct, target t) group's
+/// inner[i] = min_{b2} D[S_cs[i]][b2] + dt[b2], shared by every query of
+/// the group. Valid for one snapshot: Reset() before reusing it (and
+/// its storage) on the next span.
+class InnerVectorMemo {
+ public:
+  /// Forgets the current group; keeps the storage.
+  void Reset() { cs_ = CellPartition::kBoundaryCell; }
+
+  /// The inner vector of group (cs, ct, t) — |S_cs| entries — where
+  /// `dt` is t's boundary row on shard ct. Recomputed only when the
+  /// group changes.
+  const Weight* Get(const ShardedSnapshot& snap, uint32_t cs, uint32_t ct,
+                    Vertex t, const Weight* dt) {
+    if (cs_ != cs || ct_ != ct || t_ != t) {
+      cs_ = cs;
+      ct_ = ct;
+      t_ = t;
+      const ShardLayout::Shard& sshard = snap.layout->shards[cs];
+      inner_.resize(sshard.boundary_pos.size());
+      // The packed-row batch entry point: one SIMD min-plus per b1 row
+      // of shard ct's packed block (index/overlay.h).
+      snap.overlay->MinPlusRowsInto(
+          ct, sshard.boundary_pos.data(),
+          static_cast<uint32_t>(sshard.boundary_pos.size()), dt,
+          inner_.data());
+    }
+    return inner_.data();
+  }
+
+ private:
+  uint32_t cs_ = CellPartition::kBoundaryCell;
+  uint32_t ct_ = CellPartition::kBoundaryCell;
+  Vertex t_ = 0;
+  std::vector<Weight> inner_;
+};
+
 /// The storage of one span's in-process routing: the per-span row
-/// memo and the inner-vector memo. A reader thread keeps one and reuses
-/// its row and inner-vector buffers across spans.
+/// memo and the inner-vector memo. A thread keeps one and reuses its
+/// row and inner-vector buffers across spans.
 struct LocalScratch {
   // (vertex, shard) -> index into rows. Cleared per span.
   std::unordered_map<uint64_t, uint32_t> index;
@@ -88,7 +126,7 @@ struct LocalScratch {
   InnerVectorMemo memo;
 };
 
-/// The in-process pieces of RouteShardedPair: boundary rows computed
+/// The shard-local inputs of the decomposition: boundary rows computed
 /// on the snapshot's shard views — memoised per span, behind the row
 /// cache when one is armed — and same-cell distances from the shard
 /// view. Cached rows are validated by (vertex, shard, shard_epoch), so
@@ -106,8 +144,8 @@ class LocalPieces {
     scratch_->memo.Reset();
   }
 
-  /// Gives back what an unusually large span grew: a reader thread keeps
-  /// at most kKeptRows row buffers between spans.
+  /// Gives back what an unusually large span grew: a thread keeps at
+  /// most kKeptRows row buffers between spans.
   ~LocalPieces() {
     if (scratch_->rows.size() > kKeptRows) {
       scratch_->rows.resize(kKeptRows);
@@ -115,10 +153,12 @@ class LocalPieces {
     }
   }
 
-  const std::vector<Weight>* Row(uint32_t shard, Vertex v) {
+  /// v's |S_shard| distances to the shard's boundary set, in
+  /// ShardLayout::Shard::boundary_local order.
+  const std::vector<Weight>& Row(uint32_t shard, Vertex v) {
     const uint64_t key = PairKey(v, shard);
     auto [it, fresh] = scratch_->index.try_emplace(key, scratch_->used);
-    if (!fresh) return &scratch_->rows[it->second];
+    if (!fresh) return scratch_->rows[it->second];
     if (scratch_->used == scratch_->rows.size()) scratch_->rows.emplace_back();
     std::vector<Weight>& row = scratch_->rows[scratch_->used++];
     const ShardServing& serving = *snap_.shards[shard];
@@ -128,15 +168,17 @@ class LocalPieces {
       FillShardBoundaryRow(*snap_.layout, shard, *serving.view, v, &row);
       cache_->Insert(key, serving.shard_epoch, width, row.data());
     }
-    return &row;
+    return row;
   }
 
-  bool Point(uint32_t shard, Vertex s, Vertex t, Weight* d) {
+  /// The shard-local distance of a same-cell pair.
+  Weight Point(uint32_t shard, Vertex s, Vertex t) const {
     const ShardLayout& lay = *snap_.layout;
-    *d = snap_.shards[shard]->view->Query(lay.local_of_vertex[s],
-                                          lay.local_of_vertex[t]);
-    return true;
+    return snap_.shards[shard]->view->Query(lay.local_of_vertex[s],
+                                            lay.local_of_vertex[t]);
   }
+
+  InnerVectorMemo* memo() { return &scratch_->memo; }
 
  private:
   static constexpr size_t kKeptRows = 128;
@@ -145,6 +187,83 @@ class LocalPieces {
   SlotCache* cache_;
   LocalScratch* scratch_;
 };
+
+/// One pair of RouteLocalSpan's decomposition (see the header). A null
+/// `memo` (a lone pair, where no group shares the inner vector) runs
+/// the pruned double loop instead, skipping every b1 with ds[b1] >= the
+/// best so far; both forms reach the same minimum.
+Weight RoutePair(const ShardedSnapshot& snap, Vertex s, Vertex t,
+                 LocalPieces* pieces, InnerVectorMemo* memo) {
+  const ShardLayout& lay = *snap.layout;
+  STL_DCHECK(s < lay.shard_of_vertex.size());
+  STL_DCHECK(t < lay.shard_of_vertex.size());
+  if (s == t) return 0;
+  const uint32_t cs = lay.shard_of_vertex[s];
+  const uint32_t ct = lay.shard_of_vertex[t];
+  const bool s_boundary = cs == CellPartition::kBoundaryCell;
+  const bool t_boundary = ct == CellPartition::kBoundaryCell;
+  if (s_boundary && t_boundary) {
+    // The overlay table is already the exact full-graph distance.
+    return snap.overlay->At(lay.boundary_pos_of_vertex[s],
+                            lay.boundary_pos_of_vertex[t]);
+  }
+  // Same cell: the path may stay inside the shard entirely, or leave
+  // through the boundary and come back (the general case below; D[b][b]
+  // = 0 makes touch-and-return a special case of it).
+  const bool same_cell = !s_boundary && !t_boundary && cs == ct;
+  uint64_t best = same_cell ? pieces->Point(cs, s, t) : kInfDistance;
+  if (s_boundary) {
+    // The first boundary vertex of any path from s is s itself.
+    const std::vector<Weight>& dt = pieces->Row(ct, t);
+    best = std::min<uint64_t>(
+        best, MinPlusReduce(
+                  snap.overlay->PackedRow(ct, lay.boundary_pos_of_vertex[s]),
+                  dt.data(), static_cast<uint32_t>(dt.size())));
+  } else if (t_boundary) {
+    // Mirror image (distances are symmetric on an undirected graph).
+    const std::vector<Weight>& ds = pieces->Row(cs, s);
+    best = std::min<uint64_t>(
+        best, MinPlusReduce(
+                  snap.overlay->PackedRow(cs, lay.boundary_pos_of_vertex[t]),
+                  ds.data(), static_cast<uint32_t>(ds.size())));
+  } else {
+    const std::vector<Weight>& ds = pieces->Row(cs, s);
+    const std::vector<Weight>& dt = pieces->Row(ct, t);
+    if (memo == nullptr) {
+      // Decompose at the first and last boundary vertices, b1 by b1.
+      const std::vector<uint32_t>& pos = lay.shards[cs].boundary_pos;
+      for (size_t i = 0; i < ds.size(); ++i) {
+        if (ds[i] >= best) continue;  // no path through b1 can win
+        best = std::min<uint64_t>(
+            best, static_cast<uint64_t>(ds[i]) +
+                      MinPlusReduce(snap.overlay->PackedRow(ct, pos[i]),
+                                    dt.data(),
+                                    static_cast<uint32_t>(dt.size())));
+      }
+    } else {
+      // The same decomposition on the group's shared inner vector:
+      // min_i ds[i] + inner[i]. All terms are <= 3 * kInfDistance, so
+      // the uint32 min-plus cannot wrap.
+      best = std::min<uint64_t>(
+          best, MinPlusReduce(ds.data(), memo->Get(snap, cs, ct, t, dt.data()),
+                              static_cast<uint32_t>(ds.size())));
+    }
+  }
+  // Saturate the three-term sums back into the Weight range.
+  return best >= kInfDistance ? kInfDistance : static_cast<Weight>(best);
+}
+
+/// RouteLocalSpan on a caller-held scratch.
+void RouteSpanOn(const ShardedSnapshot& snap, const QueryPair* queries,
+                 const uint32_t* idx, size_t count, Weight* out,
+                 SlotCache* row_cache, LocalScratch* scratch) {
+  LocalPieces pieces(snap, row_cache, scratch);
+  InnerVectorMemo* memo = count > 1 ? pieces.memo() : nullptr;
+  for (size_t j = 0; j < count; ++j) {
+    const QueryPair& q = queries[idx[j]];
+    out[idx[j]] = RoutePair(snap, q.first, q.second, &pieces, memo);
+  }
+}
 
 }  // namespace
 
@@ -155,35 +274,91 @@ Weight ShardedSnapshot::Query(Vertex s, Vertex t) const {
   // tests, audits and external snapshot holders run against.
   SlotCache uncached;  // never armed
   LocalScratch scratch;
-  LocalPieces pieces(*this, &uncached, &scratch);
-  StatusCode code = StatusCode::kOk;  // in-process pieces never fail
-  return RouteShardedPair(*this, s, t, &pieces, /*memo=*/nullptr, &code);
+  const QueryPair q{s, t};
+  const uint32_t idx = 0;
+  Weight d = kInfDistance;
+  RouteSpanOn(*this, &q, &idx, 1, &d, &uncached, &scratch);
+  return d;
 }
 
-uint64_t ShardedBatchGrouping::BatchSortKey(const ShardedSnapshot& snap,
-                                            const QueryPair& q) {
-  const ShardLayout& lay = *snap.layout;
-  const uint64_t cs = lay.shard_of_vertex[q.first] & 0xffff;
-  const uint64_t ct = lay.shard_of_vertex[q.second] & 0xffff;
-  return (cs << 48) | (ct << 32) | q.second;
+void RouteLocalSpan(const ShardedSnapshot& snap, const QueryPair* queries,
+                    const uint32_t* idx, size_t count, Weight* out,
+                    SlotCache* row_cache) {
+  // Per thread; the route calls out to nothing, so spans never nest.
+  thread_local LocalScratch scratch;
+  RouteSpanOn(snap, queries, idx, count, out, row_cache, &scratch);
 }
 
-const Weight* InnerVectorMemo::Get(const ShardedSnapshot& snap, uint32_t cs,
-                                   uint32_t ct, Vertex t, const Weight* dt) {
-  if (cs_ != cs || ct_ != ct || t_ != t) {
-    cs_ = cs;
-    ct_ = ct;
-    t_ = t;
-    const ShardLayout::Shard& sshard = snap.layout->shards[cs];
-    inner_.resize(sshard.boundary_pos.size());
-    // The packed-row batch entry point: one SIMD min-plus per b1 row of
-    // shard ct's packed block (index/overlay.h).
-    snap.overlay->MinPlusRowsInto(
-        ct, sshard.boundary_pos.data(),
-        static_cast<uint32_t>(sshard.boundary_pos.size()), dt,
-        inner_.data());
+// --------------------------------------------------------- ShardLedger
+
+ShardLedger::ShardLedger(Graph graph,
+                         const HierarchyOptions& hierarchy_options,
+                         uint32_t target_shards,
+                         std::vector<Graph>* shard_graphs)
+    : graph_(std::move(graph)) {
+  STL_CHECK_GE(target_shards, 1u);
+  const CellPartition cells =
+      PartitionCells(graph_, target_shards, hierarchy_options);
+  ShardPlan plan = BuildShardPlan(graph_, cells);
+  layout_ = std::make_shared<const ShardLayout>(std::move(plan.layout));
+  if (shard_graphs != nullptr) *shard_graphs = std::move(plan.shard_graphs);
+  const uint32_t k = layout_->num_shards();
+  shard_epochs_.assign(k, 0);
+  shard_updates_.reset(new std::atomic<uint64_t>[std::max(k, 1u)]);
+  for (uint32_t c = 0; c < k; ++c) shard_updates_[c].store(0);
+}
+
+ShardLedger::Split ShardLedger::Apply(const UpdateBatch& batch) {
+  const uint32_t k = layout_->num_shards();
+  Split split;
+  split.per_shard.resize(k);
+  for (const WeightUpdate& u : batch) {
+    const uint32_t owner = layout_->shard_of_edge[u.edge];
+    const uint32_t slot = layout_->local_of_edge[u.edge];
+    UpdateBatch& to = owner == ShardLayout::kOverlayShard
+                          ? split.overlay
+                          : split.per_shard[owner];
+    to.push_back(WeightUpdate{slot, graph_.EdgeWeight(u.edge), u.new_weight});
+    graph_.SetEdgeWeight(u.edge, u.new_weight);
   }
-  return inner_.data();
+  for (uint32_t c = 0; c < k; ++c) {
+    if (split.per_shard[c].empty()) continue;
+    ++shard_epochs_[c];
+    shard_updates_[c].fetch_add(split.per_shard[c].size(),
+                                std::memory_order_relaxed);
+  }
+  ++epoch_;
+  counters_.updates_applied.fetch_add(batch.size(),
+                                      std::memory_order_relaxed);
+  counters_.epochs_published.fetch_add(1, std::memory_order_relaxed);
+  return split;
+}
+
+void ShardLedger::FillStats(const std::vector<uint64_t>& shard_epochs,
+                            EngineStats* s) const {
+  counters_.FillStats(s);
+  s->num_shards = layout_->num_shards();
+  s->boundary_vertices = layout_->num_boundary();
+  s->shards.reserve(layout_->num_shards());
+  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
+    ShardStats row;
+    row.shard = c;
+    row.cell_vertices = layout_->shards[c].num_cell_vertices;
+    row.boundary_vertices =
+        static_cast<uint32_t>(layout_->shards[c].boundary_local.size());
+    row.subgraph_edges =
+        static_cast<uint32_t>(layout_->shards[c].edge_to_global.size());
+    row.shard_epoch = shard_epochs[c];
+    row.updates_applied = shard_updates_[c].load(std::memory_order_relaxed);
+    s->shards.push_back(row);
+  }
+}
+
+void ShardLedger::ResetStats() {
+  counters_.Reset();
+  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
+    shard_updates_[c].store(0, std::memory_order_relaxed);
+  }
 }
 
 // ------------------------------------------------------- ShardedWriter
@@ -191,21 +366,20 @@ const Weight* InnerVectorMemo::Get(const ShardedSnapshot& snap, uint32_t cs,
 ShardedWriter::ShardedWriter(Graph graph,
                              const HierarchyOptions& hierarchy_options,
                              const ShardedEngineOptions& options)
+    : ShardedWriter(std::move(graph), hierarchy_options, options, {}) {}
+
+ShardedWriter::ShardedWriter(Graph graph,
+                             const HierarchyOptions& hierarchy_options,
+                             const ShardedEngineOptions& options,
+                             std::vector<Graph> shard_graphs)
     : backend_(options.backend),
       faults_(options.serving.fault_injector),
-      graph_(std::make_unique<Graph>(std::move(graph))) {
-  STL_CHECK_GE(options.target_shards, 1u);
-
-  const CellPartition cells =
-      PartitionCells(*graph_, options.target_shards, hierarchy_options);
-  ShardPlan plan = BuildShardPlan(*graph_, cells);
-  layout_ = std::make_shared<const ShardLayout>(std::move(plan.layout));
-
-  const uint32_t k = layout_->num_shards();
+      ledger_(std::move(graph), hierarchy_options, options.target_shards,
+              &shard_graphs) {
+  const uint32_t k = ledger_.layout()->num_shards();
   states_.resize(k);
   for (uint32_t c = 0; c < k; ++c) {
-    states_[c].graph =
-        std::make_unique<Graph>(std::move(plan.shard_graphs[c]));
+    states_[c].graph = std::make_unique<Graph>(std::move(shard_graphs[c]));
   }
   // The shard builds touch disjoint state. An STL build already spreads
   // its label columns over hierarchy_options.num_threads workers, so STL
@@ -233,34 +407,33 @@ ShardedWriter::ShardedWriter(Graph graph,
     for (auto& t : threads) t.join();
   }
   if (k > 0) capabilities_ = states_[0].index->capabilities();
-  overlay_ = std::make_unique<BoundaryOverlay>(layout_.get(), *graph_);
-  shard_updates_.reset(new std::atomic<uint64_t>[std::max(k, 1u)]);
-  for (uint32_t c = 0; c < k; ++c) shard_updates_[c].store(0);
+  overlay_ = std::make_unique<BoundaryOverlay>(ledger_.layout().get(),
+                                               ledger_.graph());
   serving_.resize(k);
 
   // Epoch 0 baseline: clones from construction are not publish cost.
-  harvested_graph_chunks_ = graph_->cow_stats().chunks_cloned;
-  harvested_graph_bytes_ = graph_->cow_stats().bytes_cloned;
+  harvested_graph_chunks_ = ledger_.graph().cow_stats().chunks_cloned;
+  harvested_graph_bytes_ = ledger_.graph().cow_stats().bytes_cloned;
 }
 
 std::shared_ptr<const ShardedSnapshot> ShardedWriter::PublishInitial(
     ThreadPool* helpers) {
   PoolExecutor executor(helpers);
-  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
+  for (uint32_t c = 0; c < ledger_.layout()->num_shards(); ++c) {
     // Epoch 0: construction cost, so neither the CoW nor the clique
     // time is counted as publish cost.
     PublishInfo info;
     PublishShard(c, 0, &executor, &info);
   }
-  return Snapshot(0, overlay_->Publish());
+  return Snapshot(overlay_->Publish());
 }
 
 std::shared_ptr<const ShardedSnapshot> ShardedWriter::Snapshot(
-    uint64_t epoch, std::shared_ptr<const OverlayTable> overlay) const {
+    std::shared_ptr<const OverlayTable> overlay) const {
   auto snap = std::make_shared<ShardedSnapshot>();
-  snap->epoch = epoch;
-  snap->graph = *graph_;  // structural chunk share
-  snap->layout = layout_;
+  snap->epoch = ledger_.epoch();
+  snap->graph = ledger_.graph();  // structural chunk share
+  snap->layout = ledger_.layout();
   snap->shards = serving_;
   snap->overlay = std::move(overlay);
   return snap;
@@ -291,34 +464,23 @@ uint64_t ShardedWriter::PublishShard(uint32_t c, uint64_t shard_epoch,
 
 std::shared_ptr<const ShardedSnapshot> ShardedWriter::Apply(
     const UpdateBatch& batch, ThreadPool* helpers) {
-  const uint32_t k = layout_->num_shards();
+  const uint32_t k = ledger_.layout()->num_shards();
   // Partition the batch by owning cell; S–S edges go to the overlay.
-  std::vector<UpdateBatch> per_shard(k);
-  for (const WeightUpdate& u : batch) {
-    graph_->SetEdgeWeight(u.edge, u.new_weight);
-    const uint32_t owner = layout_->shard_of_edge[u.edge];
-    const uint32_t slot = layout_->local_of_edge[u.edge];
-    if (owner == ShardLayout::kOverlayShard) {
-      overlay_->SetDirectWeight(slot, u.new_weight);
-    } else {
-      per_shard[owner].push_back(
-          WeightUpdate{slot, states_[owner].graph->EdgeWeight(slot),
-                       u.new_weight});
-    }
+  const ShardLedger::Split split = ledger_.Apply(batch);
+  for (const WeightUpdate& u : split.overlay) {
+    overlay_->SetDirectWeight(u.edge, u.new_weight);
   }
+  WriterCounters& counters = ledger_.counters();
 
   // Maintenance: repair (or rebuild) only the dirtied shards. The
   // STL-P/STL-L choice is made per SHARD batch — each shard amortizes
   // over its own share of the updates.
   for (uint32_t c = 0; c < k; ++c) {
-    if (per_shard[c].empty()) continue;
-    counters_.batch_counters.Count(states_[c].index->ApplyBatch(
-        per_shard[c], ChooseStrategy(per_shard[c].size())));
-    shard_updates_[c].fetch_add(per_shard[c].size(),
-                                std::memory_order_relaxed);
+    const UpdateBatch& updates = split.per_shard[c];
+    if (updates.empty()) continue;
+    counters.batch_counters.Count(states_[c].index->ApplyBatch(
+        updates, ChooseStrategy(updates.size())));
   }
-  counters_.updates_applied.fetch_add(batch.size(),
-                                      std::memory_order_relaxed);
 
   // Publication: new views + cliques for dirty shards only, then one
   // overlay publish (incremental row repair when feasible), then the
@@ -327,17 +489,17 @@ std::shared_ptr<const ShardedSnapshot> ShardedWriter::Apply(
   Timer publish_timer;
   PoolExecutor executor(helpers);
   for (uint32_t c = 0; c < k; ++c) {
-    if (per_shard[c].empty()) continue;
+    if (split.per_shard[c].empty()) continue;
     PublishInfo info;
     overlay_nanos_.fetch_add(
-        PublishShard(c, ++states_[c].shard_epoch, &executor, &info),
+        PublishShard(c, ledger_.shard_epochs()[c], &executor, &info),
         std::memory_order_relaxed);
-    counters_.label_pages_cloned.fetch_add(info.label_pages_cloned,
-                                           std::memory_order_relaxed);
-    counters_.cow_bytes_cloned.fetch_add(info.label_bytes_cloned,
-                                         std::memory_order_relaxed);
-    counters_.publish_bytes_deep_copied.fetch_add(
-        info.deep_bytes_copied, std::memory_order_relaxed);
+    counters.label_pages_cloned.fetch_add(info.label_pages_cloned,
+                                          std::memory_order_relaxed);
+    counters.cow_bytes_cloned.fetch_add(info.label_bytes_cloned,
+                                        std::memory_order_relaxed);
+    counters.publish_bytes_deep_copied.fetch_add(info.deep_bytes_copied,
+                                                 std::memory_order_relaxed);
   }
   // An injected kOverlayRepair fault makes repair "infeasible": the
   // publish takes the from-scratch rebuild instead.
@@ -364,28 +526,30 @@ std::shared_ptr<const ShardedSnapshot> ShardedWriter::Apply(
                                   std::memory_order_relaxed);
 
   // Graph-side CoW accounting (chunks detached by this batch's writes).
-  const CowChunkStats gc = graph_->cow_stats();
-  counters_.graph_chunks_cloned.fetch_add(
+  const CowChunkStats gc = ledger_.graph().cow_stats();
+  counters.graph_chunks_cloned.fetch_add(
       gc.chunks_cloned - harvested_graph_chunks_,
       std::memory_order_relaxed);
-  counters_.cow_bytes_cloned.fetch_add(
+  counters.cow_bytes_cloned.fetch_add(
       gc.bytes_cloned - harvested_graph_bytes_, std::memory_order_relaxed);
   harvested_graph_chunks_ = gc.chunks_cloned;
   harvested_graph_bytes_ = gc.bytes_cloned;
 
-  counters_.epochs_published.fetch_add(1, std::memory_order_relaxed);
-  auto snap = Snapshot(++epoch_, std::move(table));
-  counters_.publish_nanos.fetch_add(publish_timer.ElapsedNanos(),
-                                    std::memory_order_relaxed);
+  auto snap = Snapshot(std::move(table));
+  counters.publish_nanos.fetch_add(publish_timer.ElapsedNanos(),
+                                   std::memory_order_relaxed);
   return snap;
 }
 
 void ShardedWriter::FillStats(const ShardedSnapshot& current,
                               EngineStats* s) const {
-  counters_.FillStats(s);
+  std::vector<uint64_t> shard_epochs;
+  shard_epochs.reserve(current.shards.size());
+  for (const auto& serving : current.shards) {
+    shard_epochs.push_back(serving->shard_epoch);
+  }
+  ledger_.FillStats(shard_epochs, s);
   s->backend = backend_;
-  s->num_shards = layout_->num_shards();
-  s->boundary_vertices = layout_->num_boundary();
   s->overlay_republishes =
       overlay_republishes_.load(std::memory_order_relaxed);
   s->overlay_rebuild_micros =
@@ -409,20 +573,10 @@ void ShardedWriter::FillStats(const ShardedSnapshot& current,
   // the per-shard rows report each shard's unique bytes.
   std::unordered_set<const void*> seen;
   uint64_t bytes = 0;
-  s->shards.reserve(layout_->num_shards());
-  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
-    ShardStats row;
-    row.shard = c;
-    row.cell_vertices = layout_->shards[c].num_cell_vertices;
-    row.boundary_vertices =
-        static_cast<uint32_t>(layout_->shards[c].boundary_local.size());
-    row.subgraph_edges =
-        static_cast<uint32_t>(layout_->shards[c].edge_to_global.size());
-    row.shard_epoch = current.shards[c]->shard_epoch;
-    row.updates_applied = shard_updates_[c].load(std::memory_order_relaxed);
-    row.resident_bytes = current.shards[c]->view->AddResidentBytes(&seen);
+  for (ShardStats& row : s->shards) {
+    row.resident_bytes =
+        current.shards[row.shard]->view->AddResidentBytes(&seen);
     bytes += row.resident_bytes;
-    s->shards.push_back(row);
   }
   if (current.overlay != nullptr) {
     // Chunk-level dedup: rows shared with other epochs' tables (or
@@ -430,12 +584,14 @@ void ShardedWriter::FillStats(const ShardedSnapshot& current,
     bytes += current.overlay->AddResidentBytes(&seen);
   }
   bytes += current.graph.AddResidentBytes(&seen);
-  if (seen.insert(layout_.get()).second) bytes += layout_->MemoryBytes();
+  if (seen.insert(current.layout.get()).second) {
+    bytes += current.layout->MemoryBytes();
+  }
   s->resident_index_bytes = bytes;
 }
 
 void ShardedWriter::ResetStats() {
-  counters_.Reset();
+  ledger_.ResetStats();
   overlay_nanos_.store(0, std::memory_order_relaxed);
   overlay_repair_nanos_.store(0, std::memory_order_relaxed);
   overlay_republishes_.store(0, std::memory_order_relaxed);
@@ -444,9 +600,6 @@ void ShardedWriter::ResetStats() {
   overlay_full_rebuilds_.store(0, std::memory_order_relaxed);
   clique_entries_recomputed_.store(0, std::memory_order_relaxed);
   overlay_bytes_shared_.store(0, std::memory_order_relaxed);
-  for (uint32_t c = 0; c < layout_->num_shards(); ++c) {
-    shard_updates_[c].store(0, std::memory_order_relaxed);
-  }
 }
 
 // ------------------------------------------------------- ShardedPolicy
@@ -483,11 +636,8 @@ void ShardedPolicy::RouteSpan(
     const std::shared_ptr<const ShardedSnapshot>& snap,
     const QueryPair* queries, const uint32_t* idx, size_t count,
     Weight* out, StatusCode* codes, std::function<void()> done) {
-  // Per reader thread; a span never nests inside another on one thread.
-  thread_local LocalScratch scratch;
-  LocalPieces pieces(*snap, &row_cache_, &scratch);
-  RouteShardedSpan(*snap, queries, idx, count, out, codes, &pieces,
-                   &scratch.memo);
+  (void)codes;  // in-process routing cannot fail
+  RouteLocalSpan(*snap, queries, idx, count, out, &row_cache_);
   done();
 }
 

@@ -13,9 +13,10 @@
 //                                   │  pointers are re-shared), rebuild
 //                                   └─ the overlay, swap the snapshot
 //
-// The writer half is ShardedWriter: this engine, the shard router
-// (dist/shard_router.h) and every replica (dist/replica_node.h) each
-// own one. The serving plumbing (pool, update queue, snapshot slot,
+// The writer half is ShardedWriter: this engine and every replica
+// (dist/replica_node.h) each own one. Its bookkeeping (master weights,
+// layout, epoch ids, the batch split) is a ShardLedger, which the
+// shard router (dist/shard_router.h) holds alone. The serving plumbing (pool, update queue, snapshot slot,
 // submission paths, result cache, stats) is ServingCore
 // (engine/serving_core.h); ShardedEngine is ServingCore<ShardedPolicy>
 // plus four getters, and ShardedPolicy owns the writer, the
@@ -31,10 +32,10 @@
 // Query routing (all answers exact — equal to per-epoch Dijkstra, and
 // so to a flat engine on the same weights; guarded by
 // ShardedBackendTest in tests/sharded_engine_test.cc) is the
-// five-case decomposition of RouteShardedPair below, the one copy every
-// sharded tier runs: this engine on its shard views, ShardedSnapshot::
-// Query uncached, and the router (dist/shard_router.h) on rows fetched
-// from replicas. Correctness rests on S being a vertex separator: a
+// five-case decomposition of RouteLocalSpan below, the one copy every
+// sharded tier runs: this engine's readers, ShardedSnapshot::Query
+// uncached, and each replica answering a routed span whole
+// (dist/replica_node.h). Correctness rests on S being a vertex separator: a
 // shortest path leaves a cell only through S, its first/last boundary
 // vertices split it into shard-local prefix/suffix plus a
 // boundary-to-boundary middle, and D is exact for the middle
@@ -57,11 +58,9 @@
 #ifndef STL_ENGINE_SHARDED_ENGINE_H_
 #define STL_ENGINE_SHARDED_ENGINE_H_
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -70,8 +69,6 @@
 #include "engine/slot_cache.h"
 #include "index/overlay.h"
 #include "partition/cells.h"
-#include "util/logging.h"
-#include "util/simd.h"
 
 namespace stl {
 
@@ -111,8 +108,11 @@ struct ShardedSnapshot {
   Weight Query(Vertex s, Vertex t) const;
 };
 
-/// Answer to one query submitted to the sharded engine.
-struct ShardedQueryResult {
+/// Answer to one query submitted to a sharded tier whose published
+/// epoch type is `Snapshot` (ShardedSnapshot here; the router's
+/// RouterSnapshot, dist/shard_router.h).
+template <typename Snapshot>
+struct ShardedTierResult {
   /// Exact distance for the serving snapshot's weights. Meaningful only
   /// when code == StatusCode::kOk (kInfDistance otherwise).
   Weight distance = kInfDistance;
@@ -122,15 +122,19 @@ struct ShardedQueryResult {
   double latency_micros = 0;
   /// The snapshot the query was served from; lets callers audit the
   /// answer against that epoch's exact weights.
-  std::shared_ptr<const ShardedSnapshot> snapshot;
+  std::shared_ptr<const Snapshot> snapshot;
   /// kOk for an answered query; kOverloaded when admission control (or
   /// the shutdown drain) shed it; kDeadlineExceeded when its deadline
-  /// passed before a reader dequeued it.
+  /// passed before a reader dequeued it; kUnavailable when every
+  /// replica failed the pinned epoch (the router only).
   StatusCode code = StatusCode::kOk;
 
   /// Typed status view of `code` (ServingStatus(code)).
   Status status() const { return ServingStatus(code); }
 };
+
+/// Answer to one query submitted to the sharded engine.
+using ShardedQueryResult = ShardedTierResult<ShardedSnapshot>;
 
 /// Construction options for the sharded engine. ShardedWriter reads
 /// backend, target_shards and serving.fault_injector (kOverlayRepair).
@@ -162,8 +166,9 @@ struct ShardedEngineOptions {
   ServingOptions serving;
 };
 
-/// The batch grouping of every route policy over ShardedSnapshot (this
-/// engine and the shard-router tier, dist/shard_router.h).
+/// The batch grouping of every route policy over a sharded layout (this
+/// engine and the shard-router tier, dist/shard_router.h): any snapshot
+/// type with a `layout` member.
 struct ShardedBatchGrouping {
   /// Batch misses are sorted by BatchSortKey before chunking.
   static constexpr bool kGroupsBatches = true;
@@ -172,146 +177,113 @@ struct ShardedBatchGrouping {
   /// inner vector and the dt row; same-source runs share ds. Boundary
   /// endpoints truncate kBoundaryCell to 0xffff — still a stable group
   /// of their own.
-  static uint64_t BatchSortKey(const ShardedSnapshot& snap,
-                               const QueryPair& q);
+  template <typename Snapshot>
+  static uint64_t BatchSortKey(const Snapshot& snap, const QueryPair& q) {
+    const ShardLayout& lay = *snap.layout;
+    const uint64_t cs = lay.shard_of_vertex[q.first] & 0xffff;
+    const uint64_t ct = lay.shard_of_vertex[q.second] & 0xffff;
+    return (cs << 48) | (ct << 32) | q.second;
+  }
 };
 
-/// The inner-vector memo of a span routed in BatchSortKey order: the
-/// current (source cell cs, target cell ct, target t) group's
-/// inner[i] = min_{b2} D[S_cs[i]][b2] + dt[b2], shared by every query of
-/// the group. Valid for one snapshot: Reset() before reusing it (and
-/// its storage) on the next span.
-class InnerVectorMemo {
- public:
-  /// Forgets the current group; keeps the storage.
-  void Reset() { cs_ = CellPartition::kBoundaryCell; }
-
-  /// The inner vector of group (cs, ct, t) — |S_cs| entries — where
-  /// `dt` is t's boundary row on shard ct. Recomputed only when the
-  /// group changes.
-  const Weight* Get(const ShardedSnapshot& snap, uint32_t cs, uint32_t ct,
-                    Vertex t, const Weight* dt);
-
- private:
-  uint32_t cs_ = CellPartition::kBoundaryCell;
-  uint32_t ct_ = CellPartition::kBoundaryCell;
-  Vertex t_ = 0;
-  std::vector<Weight> inner_;
-};
-
-/// The sharded query decomposition, written once for every tier:
+/// The sharded query decomposition, the one copy every sharded tier
+/// runs (this engine's readers, ShardedSnapshot::Query and the
+/// replica's whole-query handler, dist/replica_node.h):
 ///   * s == t                     -> 0
 ///   * both endpoints boundary    -> D[s][t]
 ///   * s boundary (t mirrored)    -> min_{b2} D[s][b2] + dt[b2]
 ///   * different cells            -> min_{b1,b2} ds[b1] + D[b1][b2] + dt[b2]
 ///   * same cell                  -> min(shard-local distance, the above)
 /// where ds/dt are the shard-local distances from each endpoint to its
-/// cell's boundary set S_i and the minima run on the overlay's packed
-/// rows through the util/simd.h min-plus kernels. `pieces` supplies the
-/// shard-local inputs — the only thing that differs between callers:
-///   const std::vector<Weight>* Row(uint32_t shard, Vertex v) — v's
-///       |S_shard| distances to the shard's boundary set, in
-///       ShardLayout::Shard::boundary_local order; null if unavailable.
-///   bool Point(uint32_t shard, Vertex s, Vertex t, Weight* d) — the
-///       shard-local distance of a same-cell pair; false if unavailable.
-/// Every piece a pair needs is requested before any is combined, so a
-/// `pieces` that records the requests (the router's fetch enumeration)
-/// sees the pair's full list. When a piece is unavailable, writes
-/// kUnavailable to *code and returns kInfDistance. A null `memo` (a
-/// lone pair, where no group shares the inner vector) runs the pruned
-/// double loop instead, skipping every b1 with ds[b1] >= the best so
-/// far; both forms reach the same minimum.
-template <typename Pieces>
-Weight RouteShardedPair(const ShardedSnapshot& snap, Vertex s, Vertex t,
-                        Pieces* pieces, InnerVectorMemo* memo,
-                        StatusCode* code) {
-  const ShardLayout& lay = *snap.layout;
-  STL_DCHECK(s < lay.shard_of_vertex.size());
-  STL_DCHECK(t < lay.shard_of_vertex.size());
-  if (s == t) return 0;
-  const uint32_t cs = lay.shard_of_vertex[s];
-  const uint32_t ct = lay.shard_of_vertex[t];
-  const bool s_boundary = cs == CellPartition::kBoundaryCell;
-  const bool t_boundary = ct == CellPartition::kBoundaryCell;
-  if (s_boundary && t_boundary) {
-    // The overlay table is already the exact full-graph distance.
-    return snap.overlay->At(lay.boundary_pos_of_vertex[s],
-                            lay.boundary_pos_of_vertex[t]);
-  }
-  // Same cell: the path may stay inside the shard entirely, or leave
-  // through the boundary and come back (the general case below; D[b][b]
-  // = 0 makes touch-and-return a special case of it).
-  Weight local = kInfDistance;
-  const bool same_cell = !s_boundary && !t_boundary && cs == ct;
-  const bool local_ok = !same_cell || pieces->Point(cs, s, t, &local);
-  const std::vector<Weight>* ds = s_boundary ? nullptr : pieces->Row(cs, s);
-  const std::vector<Weight>* dt = t_boundary ? nullptr : pieces->Row(ct, t);
-  if (!local_ok || (!s_boundary && ds == nullptr) ||
-      (!t_boundary && dt == nullptr)) {
-    *code = StatusCode::kUnavailable;
-    return kInfDistance;
-  }
-  uint64_t best = local;
-  if (s_boundary) {
-    // The first boundary vertex of any path from s is s itself.
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(
-                  snap.overlay->PackedRow(ct, lay.boundary_pos_of_vertex[s]),
-                  dt->data(), static_cast<uint32_t>(dt->size())));
-  } else if (t_boundary) {
-    // Mirror image (distances are symmetric on an undirected graph).
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(
-                  snap.overlay->PackedRow(cs, lay.boundary_pos_of_vertex[t]),
-                  ds->data(), static_cast<uint32_t>(ds->size())));
-  } else if (memo == nullptr) {
-    // Decompose at the first and last boundary vertices, b1 by b1.
-    const std::vector<uint32_t>& pos = lay.shards[cs].boundary_pos;
-    for (size_t i = 0; i < ds->size(); ++i) {
-      if ((*ds)[i] >= best) continue;  // no path through b1 can win
-      best = std::min<uint64_t>(
-          best, static_cast<uint64_t>((*ds)[i]) +
-                    MinPlusReduce(snap.overlay->PackedRow(ct, pos[i]),
-                                  dt->data(),
-                                  static_cast<uint32_t>(dt->size())));
-    }
-  } else {
-    // The same decomposition on the group's shared inner vector:
-    // min_i ds[i] + inner[i]. All terms are <= 3 * kInfDistance, so the
-    // uint32 min-plus cannot wrap.
-    best = std::min<uint64_t>(
-        best, MinPlusReduce(ds->data(),
-                            memo->Get(snap, cs, ct, t, dt->data()),
-                            static_cast<uint32_t>(ds->size())));
-  }
-  // Saturate the three-term sums back into the Weight range.
-  return best >= kInfDistance ? kInfDistance : static_cast<Weight>(best);
-}
+/// cell's boundary set S_i, computed on `snap`'s own shard views and
+/// memoised per span behind `row_cache` (an unarmed cache computes every
+/// row; a hit holds exactly the row the view computes, so answers are
+/// bit-identical either way). The minima run on the overlay's packed
+/// rows through the util/simd.h min-plus kernels. Answers
+/// queries[idx[j]] into out[idx[j]] for j < count; a span of more than
+/// one query shares each (source cell, target cell, target) group's
+/// inner vector, which pays off in BatchSortKey order. Thread-safe for
+/// concurrent spans on one snapshot.
+void RouteLocalSpan(const ShardedSnapshot& snap, const QueryPair* queries,
+                    const uint32_t* idx, size_t count, Weight* out,
+                    SlotCache* row_cache);
 
-/// Routes queries[idx[j]] into out[idx[j]] for j < count through
-/// RouteShardedPair, sharing `memo` (fresh or Reset()) across a span of
-/// more than one query; codes[idx[j]] is written only when a piece was
-/// unavailable.
-template <typename Pieces>
-void RouteShardedSpan(const ShardedSnapshot& snap, const QueryPair* queries,
-                      const uint32_t* idx, size_t count, Weight* out,
-                      StatusCode* codes, Pieces* pieces,
-                      InnerVectorMemo* memo) {
-  for (size_t j = 0; j < count; ++j) {
-    const QueryPair& q = queries[idx[j]];
-    out[idx[j]] = RouteShardedPair(snap, q.first, q.second, pieces,
-                                   count > 1 ? memo : nullptr,
-                                   &codes[idx[j]]);
-  }
-}
+/// The bookkeeping half of a sharded writer, and all the shard router
+/// keeps: the master weights (the coalescing authority), the shard
+/// layout, the engine and per-shard epoch ids, and the split of each
+/// batch by owning shard. ShardedWriter holds one next to its indexes;
+/// the router (dist/shard_router.h) holds one alone. Identical (graph,
+/// options, batch sequence) give identical epochs on every holder. One
+/// thread at a time calls Apply and the accessors; FillStats and
+/// ResetStats are thread-safe.
+class ShardLedger {
+ public:
+  /// One batch split by owner.
+  struct Split {
+    /// Per shard: the updates of its subgraph's edges, in shard-local
+    /// edge ids (old weights from the master).
+    std::vector<UpdateBatch> per_shard;
+    /// Boundary-to-boundary edges, as overlay-local edge slots.
+    UpdateBatch overlay;
+  };
 
-/// The one place an update batch becomes a ShardedSnapshot. Owns the
-/// partition, the shard graphs and indexes with their shard epochs, the
-/// BoundaryOverlay, its own epoch-id allocator and the work counters.
-/// Identical (graph, options, batch sequence) give bit-identical
-/// snapshots with identical epochs: the contract of the router's
-/// install stream (dist/replica_node.h). One thread at a time calls
-/// PublishInitial, Apply and EdgeWeight; the rest is thread-safe.
+  /// Takes ownership of the graph and partitions it (PartitionCells,
+  /// then BuildShardPlan) into at least one cell; `target_shards` >= 1.
+  /// Moves the per-cell subgraphs into `*shard_graphs` unless it is null
+  /// (the router needs none).
+  ShardLedger(Graph graph, const HierarchyOptions& hierarchy_options,
+              uint32_t target_shards, std::vector<Graph>* shard_graphs);
+
+  ShardLedger(const ShardLedger&) = delete;             ///< Not copyable.
+  ShardLedger& operator=(const ShardLedger&) = delete;  ///< Not copyable.
+
+  /// Writes one coalesced batch (CoalesceUpdates, engine/update_queue.h)
+  /// into the master weights, bumps the engine epoch and the epoch of
+  /// every shard it dirties, counts it, and returns its split.
+  Split Apply(const UpdateBatch& batch);
+
+  /// Current master weight of global edge `e`.
+  Weight EdgeWeight(EdgeId e) const { return graph_.EdgeWeight(e); }
+  /// Edge count of the full graph (the update validation bound).
+  uint32_t NumEdges() const { return graph_.NumEdges(); }
+  /// The master weights (snapshots take a copy-on-write share).
+  const Graph& graph() const { return graph_; }
+  /// The immutable shard layout.
+  const std::shared_ptr<const ShardLayout>& layout() const { return layout_; }
+  /// The last engine epoch id (0 = the initial build); never reset.
+  uint64_t epoch() const { return epoch_; }
+  /// Per-shard epoch ids (index = shard id); never reset.
+  const std::vector<uint64_t>& shard_epochs() const { return shard_epochs_; }
+
+  /// The writer counter block: Apply counts updates_applied and
+  /// epochs_published; a ShardedWriter adds its index work.
+  WriterCounters& counters() { return counters_; }
+
+  /// Fills the counter block, the shard count, |S| and one row per
+  /// shard: its layout sizes, its update count and `shard_epochs[c]`
+  /// (the caller's snapshot's; resident_bytes stay 0).
+  void FillStats(const std::vector<uint64_t>& shard_epochs,
+                 EngineStats* s) const;
+
+  /// Zeroes the counters; epoch ids keep rising.
+  void ResetStats();
+
+ private:
+  Graph graph_;  // full network, weights kept current
+  std::shared_ptr<const ShardLayout> layout_;
+  uint64_t epoch_ = 0;
+  std::vector<uint64_t> shard_epochs_;
+  WriterCounters counters_;
+  std::unique_ptr<std::atomic<uint64_t>[]> shard_updates_;
+};
+
+/// The one place an update batch becomes a ShardedSnapshot: a
+/// ShardLedger plus, per cell, the shard graph and its backend index,
+/// and the BoundaryOverlay. Identical (graph, options, batch sequence)
+/// give bit-identical snapshots with identical epochs: the contract of
+/// the router's install stream (dist/replica_node.h). One thread at a
+/// time calls PublishInitial, Apply and EdgeWeight; the rest is
+/// thread-safe.
 class ShardedWriter {
  public:
   /// Takes ownership of the graph, partitions it and builds one backend
@@ -338,11 +310,11 @@ class ShardedWriter {
                                                ThreadPool* helpers);
 
   /// Current master weight of global edge `e`.
-  Weight EdgeWeight(EdgeId e) const { return graph_->EdgeWeight(e); }
+  Weight EdgeWeight(EdgeId e) const { return ledger_.EdgeWeight(e); }
   /// Edge count of the full graph (the update validation bound).
-  uint32_t NumEdges() const { return graph_->NumEdges(); }
+  uint32_t NumEdges() const { return ledger_.NumEdges(); }
   /// The immutable shard layout.
-  const ShardLayout& layout() const { return *layout_; }
+  const ShardLayout& layout() const { return *ledger_.layout(); }
   /// The backend family each shard runs.
   BackendKind backend() const { return backend_; }
   /// Capabilities of the shard backends (identical across shards).
@@ -356,11 +328,16 @@ class ShardedWriter {
   void ResetStats();
 
  private:
+  /// The public constructor, with the ledger's shard graphs moved into
+  /// `shard_graphs` (empty on entry) before the indexes are built.
+  ShardedWriter(Graph graph, const HierarchyOptions& hierarchy_options,
+                const ShardedEngineOptions& options,
+                std::vector<Graph> shard_graphs);
+
   /// Writer-owned mutable state of one shard.
   struct ShardState {
     std::unique_ptr<Graph> graph;          // shard master subgraph
     std::unique_ptr<DistanceIndex> index;  // shard master index
-    uint64_t shard_epoch = 0;
   };
 
   /// Publishes shard c's view as shard epoch `shard_epoch`, recomputes
@@ -370,15 +347,14 @@ class ShardedWriter {
   uint64_t PublishShard(uint32_t c, uint64_t shard_epoch,
                         OverlayExecutor* executor, PublishInfo* info);
 
-  /// The snapshot of the current master state at `epoch`.
+  /// The snapshot of the current master state at the ledger's epoch.
   std::shared_ptr<const ShardedSnapshot> Snapshot(
-      uint64_t epoch, std::shared_ptr<const OverlayTable> overlay) const;
+      std::shared_ptr<const OverlayTable> overlay) const;
 
   const BackendKind backend_;
   FaultInjector* const faults_;  // kOverlayRepair only; null = none
 
-  std::unique_ptr<Graph> graph_;  // full network (weights kept current)
-  std::shared_ptr<const ShardLayout> layout_;
+  ShardLedger ledger_;
   std::vector<ShardState> states_;
   std::unique_ptr<BoundaryOverlay> overlay_;
   // The serving vector of the last snapshot (the next one is this
@@ -392,8 +368,6 @@ class ShardedWriter {
   uint64_t harvested_graph_chunks_ = 0;
   uint64_t harvested_graph_bytes_ = 0;
 
-  uint64_t epoch_ = 0;  // the last published epoch id; never reset
-  WriterCounters counters_;
   std::atomic<uint64_t> overlay_nanos_{0};
   std::atomic<uint64_t> overlay_repair_nanos_{0};
   std::atomic<uint64_t> overlay_republishes_{0};
@@ -402,13 +376,11 @@ class ShardedWriter {
   std::atomic<uint64_t> overlay_full_rebuilds_{0};
   std::atomic<uint64_t> clique_entries_recomputed_{0};
   std::atomic<uint64_t> overlay_bytes_shared_{0};
-  std::unique_ptr<std::atomic<uint64_t>[]> shard_updates_;
 };
 
 /// The sharded serving policy (see the ServingCore policy contract in
 /// engine/serving_core.h): a ShardedWriter applies each batch, and
-/// spans route through RouteShardedPair on the snapshot's shard views
-/// behind the boundary-row cache.
+/// spans route through RouteLocalSpan behind the boundary-row cache.
 class ShardedPolicy : public ShardedBatchGrouping {
  public:
   /// The published epoch type.

@@ -77,9 +77,7 @@ class StlView : public IndexView {
 class StlBackend : public DistanceIndex {
  public:
   StlBackend(Graph* g, const HierarchyOptions& options)
-      : index_(StlIndex::Build(g, options)),
-        hierarchy_(
-            std::make_shared<const TreeHierarchy>(index_.hierarchy())) {
+      : index_(StlIndex::Build(g, options)) {
     // Publish baseline: page clones from the build itself (freshly
     // allocated, unshared pages) are not publish cost.
     const CowChunkStats lc = index_.labels().cow_stats();
@@ -115,17 +113,20 @@ class StlBackend : public DistanceIndex {
     harvested_bytes_ = lc.bytes_cloned;
     // Structural share: O(pages) pointer copies + refcount bumps, zero
     // entry copies.
-    return std::make_shared<StlView>(hierarchy_, index_.labels());
+    return std::make_shared<StlView>(index_.shared_hierarchy(),
+                                     index_.labels());
   }
 
   uint64_t MemoryBytes() const override { return index_.MemoryBytes(); }
   double BuildSeconds() const override {
     return index_.build_info().total_seconds;
   }
+  const TreeHierarchy* StlHierarchy() const override {
+    return &index_.hierarchy();
+  }
 
  private:
-  StlIndex index_;
-  std::shared_ptr<const TreeHierarchy> hierarchy_;  // shared by all epochs
+  StlIndex index_;  // its hierarchy object is shared by every epoch
   uint64_t harvested_pages_ = 0;
   uint64_t harvested_bytes_ = 0;
 };

@@ -156,6 +156,10 @@ class DistanceIndex {
 
   /// Seconds spent building the master index.
   virtual double BuildSeconds() const = 0;
+
+  /// STL-backend hierarchy introspection (the object every published
+  /// view shares); null on other backends.
+  virtual const TreeHierarchy* StlHierarchy() const { return nullptr; }
 };
 
 /// Builds the master index of `kind` over `*g` (which must stay alive

@@ -142,10 +142,10 @@ struct ShardPlan {
 /// Dies if `cells` does not describe `g` (sizes, separator property).
 ShardPlan BuildShardPlan(const Graph& g, const CellPartition& cells);
 
-/// The row-fetch surface shared by the in-process router and the
-/// distributed shard replicas (dist/replica.h): fills `out` with the
-/// shard-local distances from global vertex `global` (owned by shard
-/// `shard`) to that shard's boundary set S_i, computed on `view` —
+/// The boundary-row computation of the sharded route (RouteLocalSpan,
+/// engine/sharded_engine.h, which every replica runs too): fills `out`
+/// with the shard-local distances from global vertex `global` (owned by
+/// shard `shard`) to that shard's boundary set S_i, computed on `view` —
 /// one point query per boundary vertex, in the order of
 /// ShardLayout::Shard::boundary_local. Returns the row width |S_i|;
 /// kInfDistance where the shard subgraph disconnects them. The row is
@@ -201,7 +201,7 @@ struct OverlayPublishStats {
 
 /// One immutable published epoch of the boundary overlay: the exact
 /// full-graph distance between every pair of boundary vertices, plus
-/// per-shard packed copies of the rows so the router's inner min-plus
+/// per-shard packed copies of the rows so the route's inner min-plus
 /// loop reads contiguous memory (util/simd.h kernels). Rows live in
 /// per-row copy-on-write chunks: consecutive epochs pointer-share every
 /// row the producing batch left clean.

@@ -8,6 +8,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "engine/latency_histogram.h"
@@ -448,6 +449,26 @@ TEST(QueryEngineTest, ConcurrentReadersWithWriterMatchDijkstraPerEpoch) {
   // Both maintenance algorithms served epochs the readers raced.
   EXPECT_GT(stats.batches_pareto, 0u);
   EXPECT_GT(stats.batches_label, 0u);
+}
+
+// The stable hierarchy is never copied: every published STL view, of
+// every epoch, holds the master index's own object.
+TEST(QueryEngineTest, StlViewsShareTheIndexHierarchyObject) {
+  Graph g = testing_util::SmallRoadNetwork(6, 29);
+  std::unique_ptr<DistanceIndex> index =
+      MakeDistanceIndex(BackendKind::kStl, &g, HierarchyOptions{});
+  ASSERT_NE(index->StlHierarchy(), nullptr);
+  PublishInfo info;
+  const std::shared_ptr<const IndexView> first = index->PublishView(&info);
+  index->ApplyBatch({WeightUpdate{0, g.EdgeWeight(0), g.EdgeWeight(0) + 1}},
+                    MaintenanceStrategy::kParetoSearch);
+  const std::shared_ptr<const IndexView> second = index->PublishView(&info);
+  EXPECT_EQ(first->StlHierarchy(), index->StlHierarchy());
+  EXPECT_EQ(second->StlHierarchy(), index->StlHierarchy());
+  // The resident walk counts the shared hierarchy once across views.
+  std::unordered_set<const void*> seen;
+  first->AddResidentBytes(&seen);
+  EXPECT_TRUE(seen.count(index->StlHierarchy()));
 }
 
 // The CoW aliasing audit: hold every epoch's snapshot while the writer

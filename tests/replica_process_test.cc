@@ -291,7 +291,7 @@ TEST(ReplicaProcessTest, KilledServerDegradesToSiblingThenTyped) {
     for (int i = 0; i < count; ++i) {
       const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
       const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-      ShardedQueryResult r = router.Submit({s, t}).get();
+      RouterQueryResult r = router.Submit({s, t}).get();
       ASSERT_EQ(r.code, StatusCode::kOk) << "i=" << i;
       ASSERT_EQ(r.distance, audit.Distance(s, t)) << "i=" << i;
     }
@@ -311,12 +311,12 @@ TEST(ReplicaProcessTest, KilledServerDegradesToSiblingThenTyped) {
   for (int i = 0; i < 24; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     if (r.code == StatusCode::kUnavailable) {
       ++unavailable;
     } else {
       ASSERT_EQ(r.code, StatusCode::kOk);
-      ASSERT_EQ(r.distance, r.snapshot->Query(s, t));
+      ASSERT_EQ(r.distance, Dijkstra(r.snapshot->graph).Distance(s, t));
     }
   }
   EXPECT_GT(unavailable, 0u);

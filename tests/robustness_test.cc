@@ -983,10 +983,8 @@ TEST(ShardedRobustnessTest, OverlayRepairFaultFallsBackExactly) {
 
 // Edges owned by a cell (neither endpoint on the separator): updating
 // one forces that shard to republish, so a replica whose install is
-// lost falls behind the pinned shard_epoch DETERMINISTICALLY —
-// boundary-edge updates only touch the overlay, which the router serves
-// locally.
-std::vector<EdgeId> IntraCellEdges(const ShardedSnapshot& snap,
+// lost falls behind the pinned epoch DETERMINISTICALLY.
+std::vector<EdgeId> IntraCellEdges(const RouterSnapshot& snap,
                                    size_t max_edges) {
   std::vector<EdgeId> out;
   const ShardLayout& lay = *snap.layout;
@@ -1022,7 +1020,7 @@ class InstallDroppingTransport final : public Transport {
   void Send(uint32_t endpoint, uint64_t tag,
             std::shared_ptr<const std::vector<uint8_t>> request,
             TransportSink* sink) override {
-    WireKind kind = WireKind::kBoundaryRow;
+    WireKind kind = WireKind::kPointQuery;
     if (PeekWireKind(request->data(), request->size(), &kind).ok() &&
         kind == WireKind::kInstall && Armed(endpoint)) {
       sink->OnResponse(tag, Status::Unavailable("test: install dropped"),
@@ -1061,10 +1059,10 @@ TEST(TransportChaosTest, TagsExactlyOnceUnderDropDelayDuplicate) {
   opt.engine.num_query_threads = 2;
   opt.num_query_threads = 4;
   LoopbackCluster cluster = MakeLoopbackCluster(
-      g, HierarchyOptions{}, opt, 2, ShardReplicaOptions{}, &faults);
+      g, HierarchyOptions{}, opt, 2, ReplicaNodeOptions{}, &faults);
   ShardRouter router(std::move(g), HierarchyOptions{}, opt,
                      cluster.transport.get(), {});
-  const std::shared_ptr<const ShardedSnapshot> snap0 =
+  const std::shared_ptr<const RouterSnapshot> snap0 =
       router.CurrentSnapshot();
   Dijkstra audit(snap0->graph);  // no updates: epoch 0 throughout
 
@@ -1082,7 +1080,17 @@ TEST(TransportChaosTest, TagsExactlyOnceUnderDropDelayDuplicate) {
       tags.push_back(i);
       submitted.emplace(i, q);
     }
-    router.SubmitBatchTagged(queries, tags, &queue).Wait();
+    // Waves of four: each routed span is one RPC, so one 512-query
+    // batch would cross the transport only a handful of times.
+    std::vector<ShardRouter::Ticket> tickets;
+    for (size_t i = 0; i < queries.size(); i += 4) {
+      const std::vector<QueryPair> wave(queries.begin() + i,
+                                        queries.begin() + i + 4);
+      const std::vector<uint64_t> wave_tags(tags.begin() + i,
+                                            tags.begin() + i + 4);
+      tickets.push_back(router.SubmitBatchTagged(wave, wave_tags, &queue));
+    }
+    for (ShardRouter::Ticket& ticket : tickets) ticket.Wait();
   }
 
   // Invariant 1: every tag exactly once — nothing lost, nothing doubled,
@@ -1145,7 +1153,7 @@ TEST(TransportChaosTest, StaleReplicaFailsOverToSibling) {
   const std::vector<EdgeId> dirty =
       IntraCellEdges(*router.CurrentSnapshot(), 4);
   ASSERT_FALSE(dirty.empty());
-  const std::shared_ptr<const ShardedSnapshot> before =
+  const std::shared_ptr<const RouterSnapshot> before =
       router.CurrentSnapshot();
   std::vector<WeightUpdate> updates;
   for (EdgeId e : dirty) {
@@ -1156,13 +1164,13 @@ TEST(TransportChaosTest, StaleReplicaFailsOverToSibling) {
   router.Flush();
   ASSERT_GT(router.CurrentEpoch(), 0u);
 
-  const std::shared_ptr<const ShardedSnapshot> snap =
+  const std::shared_ptr<const RouterSnapshot> snap =
       router.CurrentSnapshot();
   Dijkstra audit(snap->graph);
   for (int i = 0; i < 64; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     ASSERT_EQ(r.code, StatusCode::kOk) << "s=" << s << " t=" << t;
     ASSERT_EQ(r.distance, audit.Distance(s, t)) << "s=" << s << " t=" << t;
   }
@@ -1174,15 +1182,15 @@ TEST(TransportChaosTest, StaleReplicaFailsOverToSibling) {
   // over to the live sibling.
   EXPECT_GT(stats.rpc_failovers, 0u);
   EXPECT_GT(stats.rpc_stale_responses, 0u);
-  EXPECT_GT(cluster.replicas[0]->replica()->requests_rejected(), 0u);
-  EXPECT_GT(cluster.replicas[1]->replica()->requests_served(), 0u);
+  EXPECT_GT(cluster.replicas[0]->requests_rejected(), 0u);
+  EXPECT_GT(cluster.replicas[1]->requests_served(), 0u);
 }
 
-// A replica that answers the pinned epoch with a boundary row of the
-// wrong width is as unusable as a stale one: the reply fails the RPC's
-// acceptance test, so the fetch fails over to the sibling instead of
-// failing the query.
-TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
+// A replica whose answer has the wrong shape — one distance short, or
+// the wrong epoch echo — is as unusable as a stale one: the reply fails
+// the RPC's acceptance test, so the span fails over to the sibling
+// instead of failing its queries.
+TEST(TransportChaosTest, WrongCountOrEpochEchoFailsOverToSibling) {
   Graph g = testing_util::SmallRoadNetwork(6, 829);
   const uint32_t n = g.NumVertices();
   ShardRouterOptions opt;
@@ -1190,26 +1198,35 @@ TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
   opt.engine.num_query_threads = 2;
   opt.num_query_threads = 2;
   LoopbackCluster cluster = MakeLoopbackCluster(g, HierarchyOptions{}, opt, 2);
-  // Endpoint 0 truncates every boundary row it serves; endpoint 1 is
-  // honest.
+  // Endpoint 0 drops the last distance of one answer and bumps the
+  // epoch echo of the next; endpoint 1 is honest.
   LoopbackTransport transport;
-  ReplicaNode* truncating = cluster.replicas[0].get();
+  ReplicaNode* mangling = cluster.replicas[0].get();
   ReplicaNode* honest = cluster.replicas[1].get();
-  transport.AddEndpoint([truncating](const uint8_t* data, size_t size) {
-    std::vector<uint8_t> bytes = truncating->Handle(data, size);
-    ShardResponse resp;
-    if (ShardResponse::Decode(bytes.data(), bytes.size(), &resp).ok() &&
-        !resp.row.empty()) {
-      resp.row.pop_back();
-      bytes = resp.Encode();
-    }
-    return bytes;
-  });
+  std::atomic<uint64_t> mangled{0};
+  transport.AddEndpoint(
+      [mangling, &mangled](const uint8_t* data, size_t size) {
+        std::vector<uint8_t> bytes = mangling->Handle(data, size);
+        WireKind kind = WireKind::kInstall;
+        QueryResponse resp;
+        if (PeekWireKind(data, size, &kind).ok() &&
+            kind == WireKind::kPointQuery &&
+            QueryResponse::Decode(bytes.data(), bytes.size(), &resp).ok() &&
+            resp.code == StatusCode::kOk) {
+          if (mangled.fetch_add(1) % 2 == 0) {
+            resp.distances.pop_back();
+          } else {
+            ++resp.engine_epoch;
+          }
+          bytes = resp.Encode();
+        }
+        return bytes;
+      });
   transport.AddEndpoint([honest](const uint8_t* data, size_t size) {
     return honest->Handle(data, size);
   });
   ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport, {});
-  const std::shared_ptr<const ShardedSnapshot> snap =
+  const std::shared_ptr<const RouterSnapshot> snap =
       router.CurrentSnapshot();
   Dijkstra audit(snap->graph);
   Rng rng(829);
@@ -1218,7 +1235,7 @@ TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     batch.emplace_back(s, t);
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     ASSERT_EQ(r.code, StatusCode::kOk) << "s=" << s << " t=" << t;
     ASSERT_EQ(r.distance, audit.Distance(s, t)) << "s=" << s << " t=" << t;
   }
@@ -1232,14 +1249,15 @@ TEST(TransportChaosTest, WrongWidthRowFailsOverToSibling) {
 
   RouterStats stats = router.Stats();
   EXPECT_EQ(stats.serving.queries_unavailable, 0u);
-  EXPECT_GT(stats.rpc_failovers, 0u);
-  EXPECT_GT(stats.rpc_stale_responses, 0u);
+  EXPECT_GE(mangled.load(), 2u);  // both shapes were sent
+  EXPECT_EQ(stats.rpc_stale_responses, mangled.load());
+  EXPECT_EQ(stats.rpc_failovers, mangled.load());
 }
 
 // kUnavailable is reserved for total replica failure: with EVERY
 // replica's install lost, so all lag behind the pinned epoch,
-// RPC-dependent queries fail typed (and only those — local-only routes
-// still answer exactly).
+// RPC-dependent queries fail typed (and only those — s == t still
+// answers exactly).
 TEST(TransportChaosTest, AllReplicasStaleYieldTypedUnavailable) {
   Graph g = testing_util::SmallRoadNetwork(6, 827);
   const uint32_t n = g.NumVertices();
@@ -1266,14 +1284,13 @@ TEST(TransportChaosTest, AllReplicasStaleYieldTypedUnavailable) {
   for (int i = 0; i < 48; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     if (r.code == StatusCode::kUnavailable) {
       ++unavailable;
     } else {
-      // Only routes that never touch a replica (s == t, both endpoints
-      // boundary) may still answer — and they answer exactly.
+      // Only s == t never touches a replica; it still answers exactly.
       ASSERT_EQ(r.code, StatusCode::kOk);
-      ASSERT_EQ(r.distance, r.snapshot->Query(s, t));
+      ASSERT_EQ(r.distance, Dijkstra(r.snapshot->graph).Distance(s, t));
     }
   }
   EXPECT_GT(unavailable, 0u);
@@ -1287,13 +1304,13 @@ TEST(TransportChaosTest, AllReplicasStaleYieldTypedUnavailable) {
   router.EnqueueUpdate(
       dirty[0], router.CurrentSnapshot()->graph.EdgeWeight(dirty[0]) + 1);
   router.Flush();
-  const std::shared_ptr<const ShardedSnapshot> snap =
+  const std::shared_ptr<const RouterSnapshot> snap =
       router.CurrentSnapshot();
   Dijkstra audit(snap->graph);
   for (int i = 0; i < 32; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     ASSERT_EQ(r.code, StatusCode::kOk);
     ASSERT_EQ(r.distance, audit.Distance(s, t));
   }
@@ -1403,7 +1420,7 @@ TEST(SocketChaosTest, TagsExactlyOnceUnderShortIoAndDisconnects) {
   opt.engine = engine_opt;
   opt.num_query_threads = 4;
   ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport, {});
-  const std::shared_ptr<const ShardedSnapshot> snap0 =
+  const std::shared_ptr<const RouterSnapshot> snap0 =
       router.CurrentSnapshot();
   Dijkstra audit(snap0->graph);  // no updates: epoch 0 throughout
 
@@ -1421,7 +1438,17 @@ TEST(SocketChaosTest, TagsExactlyOnceUnderShortIoAndDisconnects) {
       tags.push_back(i);
       submitted.emplace(i, q);
     }
-    router.SubmitBatchTagged(queries, tags, &queue).Wait();
+    // Waves of four: each routed span is one RPC, so one 512-query
+    // batch would cross the transport only a handful of times.
+    std::vector<ShardRouter::Ticket> tickets;
+    for (size_t i = 0; i < queries.size(); i += 4) {
+      const std::vector<QueryPair> wave(queries.begin() + i,
+                                        queries.begin() + i + 4);
+      const std::vector<uint64_t> wave_tags(tags.begin() + i,
+                                            tags.begin() + i + 4);
+      tickets.push_back(router.SubmitBatchTagged(wave, wave_tags, &queue));
+    }
+    for (ShardRouter::Ticket& ticket : tickets) ticket.Wait();
   }
 
   // Exactly once per tag, exact or typed — zero lost, zero doubled,
@@ -1460,7 +1487,7 @@ TEST(SocketChaosTest, TagsExactlyOnceUnderShortIoAndDisconnects) {
   for (int i = 0; i < 64; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     ASSERT_EQ(r.code, StatusCode::kOk) << "post-recovery i=" << i;
     ASSERT_EQ(r.distance, audit.Distance(s, t)) << "post-recovery i=" << i;
   }

@@ -4,8 +4,8 @@
 // bytes — across all four backends and replica counts {1, 2, 3}, while
 // audited against per-epoch Dijkstra ground truth. Plus the epoch
 // invariants: a batch pins ONE epoch across all shards even while a
-// writer republishes, and replicas only ever answer the pinned
-// shard_epoch.
+// writer republishes, and replicas only ever answer on the pinned
+// epoch.
 #include "dist/shard_router.h"
 
 #include <gtest/gtest.h>
@@ -127,7 +127,7 @@ TEST_P(RouterConformanceTest, LockstepBitIdenticalToDirectEngine) {
   // Every replica holds every published epoch (installed before the
   // router's readers could pin it).
   for (const auto& replica : cluster.replicas) {
-    EXPECT_EQ(replica->replica()->installs(),
+    EXPECT_EQ(replica->installs_applied(),
               stats.serving.epochs_published + 1);
   }
 }
@@ -146,10 +146,10 @@ TEST_P(RouterConformanceTest, PerQuerySubmitMatchesSnapshotReference) {
   for (int i = 0; i < 64; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     ASSERT_EQ(r.code, StatusCode::kOk);
     ASSERT_NE(r.snapshot, nullptr);
-    ASSERT_EQ(r.distance, r.snapshot->Query(s, t))
+    ASSERT_EQ(r.distance, Dijkstra(r.snapshot->graph).Distance(s, t))
         << BackendName(backend()) << " replicas=" << replicas()
         << " s=" << s << " t=" << t;
   }
@@ -177,7 +177,7 @@ class RouterMixedWorkloadTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(RouterMixedWorkloadTest, FuturesAndBatchesMatchDijkstraUnderWriter) {
   const Graph base = SmallRoadNetwork(20, 7);
-  ShardReplicaOptions deep_ring;
+  ReplicaNodeOptions deep_ring;
   deep_ring.epoch_ring = 64;
   ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
   opt.engine.num_query_threads = 4;
@@ -224,8 +224,8 @@ TEST(RouterEpochPinningTest, BatchPinsSingleEpochUnderConcurrentWriter) {
   // means a pinned epoch is never evicted mid-flight, so every query
   // must come back kOk even when the sanitizer slows the fan-out far
   // behind the racing writer (ring eviction is covered separately by
-  // ShardReplicaTest.RingRefusesEvictedEpochs).
-  ShardReplicaOptions deep_ring;
+  // ReplicaNodeTest.SpansMatchDirectEngineAtEveryEpoch).
+  ReplicaNodeOptions deep_ring;
   deep_ring.epoch_ring = 64;
   LoopbackCluster cluster =
       MakeLoopbackCluster(g, HierarchyOptions{}, opt, 2, deep_ring);
@@ -337,7 +337,7 @@ TEST(RouterCompletionTest, TaggedDeliveryExactlyOnceAndExact) {
                      RouterOpts(BackendKind::kStl),
                      cluster.transport.get(), {});
   // No updates in this test: epoch 0 is the ground truth throughout.
-  const std::shared_ptr<const ShardedSnapshot> snap0 =
+  const std::shared_ptr<const RouterSnapshot> snap0 =
       router.CurrentSnapshot();
   Dijkstra audit(snap0->graph);
 
@@ -368,72 +368,185 @@ TEST(RouterCompletionTest, TaggedDeliveryExactlyOnceAndExact) {
   }
 }
 
-// ------------------------------------------------- replica epoch ring
-
-// A replica holds only its ring of recent epochs: requests pinning a
-// version outside the ring are refused (kUnavailable), never answered
-// from a different epoch.
-TEST(ShardReplicaTest, RingRefusesEvictedEpochs) {
-  Graph g = SmallRoadNetwork(6, 503);
+// A ring-of-1 replica refuses every span pinned to an epoch it has
+// already replaced; its deep-ringed sibling answers instead. Under a
+// racing writer every tag is still delivered exactly once, kOk, and
+// exact for its ticket's pinned epoch, and each refusal is one
+// failover.
+TEST(RouterCompletionTest, RingOfOneReplicaBehindHealthySiblingDeliversOnce) {
+  Graph g = SmallRoadNetwork(6, 409);
+  const uint32_t n = g.NumVertices();
   const uint32_t m = g.NumEdges();
   ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
-  ShardReplicaOptions ring1;
-  ring1.epoch_ring = 1;  // strictest: only the newest version is held
+  opt.num_query_threads = 4;
+  opt.max_batch_size = 2;  // many epochs
+  ReplicaNodeOptions ring1;
+  ring1.epoch_ring = 1;
+  ReplicaNodeOptions deep_ring;
+  deep_ring.epoch_ring = 64;  // more than the run can publish
+  ReplicaNode strict(g, HierarchyOptions{}, opt.engine, ring1);
+  ReplicaNode healthy(g, HierarchyOptions{}, opt.engine, deep_ring);
+  LoopbackTransport transport;
+  transport.AddEndpoint([&strict](const uint8_t* data, size_t size) {
+    return strict.Handle(data, size);
+  });
+  transport.AddEndpoint([&healthy](const uint8_t* data, size_t size) {
+    return healthy.Handle(data, size);
+  });
+  ShardRouter router(std::move(g), HierarchyOptions{}, opt, &transport, {});
+
+  std::atomic<bool> done{false};
+  std::thread updater([&router, m, &done] {
+    Rng rng(409);
+    for (int i = 0; i < 40; ++i) {
+      router.EnqueueUpdate(static_cast<EdgeId>(rng.NextBounded(m)),
+                           1 + static_cast<Weight>(rng.NextBounded(400)));
+      if (i % 4 == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    done.store(true);
+  });
+  RecordingSink sink;
+  Rng rng(410);
+  std::vector<std::vector<QueryPair>> waves;
+  std::vector<ShardRouter::Ticket> tickets;
+  uint64_t next_tag = 0;
+  while (!done.load() || waves.size() < 20) {
+    std::vector<QueryPair> wave;
+    std::vector<uint64_t> tags;
+    for (int i = 0; i < 16; ++i) {
+      wave.push_back({static_cast<Vertex>(rng.NextBounded(n)),
+                      static_cast<Vertex>(rng.NextBounded(n))});
+      tags.push_back(next_tag++);
+    }
+    tickets.push_back(router.SubmitBatchTagged(wave, tags, &sink));
+    waves.push_back(std::move(wave));
+    if (waves.size() >= 200) break;  // safety valve
+  }
+  updater.join();
+  router.Flush();
+  for (ShardRouter::Ticket& t : tickets) t.Wait();
+
+  std::map<uint64_t, Completion> by_tag;
+  for (const Completion& c : sink.Take()) {
+    ASSERT_TRUE(by_tag.emplace(c.tag, c).second)
+        << "tag " << c.tag << " delivered twice";
+  }
+  ASSERT_EQ(by_tag.size(), next_tag);
+  testing_util::EpochOracle oracle;
+  for (size_t w = 0; w < waves.size(); ++w) {
+    Dijkstra& audit =
+        oracle.For(tickets[w].epoch(), tickets[w].snapshot()->graph);
+    for (size_t i = 0; i < waves[w].size(); ++i) {
+      const Completion& c = by_tag.at(16 * w + i);
+      ASSERT_EQ(c.code, StatusCode::kOk) << "wave=" << w << " i=" << i;
+      ASSERT_EQ(c.epoch, tickets[w].epoch());
+      ASSERT_EQ(c.distance,
+                audit.Distance(waves[w][i].first, waves[w][i].second))
+          << "wave=" << w << " i=" << i;
+    }
+  }
+  const RouterStats stats = router.Stats();
+  EXPECT_EQ(stats.serving.queries_unavailable, 0u);
+  EXPECT_EQ(healthy.requests_rejected(), 0u);
+  EXPECT_EQ(stats.rpc_stale_responses, strict.requests_rejected());
+  EXPECT_EQ(stats.rpc_failovers, strict.requests_rejected());
+}
+
+// ------------------------------------------------- replica epoch ring
+
+// Sends one QueryRequest straight to `node` and decodes the answer.
+QueryResponse AskReplica(ReplicaNode& node, uint64_t engine_epoch,
+                         std::vector<QueryPair> pairs) {
+  QueryRequest req;
+  req.engine_epoch = engine_epoch;
+  req.pairs = std::move(pairs);
+  const std::vector<uint8_t> bytes = req.Encode();
+  const std::vector<uint8_t> reply = node.Handle(bytes.data(), bytes.size());
+  QueryResponse resp;
+  EXPECT_TRUE(QueryResponse::Decode(reply.data(), reply.size(), &resp).ok());
+  return resp;
+}
+
+// The replica-side conformance check: over a lockstep update run, at
+// every epoch, a replica answers a lone pair and a 64-pair span on the
+// snapshot of exactly the pinned engine epoch, bit-identical to the
+// direct engine. It holds only its ring of recent epochs: an evicted or
+// a future epoch, and a vertex id out of range, answer kUnavailable —
+// never another epoch's bytes.
+TEST(ReplicaNodeTest, SpansMatchDirectEngineAtEveryEpoch) {
+  Graph g = SmallRoadNetwork(7, 503);
+  const uint32_t n = g.NumVertices();
+  const uint32_t m = g.NumEdges();
+  const ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
+  ReplicaNodeOptions ring2;
+  ring2.epoch_ring = 2;
   LoopbackCluster cluster =
-      MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1, ring1);
+      MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1, ring2);
+  ReplicaNode& node = *cluster.replicas[0];
+  ShardedEngine direct(g, HierarchyOptions{}, EngineOpts(BackendKind::kStl));
   ShardRouter router(std::move(g), HierarchyOptions{}, opt,
                      cluster.transport.get(), {});
 
-  // Hold the epoch-0 snapshot, then advance past the ring.
-  std::shared_ptr<const ShardedSnapshot> old_snap =
-      router.CurrentSnapshot();
   Rng rng(503);
-  for (int round = 0; round < 3; ++round) {
-    router.EnqueueUpdate(static_cast<EdgeId>(rng.NextBounded(m)),
-                         1 + static_cast<Weight>(rng.NextBounded(300)));
-    router.Flush();
-  }
-  ASSERT_GT(router.CurrentEpoch(), old_snap->epoch);
-
-  // A request hand-pinned to the evicted epoch must be refused.
-  ShardRequest req;
-  req.kind = WireKind::kBoundaryRow;
-  req.shard = 0;
-  req.shard_epoch = old_snap->shards[0]->shard_epoch;
-  // Pick a vertex owned by shard 0.
-  const ShardLayout& lay = *old_snap->layout;
-  Vertex owned = 0;
-  for (Vertex v = 0; v < lay.shard_of_vertex.size(); ++v) {
-    if (lay.shard_of_vertex[v] == 0) {
-      owned = v;
-      break;
+  uint64_t rejected = 0;
+  for (int round = 0; round < 6; ++round) {
+    if (round > 0) {
+      std::vector<WeightUpdate> updates;
+      for (int i = 0; i < 3; ++i) {
+        updates.push_back(
+            WeightUpdate{static_cast<EdgeId>(rng.NextBounded(m)), 0,
+                         1 + static_cast<Weight>(rng.NextBounded(500))});
+      }
+      direct.EnqueueUpdates(updates);
+      router.EnqueueUpdates(updates);
+      direct.Flush();
+      router.Flush();
     }
+    const uint64_t epoch = router.CurrentEpoch();
+    ASSERT_EQ(direct.CurrentEpoch(), epoch) << "round=" << round;
+    std::vector<QueryPair> pairs;
+    for (int i = 0; i < 64; ++i) {
+      pairs.push_back({static_cast<Vertex>(rng.NextBounded(n)),
+                       static_cast<Vertex>(rng.NextBounded(n))});
+    }
+    ShardedEngine::Ticket ticket = direct.SubmitBatch(pairs);
+    ticket.Wait();
+    ASSERT_EQ(ticket.epoch(), epoch);
+
+    const QueryResponse span = AskReplica(node, epoch, pairs);
+    ASSERT_EQ(span.code, StatusCode::kOk) << "round=" << round;
+    ASSERT_EQ(span.engine_epoch, epoch);
+    ASSERT_EQ(span.distances.size(), pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      ASSERT_EQ(span.distances[i], ticket.distance(i))
+          << "round=" << round << " i=" << i;
+      const QueryResponse lone = AskReplica(node, epoch, {pairs[i]});
+      ASSERT_EQ(lone.code, StatusCode::kOk);
+      ASSERT_EQ(lone.distances, std::vector<Weight>{ticket.distance(i)})
+          << "round=" << round << " i=" << i;
+    }
+
+    // Not yet installed, evicted (the ring holds the two newest epochs,
+    // and every router epoch is installed), and out of range.
+    EXPECT_EQ(AskReplica(node, epoch + 1, pairs).code,
+              StatusCode::kUnavailable);
+    ++rejected;
+    if (epoch >= 2) {
+      const QueryResponse old = AskReplica(node, epoch - 2, pairs);
+      EXPECT_EQ(old.code, StatusCode::kUnavailable);
+      EXPECT_EQ(old.engine_epoch, epoch - 2);
+      EXPECT_TRUE(old.distances.empty());
+      ++rejected;
+    }
+    EXPECT_EQ(AskReplica(node, epoch, {{0, 1}, {n, 0}}).code,
+              StatusCode::kUnavailable);
+    ++rejected;
   }
-  req.u = owned;
-  // Only refused if shard 0 actually republished since epoch 0;
-  // otherwise the ring's newest entry still serves that shard_epoch.
-  const uint64_t current_se =
-      router.CurrentSnapshot()->shards[0]->shard_epoch;
-  const std::vector<uint8_t> bytes = req.Encode();
-  std::vector<uint8_t> resp_bytes =
-      cluster.replicas[0]->Handle(bytes.data(), bytes.size());
-  ShardResponse resp;
-  ASSERT_TRUE(
-      ShardResponse::Decode(resp_bytes.data(), resp_bytes.size(), &resp)
-          .ok());
-  if (current_se != req.shard_epoch) {
-    EXPECT_EQ(resp.code, StatusCode::kUnavailable);
-  } else {
-    EXPECT_EQ(resp.code, StatusCode::kOk);
-  }
-  // Current-epoch requests keep working either way.
-  req.shard_epoch = current_se;
-  const std::vector<uint8_t> bytes2 = req.Encode();
-  resp_bytes = cluster.replicas[0]->Handle(bytes2.data(), bytes2.size());
-  ASSERT_TRUE(
-      ShardResponse::Decode(resp_bytes.data(), resp_bytes.size(), &resp)
-          .ok());
-  EXPECT_EQ(resp.code, StatusCode::kOk);
+  EXPECT_GE(router.CurrentEpoch(), 3u);  // eviction was exercised
+  EXPECT_EQ(node.requests_rejected(), rejected);
+  EXPECT_GT(node.requests_served(), 0u);
 }
 
 // ---------------------------------------------- socket skeleton shape
@@ -453,15 +566,14 @@ TEST(SocketTransportTest, RouterDegradesToTypedUnavailable) {
   for (int i = 0; i < 32; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     if (r.code == StatusCode::kUnavailable) {
       ++unavailable;
       EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
     } else {
-      // Only queries that never need a replica (s == t, both endpoints
-      // boundary) can still answer — and they answer exactly.
+      // Only s == t never needs a replica; it still answers exactly.
       ASSERT_EQ(r.code, StatusCode::kOk);
-      ASSERT_EQ(r.distance, r.snapshot->Query(s, t));
+      ASSERT_EQ(r.distance, Dijkstra(r.snapshot->graph).Distance(s, t));
     }
   }
   EXPECT_GT(unavailable, 0u);
@@ -609,7 +721,7 @@ TEST(SocketConformanceTest2, TaggedDeliveryExactlyOnceOverTcp) {
   SocketTransport transport(cluster.endpoints);
   ShardRouter router(std::move(g), HierarchyOptions{},
                      RouterOpts(BackendKind::kStl), &transport, {});
-  const std::shared_ptr<const ShardedSnapshot> snap0 =
+  const std::shared_ptr<const RouterSnapshot> snap0 =
       router.CurrentSnapshot();
   Dijkstra audit(snap0->graph);
 
@@ -720,17 +832,17 @@ TEST(RouterAsyncTest, FanoutParksNoReaderThread) {
   holding.Hold();  // the epoch-0 install has passed
 
   // Find a query that actually fans out (lands at least one RPC in the
-  // holding transport). Trivial ones (s == t, both-boundary pairs)
-  // complete with no RPC and are skipped.
+  // holding transport). Trivial ones (s == t) complete with no RPC and
+  // are skipped.
   Rng rng(811);
-  std::future<ShardedQueryResult> first;
+  std::future<RouterQueryResult> first;
   QueryPair first_q{0, 0};
   bool held_one = false;
   for (int attempt = 0; attempt < 64 && !held_one; ++attempt) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
     if (s == t) continue;
-    std::future<ShardedQueryResult> f = router.Submit({s, t});
+    std::future<RouterQueryResult> f = router.Submit({s, t});
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::seconds(5);
     while (std::chrono::steady_clock::now() < deadline) {
@@ -756,11 +868,11 @@ TEST(RouterAsyncTest, FanoutParksNoReaderThread) {
 
   // The fan-out is parked in the transport; the single reader must
   // already be back in the pool: an RPC-free query completes now.
-  std::future<ShardedQueryResult> second = router.Submit({3, 3});
+  std::future<RouterQueryResult> second = router.Submit({3, 3});
   ASSERT_EQ(second.wait_for(std::chrono::seconds(10)),
             std::future_status::ready)
       << "reader thread was parked by the in-flight fan-out";
-  ShardedQueryResult trivial = second.get();
+  RouterQueryResult trivial = second.get();
   EXPECT_EQ(trivial.code, StatusCode::kOk);
   EXPECT_EQ(trivial.distance, 0u);
   EXPECT_NE(first.wait_for(std::chrono::seconds(0)),
@@ -770,10 +882,11 @@ TEST(RouterAsyncTest, FanoutParksNoReaderThread) {
   // Release: the held responses flow, the fan-out completes, and the
   // answer is exact on its pinned snapshot.
   holding.Release();
-  ShardedQueryResult r = first.get();
+  RouterQueryResult r = first.get();
   ASSERT_EQ(r.code, StatusCode::kOk);
   ASSERT_NE(r.snapshot, nullptr);
-  EXPECT_EQ(r.distance, r.snapshot->Query(first_q.first, first_q.second));
+  EXPECT_EQ(r.distance, Dijkstra(r.snapshot->graph)
+                            .Distance(first_q.first, first_q.second));
 }
 
 // Shutdown with socket RPCs still in flight: the router is destroyed
@@ -797,7 +910,7 @@ TEST(RouterAsyncTest, DestroyWithSocketRpcsInFlightDrainsThem) {
   holding.Hold();
   Rng rng(seed);
   std::vector<QueryPair> queries;
-  std::vector<std::future<ShardedQueryResult>> futures;
+  std::vector<std::future<RouterQueryResult>> futures;
   for (int i = 0; i < 24; ++i) {
     const QueryPair q{static_cast<Vertex>(rng.NextBounded(n)),
                       static_cast<Vertex>(rng.NextBounded(n))};
@@ -822,11 +935,12 @@ TEST(RouterAsyncTest, DestroyWithSocketRpcsInFlightDrainsThem) {
     ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
               std::future_status::ready)
         << "query " << i << " outlived the router";
-    ShardedQueryResult r = futures[i].get();
+    RouterQueryResult r = futures[i].get();
     ASSERT_EQ(r.code, StatusCode::kOk) << "query " << i;
     ASSERT_NE(r.snapshot, nullptr);
     EXPECT_EQ(r.distance,
-              r.snapshot->Query(queries[i].first, queries[i].second))
+              Dijkstra(r.snapshot->graph)
+                  .Distance(queries[i].first, queries[i].second))
         << "query " << i;
   }
 }
@@ -918,21 +1032,22 @@ TEST(RouterReplicationTest, MalformedInstallNacksWithoutApplying) {
   EXPECT_EQ(router.Stats().install_failures, 0u);
   EXPECT_EQ(node->installs_applied(), 1u);
   EXPECT_EQ(node->install_nacks(), 2u);
-  const std::shared_ptr<const ShardedSnapshot> snap = router.CurrentSnapshot();
+  const std::shared_ptr<const RouterSnapshot> snap = router.CurrentSnapshot();
   Dijkstra audit(snap->graph);
   Rng rng(331);
   for (int i = 0; i < 48; ++i) {
     const Vertex s = static_cast<Vertex>(rng.NextBounded(n));
     const Vertex t = static_cast<Vertex>(rng.NextBounded(n));
-    ShardedQueryResult r = router.Submit({s, t}).get();
+    RouterQueryResult r = router.Submit({s, t}).get();
     ASSERT_EQ(r.code, StatusCode::kOk);
     ASSERT_EQ(r.distance, audit.Distance(s, t));
   }
 }
 
-// The router's stats carry its writer's work: one overlay publish per
-// effective epoch, with its publish time and clique recompute.
-TEST(RouterReplicationTest, StatsReportTheWritersWork) {
+// The router holds no index: its stats carry the ledger's bookkeeping
+// (updates, epochs, one row per shard with its shard epoch) and no
+// index, publish or overlay work, which runs on the replicas.
+TEST(RouterReplicationTest, StatsReportTheLedgersBookkeeping) {
   Graph g = SmallRoadNetwork(6, 223);
   const ShardRouterOptions opt = RouterOpts(BackendKind::kStl);
   LoopbackCluster cluster = MakeLoopbackCluster(g, HierarchyOptions{}, opt, 1);
@@ -942,22 +1057,31 @@ TEST(RouterReplicationTest, StatsReportTheWritersWork) {
   testing_util::PublishEpochs(router, 0, kEpochs);
   const EngineStats s = router.Stats().serving;
   EXPECT_EQ(s.epochs_published, static_cast<uint64_t>(kEpochs));
-  EXPECT_EQ(s.overlay_republishes, s.epochs_published);
   EXPECT_EQ(s.updates_applied, static_cast<uint64_t>(kEpochs));
-  // Lone updates: STL-P on the owning shard (none for an S-S edge).
-  EXPECT_GE(s.batches_pareto, 1u);
-  EXPECT_LE(s.batches_pareto, static_cast<uint64_t>(kEpochs));
-  EXPECT_EQ(s.batches_label, 0u);
-  EXPECT_GT(s.publish_total_micros, 0.0);
-  EXPECT_GT(s.overlay_rebuild_micros, 0.0);
-  EXPECT_GT(s.overlay_rows_total, 0u);
-  EXPECT_GT(s.cow_bytes_cloned, 0u);
-  EXPECT_EQ(s.shards.size(), router.num_shards());
+  EXPECT_EQ(s.num_shards, router.num_shards());
+  ASSERT_EQ(s.shards.size(), router.num_shards());
+  const std::shared_ptr<const RouterSnapshot> snap = router.CurrentSnapshot();
+  uint64_t shard_updates = 0;
+  for (const ShardStats& row : s.shards) {
+    EXPECT_EQ(row.shard_epoch, snap->shard_epochs[row.shard]);
+    EXPECT_EQ(row.shard_epoch, row.updates_applied);  // one edge per epoch
+    shard_updates += row.updates_applied;
+  }
+  // Lone updates: each lands on one shard, or on the overlay (S-S).
+  EXPECT_LE(shard_updates, static_cast<uint64_t>(kEpochs));
+  EXPECT_EQ(s.batches_pareto + s.batches_label, 0u);
+  EXPECT_EQ(s.overlay_republishes, 0u);
+  EXPECT_EQ(s.publish_total_micros, 0.0);
+  EXPECT_EQ(s.cow_bytes_cloned, 0u);
+  EXPECT_GT(s.resident_index_bytes, 0u);  // the weights and the layout
 
   router.ResetStats();
   const EngineStats reset = router.Stats().serving;
-  EXPECT_EQ(reset.overlay_republishes, 0u);
-  EXPECT_EQ(reset.publish_total_micros, 0.0);
+  EXPECT_EQ(reset.updates_applied, 0u);
+  for (const ShardStats& row : reset.shards) {
+    EXPECT_EQ(row.updates_applied, 0u);
+    EXPECT_EQ(row.shard_epoch, snap->shard_epochs[row.shard]);
+  }
   EXPECT_EQ(router.CurrentEpoch(), static_cast<uint64_t>(kEpochs));
   // The reset opens one fresh window for every RouterStats counter
   // without touching epoch ids: M more epochs count M epochs and M

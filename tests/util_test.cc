@@ -491,6 +491,119 @@ TEST(WireTest, CorruptedHeaderAndFieldsRejected) {
       StatusCode::kCorruption);
 }
 
+// ------------------------------------------------ whole-query messages
+
+// Query requests spanning the value range: no pairs, one pair, extreme
+// vertex ids, and an epoch with every byte distinct.
+std::vector<QueryRequest> SampleQueryRequests() {
+  QueryRequest empty;
+  QueryRequest one;
+  one.engine_epoch = 7;
+  one.pairs = {{3, 9}};
+  QueryRequest wide;
+  wide.engine_epoch = 0x0123456789abcdefull;
+  for (Vertex v = 0; v < 64; ++v) wide.pairs.push_back({v, 63 - v});
+  wide.pairs.push_back({0xffffffffu, 0x80000001u});
+  return {empty, one, wide};
+}
+
+// Query responses: served answers (with kInfDistance) and the
+// kUnavailable shape.
+std::vector<QueryResponse> SampleQueryResponses() {
+  QueryResponse ok;
+  ok.engine_epoch = 11;
+  ok.distances = {0, 1, kInfDistance, 0x3ffffffeu, 42};
+  QueryResponse unavailable;
+  unavailable.code = StatusCode::kUnavailable;
+  unavailable.engine_epoch = UINT64_MAX;
+  return {ok, unavailable};
+}
+
+TEST(WireTest, QueryMessagesRoundTripBitwise) {
+  for (const QueryRequest& req : SampleQueryRequests()) {
+    const std::vector<uint8_t> bytes = req.Encode();
+    WireKind kind = WireKind::kInstall;
+    ASSERT_TRUE(PeekWireKind(bytes.data(), bytes.size(), &kind).ok());
+    EXPECT_EQ(kind, WireKind::kPointQuery);
+    QueryRequest got;
+    ASSERT_TRUE(QueryRequest::Decode(bytes.data(), bytes.size(), &got).ok());
+    EXPECT_EQ(got.engine_epoch, req.engine_epoch);
+    EXPECT_EQ(got.pairs, req.pairs);
+    EXPECT_EQ(got.Encode(), bytes);
+  }
+  for (const QueryResponse& resp : SampleQueryResponses()) {
+    const std::vector<uint8_t> bytes = resp.Encode();
+    QueryResponse got;
+    ASSERT_TRUE(
+        QueryResponse::Decode(bytes.data(), bytes.size(), &got).ok());
+    EXPECT_EQ(got.code, resp.code);
+    EXPECT_EQ(got.engine_epoch, resp.engine_epoch);
+    EXPECT_EQ(got.distances, resp.distances);
+    EXPECT_EQ(got.Encode(), bytes);
+  }
+}
+
+TEST(WireTest, QueryMessagesRejectEveryTruncationAndTrailingByte) {
+  for (const QueryRequest& req : SampleQueryRequests()) {
+    std::vector<uint8_t> bytes = req.Encode();
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      QueryRequest got;
+      EXPECT_FALSE(QueryRequest::Decode(bytes.data(), len, &got).ok())
+          << "request prefix of " << len << " bytes decoded";
+    }
+    bytes.push_back(0);
+    QueryRequest got;
+    EXPECT_EQ(QueryRequest::Decode(bytes.data(), bytes.size(), &got).code(),
+              StatusCode::kCorruption);
+  }
+  for (const QueryResponse& resp : SampleQueryResponses()) {
+    std::vector<uint8_t> bytes = resp.Encode();
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      QueryResponse got;
+      EXPECT_FALSE(QueryResponse::Decode(bytes.data(), len, &got).ok())
+          << "response prefix of " << len << " bytes decoded";
+    }
+    bytes.push_back(0);
+    QueryResponse got;
+    EXPECT_EQ(
+        QueryResponse::Decode(bytes.data(), bytes.size(), &got).code(),
+        StatusCode::kCorruption);
+  }
+}
+
+// A pair count beyond the remaining bytes is refused before the pairs
+// are allocated: were it resized first, a count near 2^63 would throw.
+TEST(WireTest, QueryPairCountBeyondBufferIsRefusedBeforeAllocating) {
+  const QueryRequest one = SampleQueryRequests()[1];
+  const size_t count_at = 3 * sizeof(uint32_t) + sizeof(uint64_t);
+  for (const uint64_t count :
+       {uint64_t{2}, uint64_t{1} << 40, UINT64_MAX / 2, UINT64_MAX}) {
+    std::vector<uint8_t> bytes = one.Encode();
+    std::memcpy(bytes.data() + count_at, &count, sizeof(uint64_t));
+    QueryRequest got;
+    EXPECT_EQ(QueryRequest::Decode(bytes.data(), bytes.size(), &got).code(),
+              StatusCode::kCorruption)
+        << "count " << count;
+  }
+}
+
+// Version 1's kPointQuery is the per-cell ShardRequest: a version-1
+// buffer never decodes as a whole-query request or response.
+TEST(WireTest, QueryMessagesRefuseVersionOne) {
+  const uint32_t v1 = 1;
+  std::vector<uint8_t> bytes = SampleQueryRequests()[1].Encode();
+  std::memcpy(bytes.data() + sizeof(uint32_t), &v1, sizeof(uint32_t));
+  QueryRequest req;
+  EXPECT_EQ(QueryRequest::Decode(bytes.data(), bytes.size(), &req).code(),
+            StatusCode::kCorruption);
+  bytes = SampleQueryResponses()[0].Encode();
+  std::memcpy(bytes.data() + sizeof(uint32_t), &v1, sizeof(uint32_t));
+  QueryResponse resp;
+  EXPECT_EQ(
+      QueryResponse::Decode(bytes.data(), bytes.size(), &resp).code(),
+      StatusCode::kCorruption);
+}
+
 // ------------------------------------------------- stream framing
 
 TEST(FrameTest, RoundTripAndConcatenation) {
